@@ -10,11 +10,11 @@ bit-for-bit regardless of how the work is partitioned.
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import channel, fixtures
 from .errors import DataError, ModelError, NumericError, UcadivError
@@ -56,6 +56,16 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.n_antennas < 1:
+            raise ValueError("need at least one antenna")
+        for d in self.spacings:
+            if (isinstance(d, bool) or not isinstance(d, numbers.Real)
+                    or not math.isfinite(d) or d < 0):
+                raise ValueError(
+                    f"spacing must be a finite number >= 0, got {d!r}"
+                )
+        if not math.isfinite(self.snr_db):
+            raise ValueError("SNR must be finite")
         if not 0.0 < self.outage_p < 0.5:
             raise ValueError("outage level must lie in (0, 0.5)")
         if self.realizations * self.outage_p < 1.0:
@@ -118,7 +128,7 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
 
 
 def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
-    """Front end, normalized noise diagonal and beamformer for a mode set."""
+    """Front end and noise covariance for a mode set."""
     if config.retune_modes:
         mode_set = replace(
             mode_set,
@@ -132,17 +142,7 @@ def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
     gamma_iid = fano_boxcar(iso, config.relative_bandwidth).gamma0
     n0 = n0_normalize(config.temps, iso.r, gamma_iid)
     resistances = mode_set.expand([m.r for m in mode_set.modes]).real
-    cov = noise_cov(front, resistances, config.temps, n0=n0)
-    return front, cov, mode_set
-
-
-def _iid_frontend(config: SimConfig):
-    """Perfect-match, unit-noise front end used when coupling is disabled."""
-    freqs = subcarrier_grid(config.subcarriers, config.relative_bandwidth)
-    k, n = config.subcarriers, config.n_antennas
-    gamma = np.zeros((k, n))
-    sigma = np.ones((k, n))
-    return freqs, gamma, sigma
+    return front, noise_cov(front, resistances, config.temps, n0=n0)
 
 
 def _simulate(config: SimConfig, corr, gamma, sigma_norm, q, indices):
@@ -194,13 +194,15 @@ def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
     if config.coupling:
         if mode_set is None:
             mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
-        front, cov, _ = _match_and_noise(config, mode_set)
+        front, cov = _match_and_noise(config, mode_set)
         gamma, sigma_norm = front.gamma, cov.normalized()
         corr = channel.spatial_correlation(
             config.n_antennas, d, config.planewaves
         )
     else:
-        _, gamma, sigma_norm = _iid_frontend(config)
+        # perfect match and unit noise
+        shape = (config.subcarriers, config.n_antennas)
+        gamma, sigma_norm = np.zeros(shape), np.ones(shape)
         eye = np.eye(config.n_antennas, dtype=complex)
         corr = channel.CorrelationModel(
             n=config.n_antennas, d=float(d), k_prime=config.planewaves,
@@ -221,6 +223,23 @@ def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
     return np.concatenate(parts)
 
 
+def _binom_ppf(q, m, p):
+    """Smallest k with P(Binomial(m, p) <= k) >= q.
+
+    Each probability mass is formed in log space, so no term overflows
+    for any sample count.
+    """
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_m = math.lgamma(m + 1)
+    cdf = 0.0
+    for k in range(m):
+        cdf += math.exp(log_m - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                        + k * log_p + (m - k) * log_q)
+        if cdf >= q:
+            return k
+    return m
+
+
 def outage(samples, p):
     """Lower empirical p-quantile and its 95% order-statistic half-width.
 
@@ -235,10 +254,8 @@ def outage(samples, p):
     s = np.sort(samples)
     r = math.ceil(p * m)
     c0 = float(s[r - 1])
-    lo_rank = int(stats.binom.ppf(0.025, m, p))
-    hi_rank = int(stats.binom.ppf(0.975, m, p)) + 1
-    lo_rank = max(lo_rank, 1)
-    hi_rank = min(hi_rank, m)
+    lo_rank = max(_binom_ppf(0.025, m, p), 1)
+    hi_rank = min(_binom_ppf(0.975, m, p) + 1, m)
     half = 0.5 * float(s[hi_rank - 1] - s[lo_rank - 1])
     return c0, half
 

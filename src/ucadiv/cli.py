@@ -31,12 +31,24 @@ EXIT_MODEL = 4
 EXIT_NUMERIC = 5
 
 
-def _add_common(p):
+def _add_input(p):
+    """Where the modes come from: modes, match, capacity and sweep."""
     p.add_argument("--config", help="JSON run configuration file")
-    p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--realizations", type=int, help="override sample count")
+    p.add_argument("--fixture", choices=["table1"],
+                   help="use the built-in reference fixture")
+    p.add_argument("--spacing", type=float, nargs="*", default=None)
+
+
+def _add_out(p):
     p.add_argument("--out", help="output directory "
                    f"(default ${io.OUTDIR_ENV} or '.')")
+
+
+def _add_monte_carlo(p):
+    """Run overrides and reporting of capacity and sweep."""
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--seed", type=int, help="override the RNG seed")
+    p.add_argument("--realizations", type=int, help="override sample count")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats")
     retune = p.add_mutually_exclusive_group()
@@ -222,35 +234,30 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("modes", help="eigen-impedance fit report")
-    p.add_argument("--fixture", choices=["table1"],
-                   help="use the built-in reference fixture")
-    p.add_argument("--spacing", type=float, nargs="*", default=None)
-    _add_common(p)
+    _add_input(p)
+    _add_out(p)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("match", help="box-car matching budget per mode")
-    p.add_argument("--fixture", choices=["table1"])
-    p.add_argument("--spacing", type=float, nargs="*", default=None)
-    _add_common(p)
+    _add_input(p)
+    _add_out(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("capacity", help="single-spacing outage capacity")
-    p.add_argument("--fixture", choices=["table1"])
-    p.add_argument("--spacing", type=float, nargs="*", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    _add_common(p)
+    _add_input(p)
+    _add_out(p)
+    _add_monte_carlo(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("sweep", help="outage capacity versus spacing")
-    p.add_argument("--fixture", choices=["table1"])
-    p.add_argument("--spacing", type=float, nargs="*", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    _add_common(p)
+    _add_input(p)
+    _add_out(p)
+    _add_monte_carlo(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="series-RLC fit of an impedance file")
     p.add_argument("path")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fixture", help="emit a synthetic impedance file")
@@ -258,7 +265,7 @@ def build_parser():
     p.add_argument("--spacing", type=float, default=fixtures.TABLE1_SPACING)
     p.add_argument("--span", type=float, default=0.15)
     p.add_argument("--points", type=int, default=601)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_fixture)
 
     return parser

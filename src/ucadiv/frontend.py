@@ -10,15 +10,16 @@ T_k T_k^H = I - Gamma_k Gamma_k^H, and the load-referenced noise covariance
 with the forward/reverse noise correlation taken as negligible.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann as K_B
 
 from .errors import ModelError
-from .fano import MatchSpec, boxcar_profile
+from .fano import boxcar_profile
 from .modes import EigenModeSet
-from .network import dft_beamformer
+
+K_B = 1.380649e-23  # Boltzmann constant, J/K (exact in the 2019 SI)
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,11 @@ class NoiseTemps:
     t_reverse: float = 0.0
 
     def __post_init__(self):
-        if min(self.t_antenna, self.t_forward, self.t_reverse) < 0:
-            raise ValueError("noise temperatures must be nonnegative")
+        temps = (self.t_antenna, self.t_forward, self.t_reverse)
+        if not all(math.isfinite(t) and t >= 0 for t in temps):
+            raise ValueError(
+                "noise temperatures must be finite and nonnegative"
+            )
 
 
 def subcarrier_grid(k, w, center=1.0):
@@ -51,18 +55,12 @@ class FrontEnd:
     """Per-sub-carrier diagonal reflection/transmissivity in the eigen-basis.
 
     ``gamma`` and ``trans`` have shape (K, N): diagonal entries expanded over
-    mode multiplicities, ordered by DFT index.  ``beamformer`` is the
-    decoupling matrix Q realizing S_k = Q T_k Q^H.
+    mode multiplicities, ordered by DFT index.
     """
 
     freqs: np.ndarray
     gamma: np.ndarray
     trans: np.ndarray
-    beamformer: np.ndarray
-
-    @property
-    def n_subcarriers(self):
-        return self.gamma.shape[0]
 
     @property
     def n_ports(self):
@@ -94,9 +92,7 @@ def build_frontend(modes: EigenModeSet, specs, freqs, band_center=1.0) -> FrontE
     if np.all(gamma >= 1.0):
         raise ModelError("sub-carrier grid lies outside every matched band")
     trans = np.sqrt(np.clip(1.0 - gamma ** 2, 0.0, None))
-    return FrontEnd(
-        freqs=freqs, gamma=gamma, trans=trans, beamformer=dft_beamformer(n)
-    )
+    return FrontEnd(freqs=freqs, gamma=gamma, trans=trans)
 
 
 @dataclass

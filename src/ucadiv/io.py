@@ -236,14 +236,14 @@ def config_from_dict(doc) -> RunConfig:
     if input_mode not in ("fixture", "files"):
         raise ConfigError(f"input mode must be 'fixture' or 'files', got "
                           f"{input_mode!r}")
-    temps = NoiseTemps(
-        t_antenna=float(doc.get("temp_antenna", 1.0)),
-        t_forward=float(doc.get("temp_forward", 2.0)),
-        t_reverse=float(doc.get("temp_reverse", 0.0)),
-    )
     defaults = SimConfig()
     tap_powers = doc.get("tap_powers")
     try:
+        temps = NoiseTemps(
+            t_antenna=float(doc.get("temp_antenna", 1.0)),
+            t_forward=float(doc.get("temp_forward", 2.0)),
+            t_reverse=float(doc.get("temp_reverse", 0.0)),
+        )
         sim = SimConfig(
             n_antennas=int(doc.get("n_antennas", defaults.n_antennas)),
             spacings=tuple(doc.get("spacings", defaults.spacings)),

@@ -101,7 +101,6 @@ class EigenModeSet:
 
     n: int
     modes: tuple
-    fit_band: tuple = (None, None)
 
     def __post_init__(self):
         total = sum(m.multiplicity for m in self.modes)
@@ -120,15 +119,6 @@ class EigenModeSet:
                 out[self.n - mode.dft_index] = v
         return out
 
-    def expanded_modes(self):
-        """Per-DFT-index list of owning modes (length N)."""
-        out = [None] * self.n
-        for mode in self.modes:
-            out[mode.dft_index] = mode
-            if mode.multiplicity > 1:
-                out[self.n - mode.dft_index] = mode
-        return out
-
 
 def distinct_dft_indices(n):
     """Representative DFT indices and multiplicities: pairs (m, N-m) merge."""
@@ -139,7 +129,7 @@ def distinct_dft_indices(n):
     return out
 
 
-def eigen_impedances(sweep: ArraySweep, check_passivity=True):
+def eigen_impedances(sweep: ArraySweep):
     """Per-mode eigen-impedance traces, shape (F, N), ordered by DFT index.
 
     The traces are the DFT of the completed first row; degenerate equalities
@@ -147,20 +137,17 @@ def eigen_impedances(sweep: ArraySweep, check_passivity=True):
     non-positive.
     """
     lam = network.diagonalize_circulant(sweep.full_row(), sweep.n)
-    if check_passivity:
-        mask = sweep.grid.band_mask()
-        re_band = lam[mask].real
-        if np.any(re_band <= 0):
-            bad = np.argwhere(re_band <= 0)[0]
-            raise NonPhysicalDataError(
-                f"mode {bad[1]} has non-positive resistance inside the band "
-                f"(Re lambda = {re_band[bad[0], bad[1]]:.4g})"
-            )
+    re_band = lam[sweep.grid.band_mask()].real
+    if np.any(re_band <= 0):
+        bad = np.argwhere(re_band <= 0)[0]
+        raise NonPhysicalDataError(
+            f"mode {bad[1]} has non-positive resistance inside the band "
+            f"(Re lambda = {re_band[bad[0], bad[1]]:.4g})"
+        )
     return lam
 
 
-def fit_rlc(trace, grid: FrequencyGrid, fit_band=None, dft_index=0,
-            multiplicity=1):
+def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     """Fit a series-RLC resonance to one eigen-impedance trace.
 
     R is fixed to the band-average resistance; f0 is then refined from the
@@ -169,13 +156,9 @@ def fit_rlc(trace, grid: FrequencyGrid, fit_band=None, dft_index=0,
     """
     trace = np.asarray(trace, dtype=complex)
     f = grid.samples
-    if fit_band is None:
-        fit_band = (f[0], f[-1])
-    mask = (f >= fit_band[0]) & (f <= fit_band[1])
-    if mask.sum() < 3:
+    if f.size < 3:
         raise ValueError("fit band must contain at least three samples")
-    f = f[mask]
-    re, im = trace[mask].real, trace[mask].imag
+    re, im = trace.real, trace.imag
 
     if np.any(re <= 0):
         raise NonPhysicalDataError("resistance must stay positive in the fit band")
@@ -229,18 +212,14 @@ def fit_rlc(trace, grid: FrequencyGrid, fit_band=None, dft_index=0,
     )
 
 
-def fit_modes(sweep: ArraySweep, fit_band=None) -> EigenModeSet:
+def fit_modes(sweep: ArraySweep) -> EigenModeSet:
     """Eigen-decompose an array sweep and fit every distinct mode."""
     lam = eigen_impedances(sweep)
-    modes = []
-    for m, mult in distinct_dft_indices(sweep.n):
-        modes.append(
-            fit_rlc(lam[:, m], sweep.grid, fit_band=fit_band,
-                    dft_index=m, multiplicity=mult)
-        )
-    if fit_band is None:
-        fit_band = (float(sweep.grid.samples[0]), float(sweep.grid.samples[-1]))
-    return EigenModeSet(n=sweep.n, modes=tuple(modes), fit_band=fit_band)
+    modes = tuple(
+        fit_rlc(lam[:, m], sweep.grid, dft_index=m, multiplicity=mult)
+        for m, mult in distinct_dft_indices(sweep.n)
+    )
+    return EigenModeSet(n=sweep.n, modes=modes)
 
 
 def mode_reflection(mode: ResonantMode, f):
@@ -339,11 +318,6 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
     )
 
 
-def synth_eigen_trace(mode: ResonantMode, grid: FrequencyGrid):
-    """Exact RLC eigen-impedance trace for a mode on a grid."""
-    return mode.impedance(grid.samples)
-
-
 def sweep_from_modes(modes: EigenModeSet, grid: FrequencyGrid, d) -> ArraySweep:
     """Synthesise an ArraySweep whose eigen-impedances are the given modes.
 
@@ -354,7 +328,7 @@ def sweep_from_modes(modes: EigenModeSet, grid: FrequencyGrid, d) -> ArraySweep:
     n = modes.n
     lam = np.empty((grid.size, n), dtype=complex)
     for mode in modes.modes:
-        trace = synth_eigen_trace(mode, grid)
+        trace = mode.impedance(grid.samples)
         lam[:, mode.dft_index] = trace
         if mode.multiplicity > 1:
             lam[:, n - mode.dft_index] = trace

@@ -58,19 +58,9 @@ def default_grid(span=0.15, points=601, band=(None, None)):
     return FrequencyGrid(np.linspace(1.0 - span, 1.0 + span, points), band=band)
 
 
-def as_sweep(values, n_samples=None):
-    """Coerce scalars / per-sample scalars / matrices to an (F, N, N) sweep."""
+def as_sweep(values):
+    """Complex (F, N, N) sweep; any other shape is rejected."""
     arr = np.asarray(values, dtype=complex)
-    if arr.ndim == 0:
-        if n_samples is None:
-            raise ValueError("scalar sweep needs an explicit sample count")
-        return arr * np.ones((n_samples, 1, 1), dtype=complex)
-    if arr.ndim == 1:
-        return arr[:, None, None]
-    if arr.ndim == 2:
-        if n_samples is None:
-            raise ValueError("single matrix needs an explicit sample count")
-        return np.broadcast_to(arr, (n_samples,) + arr.shape).copy()
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"sweep must have shape (F, N, N), got {arr.shape}")
     return arr
@@ -117,15 +107,14 @@ def through_network(n, grid):
 
 
 def _solve_per_sample(a, b, grid, what):
-    """Solve a[k] x = b[k] per sample, flagging near-singular systems."""
-    out = np.empty_like(b)
-    for k in range(a.shape[0]):
-        if np.linalg.cond(a[k]) > COND_LIMIT:
-            raise SingularSampleError(
-                f"singular {what}", k, float(grid.samples[k])
-            )
-        out[k] = np.linalg.solve(a[k], b[k])
-    return out
+    """Solve a[k] x = b[k] for every sample, flagging near-singular systems."""
+    bad = np.flatnonzero(np.linalg.cond(a) > COND_LIMIT)
+    if bad.size:
+        k = int(bad[0])
+        raise SingularSampleError(
+            f"singular {what}", k, float(grid.samples[k])
+        )
+    return np.linalg.solve(a, b)
 
 
 def z_to_s(z, z_ref=1.0, grid=None):

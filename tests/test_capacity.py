@@ -1,13 +1,19 @@
 """Per-realization capacity, outage quantiles, and the Monte-Carlo pipeline."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+import ucadiv
 from ucadiv.capacity import (
     OutageCurve,
     SimConfig,
+    _binom_ppf,
     outage,
     realization_capacity,
     run_monte_carlo,
@@ -123,6 +129,36 @@ class TestOutage:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError):
             outage(np.ones(50), 0.01)
+
+    # every (M, p) the pipeline serves, plus p up to 0.49
+    RANK_GRID = [(m, p) for m in (100, 1000, 5000, 100_000)
+                 for p in (1e-3, 0.01, 0.05, 0.2, 0.49)]
+
+    @pytest.mark.parametrize("m,p", RANK_GRID)
+    def test_ranks_match_scipy_binomial(self, m, p):
+        for q in (0.025, 0.975):
+            assert _binom_ppf(q, m, p) == int(stats.binom.ppf(q, m, p))
+        if m * p < 1.0:
+            return
+        # with samples 1..M the half-width is half the rank distance
+        lo = max(int(stats.binom.ppf(0.025, m, p)), 1)
+        hi = min(int(stats.binom.ppf(0.975, m, p)) + 1, m)
+        _, half = outage(np.arange(1.0, m + 1.0), p)
+        assert half == 0.5 * (hi - lo)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(ucadiv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ucadiv; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestRunMonteCarlo:

@@ -241,6 +241,33 @@ class TestCli:
     def test_unknown_flag_exit_2(self, capsys):
         assert cli_main(["modes", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--seed", "1"],
+        ["match", "--bits"],
+        ["fit", "sweep.csv", "--config", "run.json"],
+        ["fixture", "--realizations", "10"],
+    ])
+    def test_flags_are_per_subcommand(self, argv, capsys):
+        assert cli_main(argv) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"spacings": ["a"]},
+        {"spacings": [True]},
+        {"spacings": [-0.1]},
+        {"spacings": [float("inf")]},
+        {"n_antennas": 0},
+        {"snr_db": float("nan")},
+        {"temp_forward": float("nan")},
+    ])
+    def test_bad_config_exit_3(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"realizations": 150, **doc}))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not an impedance file\n")

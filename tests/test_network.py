@@ -88,12 +88,28 @@ class TestZSConversion:
         z = 50.0 * np.eye(2) + a + np.transpose(a, (0, 2, 1))
         assert_allclose(s_to_z(z_to_s(z)), z, rtol=1e-12)
 
+    def test_equals_per_sample_solves(self):
+        # reference: one solve per sample; the stacked solve is bitwise equal
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            re, im = rng.standard_normal((2, 7, n, n))
+            z = 3.0 * np.eye(n) + re + 1j * im
+            want = np.stack([np.linalg.solve(zk + np.eye(n), zk - np.eye(n))
+                             for zk in z])
+            assert np.array_equal(z_to_s(z), want)
+
     def test_singular_sample_reported(self):
         z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
         z[2] = -np.eye(2)  # Z + I singular at sample 2
         with pytest.raises(SingularSampleError) as err:
             z_to_s(z, grid=grid(4))
         assert err.value.sample_index == 2
+        z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+        z[1] = z[3] = -np.eye(2)  # two singular samples: the first is named
+        with pytest.raises(SingularSampleError) as err:
+            z_to_s(z, grid=grid(4))
+        assert err.value.sample_index == 1
+        assert err.value.frequency == grid(4).samples[1]
 
     def test_total_reflection_error(self):
         s = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
@@ -169,6 +185,13 @@ class TestCascade:
         with pytest.raises(SingularSampleError) as err:
             cascade(a, m)
         assert err.value.sample_index == 0
+        # the same at sample 3 only: the error names that sample
+        g = grid(5)
+        a, m = through_network(2, g), through_network(2, g)
+        a.s22[3] = m.s11[3] = np.eye(2)
+        with pytest.raises(SingularSampleError) as err:
+            cascade(a, m)
+        assert err.value.sample_index == 3
 
 
 class TestBeamformer:
