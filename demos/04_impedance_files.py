@@ -24,39 +24,39 @@ from ucadiv import (
 )
 from ucadiv.io import RunConfig, load_config
 
-workdir = tempfile.mkdtemp(prefix="ucadiv_demo_")
+# the work directory and its files are removed when the demo ends
+with tempfile.TemporaryDirectory(prefix="ucadiv_demo_") as workdir:
+    # --- write, read, re-fit ---------------------------------------------
 
-# --- write, read, re-fit ------------------------------------------------------
+    path = os.path.join(workdir, "n2_d025.csv")
+    write_impedance(table1_sweep(), path)
+    print(f"wrote {path}:")
+    with open(path) as fh:
+        for line in fh.read().splitlines()[:7]:
+            print(f"  {line[:76]}")
+    print("  ...")
 
-path = os.path.join(workdir, "n2_d025.csv")
-write_impedance(table1_sweep(), path)
-print(f"wrote {path}:")
-with open(path) as fh:
-    for line in fh.read().splitlines()[:7]:
-        print(f"  {line[:76]}")
-print("  ...")
+    back = parse_impedance(path)
+    modes = fit_modes(back)
+    print("\nre-fitted modes from the file:")
+    for m in modes.modes:
+        print(f"  mode {m.dft_index}: R = {m.r:.2f} ohm, Q = {m.q:.3f}, "
+              f"f0 = {m.f0:.4f} fc")
 
-back = parse_impedance(path)
-modes = fit_modes(back)
-print("\nre-fitted modes from the file:")
-for m in modes.modes:
-    print(f"  mode {m.dft_index}: R = {m.r:.2f} ohm, Q = {m.q:.3f}, "
-          f"f0 = {m.f0:.4f} fc")
+    # --- a reproducible run from a config file -----------------------------
 
-# --- a reproducible run from a config file -------------------------------------
+    config_path = os.path.join(workdir, "run.json")
+    with open(config_path, "w") as fh:
+        json.dump({"spacings": [0.25], "realizations": 2000, "seed": 7}, fh)
 
-config_path = os.path.join(workdir, "run.json")
-with open(config_path, "w") as fh:
-    json.dump({"spacings": [0.25], "realizations": 2000, "seed": 7}, fh)
+    run = load_config(config_path)
+    print(f"\nrun configuration hash: {config_hash(run)}")
+    samples = run_monte_carlo(run.sim, 0.25)
+    c0, half = outage(samples, run.sim.outage_p)
+    print(f"C_out(1%) at d = 0.25: {c0:.4f} +/- {half:.4f} nats/s/Hz")
 
-run = load_config(config_path)
-print(f"\nrun configuration hash: {config_hash(run)}")
-samples = run_monte_carlo(run.sim, 0.25)
-c0, half = outage(samples, run.sim.outage_p)
-print(f"C_out(1%) at d = 0.25: {c0:.4f} +/- {half:.4f} nats/s/Hz")
+    again = run_monte_carlo(run.sim, 0.25)
+    print(f"bit-identical on rerun: {(samples == again).all()}")
 
-again = run_monte_carlo(run.sim, 0.25)
-print(f"bit-identical on rerun: {(samples == again).all()}")
-
-print(f"\n(the same run is available from the shell: "
-      f"ucadiv capacity --config {config_path})")
+    print(f"\n(the same run is available from the shell: "
+          f"ucadiv capacity --config {config_path})")

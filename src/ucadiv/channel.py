@@ -4,7 +4,8 @@ Open-circuit path gains follow the Kronecker model: each delay tap is
 R_h^(1/2) w with w standard complex Gaussian, where the receive correlation
 R_h comes from a discrete ring of equal-gain plane waves.  Sub-carrier
 channel vectors are the DFT of the taps; the spatial DFT Q^H moves them to
-the eigen-basis.
+the eigen-basis.  Every step after the draw accepts leading batch axes, so
+blocks of realizations go through it at once.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,12 @@ from .modes import uca_pairwise_distance
 # as roundoff and clipped to zero when taking the matrix square root.
 PSD_CLIP = -1e-10
 
+# Hash constants of numpy's SeedSequence, which realization_keys follows.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
 
 def realization_rng(seed, index):
     """Counter-based stream for one channel realization.
@@ -27,6 +34,41 @@ def realization_rng(seed, index):
     """
     key = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(key))
+
+
+def _hash(value, mult, factor):
+    """One SeedSequence hash step: the hashed value and the next multiplier."""
+    step = mult * factor & _MASK32
+    value = (value ^ mult) * step & _MASK32
+    return value ^ value >> 16, step
+
+
+def realization_keys(seed, indices):
+    """Philox keys of ``realization_rng(seed, i)`` for each i, shape (B, 2).
+
+    Row j equals ``SeedSequence(entropy=seed, spawn_key=(indices[j],))
+    .generate_state(2, np.uint64)``.  The spawn key zero-pads the seed words
+    to the pool size, which leaves the mixed pool that of
+    ``SeedSequence(seed)``; the index word comes last and is hashed into it
+    for the whole batch at once.
+    """
+    seed = int(seed)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
+        raise ValueError("realization indices must lie in [0, 2**32)")
+    word = indices.astype(np.uint64)
+    # the seed took four hashes per word, padded to at least four words
+    n_hashes = 4 * max(4, -(-seed.bit_length() // 32))
+    mult_a = _INIT_A * pow(_MULT_A, n_hashes, 1 << 32) & _MASK32
+    mult_b = _INIT_B
+    out = []
+    for p in pool:
+        h, mult_a = _hash(word, mult_a, _MULT_A)
+        v = (_MIX_MULT_L * p - _MIX_MULT_R * h) & _MASK32
+        v, mult_b = _hash(v ^ v >> 16, mult_b, _MULT_B)
+        out.append(v)
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
 
 
 @dataclass
@@ -83,36 +125,64 @@ def equal_power_profile(l):
     return np.full(l, 1.0 / l)
 
 
-def draw_taps(model: CorrelationModel, l, profile, rng):
-    """One quasi-static realization: L correlated tap vectors, shape (L, N).
-
-    Tap l is sqrt(p_l) R_h^(1/2) w_l with w_l standard complex Gaussian.
-    """
+def _correlate(model: CorrelationModel, l, profile, re, im):
+    """Correlated taps sqrt(p_l) R_h^(1/2) w_l from white draws (..., L, N)."""
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (l,):
         raise ValueError("profile length must equal the tap count")
     if abs(profile.sum() - 1.0) > 1e-9:
         raise ValueError("tap powers must sum to 1")
-    w = (
-        rng.standard_normal((l, model.n)) + 1j * rng.standard_normal((l, model.n))
-    ) / np.sqrt(2.0)
+    w = (re + 1j * im) / np.sqrt(2.0)
     return np.sqrt(profile)[:, None] * (w @ model.sqrt_r_h.T)
+
+
+def draw_taps(model: CorrelationModel, l, profile, rng):
+    """One quasi-static realization: L correlated tap vectors, shape (L, N).
+
+    Tap l is sqrt(p_l) R_h^(1/2) w_l with w_l standard complex Gaussian.
+    """
+    re = rng.standard_normal((l, model.n))
+    im = rng.standard_normal((l, model.n))
+    return _correlate(model, l, profile, re, im)
+
+
+def draw_tap_blocks(model: CorrelationModel, l, profile, seed, indices,
+                    block):
+    """Taps of realizations ``indices`` in (B, L, N) blocks of ``block``.
+
+    Row j equals ``draw_taps(model, l, profile, realization_rng(seed, i))``
+    bit for bit: one Philox generator, re-keyed per realization, starts
+    each stream as ``realization_rng`` does and draws it in the same order.
+    """
+    keys = realization_keys(seed, indices)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh stream: counter 0, empty buffer
+    for start in range(0, len(keys), block):
+        chunk = keys[start:start + block].tolist()
+        re, im = np.empty((2, len(chunk), l, model.n))
+        for j, key in enumerate(chunk):
+            state["state"]["key"] = key
+            bitgen.state = state
+            rng.standard_normal(out=re[j])
+            rng.standard_normal(out=im[j])
+        yield _correlate(model, l, profile, re, im)
 
 
 def taps_to_subcarriers(taps, k):
     """Per-sub-carrier channel vectors h_k = sum_l taps[l] e^(-j 2 pi k l / K).
 
-    Returns shape (K, N); requires the tap count (cyclic prefix length) not
-    to exceed K.
+    Maps taps (..., L, N) to (..., K, N); requires the tap count (cyclic
+    prefix length) not to exceed K.
     """
     taps = np.asarray(taps, dtype=complex)
-    l = taps.shape[0]
+    l = taps.shape[-2]
     if l > k:
         raise ModelError(f"tap count {l} exceeds sub-carrier count {k}")
-    return np.fft.fft(taps, n=k, axis=0)
+    return np.fft.fft(taps, n=k, axis=-2)
 
 
 def to_eigenbasis(h, q):
-    """Effective path gains Q^H h per sub-carrier (rows of h)."""
+    """Effective path gains Q^H h per sub-carrier (rows of h, (..., K, N))."""
     h = np.asarray(h, dtype=complex)
     return h @ q.conj()

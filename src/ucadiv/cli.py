@@ -10,7 +10,8 @@ Subcommands:
   fixture   emit a synthetic impedance sweep file
 
 Exit codes: 0 success, 2 usage, 3 data/parse error, 4 model error,
-5 numeric error.
+5 numeric error; a sweep with a failed point writes its files, then exits
+with the code of the first failure.
 """
 
 import argparse
@@ -194,6 +195,9 @@ def cmd_sweep(args):
                   f"+/- {p.ci_half_width * scale:.6f} {unit}/s/Hz")
     if args.verbose:
         print(f"wrote {table} and {doc}")
+    failed = [p.cause for p in curve.points if p.cause is not None]
+    if failed:
+        raise failed[0]
     return 0
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,29 @@ from scipy import stats
 
 import ucadiv
 from ucadiv.capacity import (
+    _BLOCK,
     OutageCurve,
     SimConfig,
     _binom_ppf,
+    _match_and_noise,
+    _simulate,
     outage,
     realization_capacity,
     run_monte_carlo,
     sweep,
 )
-from ucadiv.channel import realization_rng
+from ucadiv.channel import (
+    CorrelationModel,
+    draw_taps,
+    realization_rng,
+    spatial_correlation,
+    taps_to_subcarriers,
+    to_eigenbasis,
+)
 from ucadiv.errors import ModelError, NumericError
+from ucadiv.fixtures import CouplingModel, table1_fixture
+from ucadiv.frontend import NoiseTemps
+from ucadiv.network import dft_beamformer
 
 
 def iid_oracle_samples(config):
@@ -44,6 +58,35 @@ def iid_oracle_samples(config):
                 h_k += taps[ll] * np.exp(-2j * np.pi * kk * ll / k)
             acc += np.log1p(snr * np.sum(np.abs(h_k) ** 2))
         out[i] = acc / k
+    return out
+
+
+def kernel_inputs(config, d, mode_set=None):
+    """(corr, gamma, sigma_norm, q) of one spacing, as the kernel gets them."""
+    n, k = config.n_antennas, config.subcarriers
+    if not config.coupling:
+        eye = np.eye(n, dtype=complex)
+        corr = CorrelationModel(n=n, d=d, k_prime=config.planewaves,
+                                r_h=eye, sqrt_r_h=eye.copy())
+        return corr, np.zeros((k, n)), np.ones((k, n)), dft_beamformer(n)
+    front, cov = _match_and_noise(
+        config, mode_set or CouplingModel().mode_set(n, d)
+    )
+    corr = spatial_correlation(n, d, config.planewaves)
+    return corr, front.gamma, cov.normalized(), dft_beamformer(n)
+
+
+def per_realization_samples(config, d, indices):
+    """The public per-realization path, one realization at a time."""
+    corr, gamma, sigma, q = kernel_inputs(config, d)
+    out = np.empty(len(indices))
+    for j, i in enumerate(indices):
+        rng = realization_rng(config.seed, i)
+        taps = draw_taps(corr, config.n_taps, config.profile, rng)
+        h = taps_to_subcarriers(taps, config.subcarriers)
+        out[j] = realization_capacity(
+            to_eigenbasis(h, q), gamma, sigma, config.snr_linear
+        )
     return out
 
 
@@ -82,6 +125,20 @@ class TestRealizationCapacity:
         # T_f + T_r = 0 with dark modes is the same ill-conditioned case
         with pytest.raises(NumericError):
             realization_capacity(h, np.ones((2, 2)), np.zeros((2, 2)), 10.0)
+
+    def test_block_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        shape = (3, 8, 2)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gamma = rng.uniform(0, 1, (8, 2))
+        sigma = rng.uniform(0.3, 3.0, (8, 2))
+        one = realization_capacity(h[:1], gamma, sigma, 10.0)
+        assert one.shape == (1,)
+        assert one[0] == realization_capacity(h[0], gamma, sigma, 10.0)
+        block = realization_capacity(h, gamma, sigma, 10.0)
+        assert np.array_equal(
+            block, [realization_capacity(x, gamma, sigma, 10.0) for x in h]
+        )
 
     def test_coupling_bound(self):
         # replacing (1 - gamma^2) by 1 and the noise diagonal by its minimum
@@ -211,6 +268,55 @@ class TestRunMonteCarlo:
         assert abs(np.mean(c_on) - np.mean(c_off)) < 0.2
 
 
+# realization counts around the block size; 3 is the fewest SimConfig
+# accepts (p < 0.5 needs p M >= 1)
+BLOCK_COUNTS = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("m", BLOCK_COUNTS)
+    def test_equals_per_realization_path(self, n, coupling, m):
+        cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
+                        outage_p=0.49, seed=17)
+        want = per_realization_samples(cfg, 0.25, range(m))
+        assert np.array_equal(run_monte_carlo(cfg, 0.25), want)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_pool_equals_per_realization_path(self, n, coupling, workers):
+        # 4 chunks per worker, of 72-73 realizations for 2 workers and 48-49
+        # for 3: chunk starts fall inside blocks, and the larger chunks span
+        # two blocks
+        m = 9 * _BLOCK + 5
+        cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
+                        seed=23, workers=workers)
+        got = run_monte_carlo(cfg, 0.1)
+        assert np.array_equal(got, per_realization_samples(cfg, 0.1, range(m)))
+
+    @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
+    def test_single_realization_chunk(self, index):
+        cfg = SimConfig(n_antennas=3, seed=2**40)
+        got = _simulate(cfg, *kernel_inputs(cfg, 0.5), np.array([index]))
+        assert np.array_equal(got, per_realization_samples(cfg, 0.5, [index]))
+
+    def test_zero_noise_error_names_chunk_start(self):
+        # a mode too narrow to match stays dark (Gamma = 1), and with no
+        # forward or reverse noise nothing is left behind it
+        fx = table1_fixture()
+        dark = replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
+        cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200)
+        with pytest.raises(NumericError,
+                           match=r"^realization 0: zero noise floor"):
+            run_monte_carlo(cfg, 0.25, mode_set=dark)
+        inputs = kernel_inputs(cfg, 0.25, mode_set=dark)
+        with pytest.raises(NumericError,
+                           match=r"^realization 70: zero noise floor"):
+            _simulate(cfg, *inputs, np.arange(70, 200))
+
+
 class TestSweep:
     def test_degenerate_single_spacing_equals_baseline(self):
         cfg = SimConfig(realizations=300, seed=7, coupling=False,
@@ -259,6 +365,11 @@ class TestSimConfig:
     def test_outage_level_domain(self):
         with pytest.raises(ValueError):
             SimConfig(outage_p=0.6)
+
+    def test_realization_count_fits_one_index_word(self):
+        assert SimConfig(realizations=2**32).realizations == 2**32
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            SimConfig(realizations=2**32 + 1)
 
     def test_desk_scale_flag(self):
         assert not SimConfig(realizations=5000).quantile_well_resolved

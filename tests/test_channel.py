@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
+from ucadiv.capacity import _BLOCK
 from ucadiv.channel import (
+    draw_tap_blocks,
     draw_taps,
     equal_power_profile,
+    realization_keys,
     realization_rng,
     spatial_correlation,
     taps_to_subcarriers,
@@ -118,6 +123,56 @@ class TestDrawTaps:
         with pytest.raises(ValueError):
             draw_taps(model, 3, np.array([0.5, 0.5, 0.5]),
                       realization_rng(0, 0))
+
+
+def seed_sequence_key(seed, index):
+    """The Philox key realization_rng derives, straight from numpy."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return seq.generate_state(2, np.uint64)
+
+
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**99 + 7]
+KEY_INDICES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2**31, 2**32 - 1]
+
+
+class TestRealizationKeys:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_matches_seed_sequence(self, seed):
+        got = realization_keys(seed, KEY_INDICES)
+        want = np.array([seed_sequence_key(seed, i) for i in KEY_INDICES])
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**200),
+           indices=st.lists(st.integers(0, 2**32 - 1), max_size=8))
+    def test_matches_seed_sequence_property(self, seed, indices):
+        got = realization_keys(seed, indices)
+        assert got.shape == (len(indices), 2)
+        for row, i in zip(got, indices):
+            assert np.array_equal(row, seed_sequence_key(seed, i))
+
+    def test_keys_the_realization_stream(self):
+        key = realization_rng(5, 77).bit_generator.state["state"]["key"]
+        assert np.array_equal(realization_keys(5, [77])[0], key)
+
+    @pytest.mark.parametrize("indices", [[2**32], [0, -1]])
+    def test_index_range_enforced(self, indices):
+        with pytest.raises(ValueError):
+            realization_keys(0, indices)
+
+
+class TestDrawTapBlocks:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rows_equal_draw_taps(self, n):
+        model = spatial_correlation(n, 0.3)
+        profile = equal_power_profile(5)
+        indices = np.arange(7, 7 + 2 * 4 + 3)
+        blocks = list(draw_tap_blocks(model, 5, profile, 11, indices, 4))
+        assert [b.shape for b in blocks] == [(4, 5, n)] * 2 + [(3, 5, n)]
+        want = [draw_taps(model, 5, profile, realization_rng(11, i))
+                for i in indices]
+        assert np.array_equal(np.concatenate(blocks), np.array(want))
 
 
 class TestTapsToSubcarriers:

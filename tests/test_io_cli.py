@@ -10,7 +10,12 @@ from numpy.testing import assert_allclose
 from ucadiv.capacity import SimConfig
 from ucadiv.cli import cli_main
 from ucadiv.errors import ConfigError, ParseError
-from ucadiv.fixtures import table1_fixture, table1_sweep
+from ucadiv.fixtures import (
+    TABLE1_MODE1,
+    TABLE1_MODE2,
+    table1_fixture,
+    table1_sweep,
+)
 from ucadiv.io import (
     RunConfig,
     config_from_dict,
@@ -258,6 +263,7 @@ class TestCli:
         {"n_antennas": 0},
         {"snr_db": float("nan")},
         {"temp_forward": float("nan")},
+        {"realizations": 2**32 + 1},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -341,6 +347,25 @@ class TestCli:
             "input": "files", "impedance_files": [],
         }))
         rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 0  # per-spacing failure is isolated into the table
+        assert rc == 3  # the point's data error, after the files are written
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert doc["points"][0]["error"] is not None
+
+    def test_partial_sweep_failure_exits_with_its_category(self, tmp_path,
+                                                            capsys):
+        # d = 0.5 pins a mode too narrow to match; with no forward or
+        # reverse noise its dark sub-carriers have a zero noise floor
+        r2, _, f2 = TABLE1_MODE2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25, 0.5], "realizations": 150, "seed": 2,
+            "temp_forward": 0.0,
+            "fixture_modes": [[0.5, [list(TABLE1_MODE1), [r2, 1e20, f2]]]],
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: realization 0: zero noise")
+        table = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert table[1].split(",")[1] != "error"
+        assert table[2].split(",")[1:3] == ["error", "error"]
