@@ -11,6 +11,8 @@ bit-for-bit regardless of how the work is partitioned.
 
 import math
 import numbers
+# kept at module level although serial runs never use it (~18 ms of import):
+# perfbench/tracer.py times the pool by replacing this binding
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -128,7 +130,7 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
     h_hat = np.asarray(h_hat)
     weight = 1.0 - np.asarray(gamma) ** 2
     sigma_norm = np.asarray(sigma_norm)
-    if np.any(sigma_norm <= 0.0):
+    if not np.all(sigma_norm > 0.0):  # NaN fails too
         raise NumericError(
             "zero noise floor (no load noise behind a dark or matched mode)"
         )

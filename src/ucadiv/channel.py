@@ -160,13 +160,13 @@ def draw_tap_blocks(model: CorrelationModel, l, profile, seed, indices,
     state = bitgen.state  # a fresh stream: counter 0, empty buffer
     for start in range(0, len(keys), block):
         chunk = keys[start:start + block].tolist()
-        re, im = np.empty((2, len(chunk), l, model.n))
+        # w[j] = (re, im) of realization j, filled in stream order
+        w = np.empty((len(chunk), 2, l, model.n))
         for j, key in enumerate(chunk):
             state["state"]["key"] = key
             bitgen.state = state
-            rng.standard_normal(out=re[j])
-            rng.standard_normal(out=im[j])
-        yield _correlate(model, l, profile, re, im)
+            rng.standard_normal(out=w[j])
+        yield _correlate(model, l, profile, w[:, 0], w[:, 1])
 
 
 def taps_to_subcarriers(taps, k):

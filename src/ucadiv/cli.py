@@ -283,15 +283,16 @@ def cli_main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (NumericError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except UcadivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

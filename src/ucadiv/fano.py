@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .modes import ResonantMode
 
@@ -123,6 +122,9 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     check independent of the construction).  Constraint (a) must be exact;
     the magnitude of the (b) residual is bounded by pi W^2 / (2 Q).
     """
+    # imported here so that the Monte-Carlo path never loads scipy
+    from scipy import integrate
+
     q, f0, w = mode.q, mode.f0, spec.w
     g0 = -math.log(spec.gamma0_sq_lower)
     alpha = spec.rhp_zero.real

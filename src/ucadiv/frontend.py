@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericError
 from .fano import boxcar_profile
 from .modes import EigenModeSet
 
@@ -136,14 +136,19 @@ def noise_cov(front: FrontEnd, mode_resistances, temps: NoiseTemps,
 def n0_normalize(temps: NoiseTemps, z_a_isolated, gamma_iid):
     """i.i.d. noise floor N0 / (4 kB B T0) for an isolated reference antenna.
 
-    N0 = T_A Re(z_A) (1 - |Gamma_iid|^2) + T_f + T_r |Gamma_iid|^2.
+    N0 = T_A Re(z_A) (1 - |Gamma_iid|^2) + T_f + T_r |Gamma_iid|^2; an N0
+    that is not positive would make every normalized sample 0/0, so it
+    raises NumericError.
     """
     if not 0.0 <= gamma_iid <= 1.0:
         raise ValueError("gamma_iid must lie in [0, 1]")
     re_z = float(np.real(z_a_isolated))
     g2 = gamma_iid ** 2
-    return (
+    n0 = (
         temps.t_antenna * re_z * (1.0 - g2)
         + temps.t_forward
         + temps.t_reverse * g2
     )
+    if not n0 > 0.0:
+        raise NumericError(f"reference noise floor N0 = {n0:g} is not positive")
+    return n0

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import network
 from .errors import FitFailureError, NonPhysicalDataError, NoResonanceError
@@ -154,6 +153,9 @@ def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     reactance zero crossing by minimising the profiled squared residual of
     Im(lambda) against R Q (f/f0 - f0/f), with Q closed-form for each f0.
     """
+    # imported here so that the Monte-Carlo path never loads scipy
+    from scipy import optimize
+
     trace = np.asarray(trace, dtype=complex)
     f = grid.samples
     if f.size < 3:

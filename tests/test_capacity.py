@@ -125,6 +125,10 @@ class TestRealizationCapacity:
         # T_f + T_r = 0 with dark modes is the same ill-conditioned case
         with pytest.raises(NumericError):
             realization_capacity(h, np.ones((2, 2)), np.zeros((2, 2)), 10.0)
+        # a 0/0 floor is NaN, which must not pass as positive
+        with pytest.raises(NumericError):
+            realization_capacity(h, np.zeros((2, 2)), np.full((2, 2), np.nan),
+                                 10.0)
 
     def test_block_equals_scalar_calls(self):
         rng = np.random.default_rng(5)
@@ -204,18 +208,38 @@ class TestOutage:
         assert half == 0.5 * (hi - lo)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+_SCIPY_LOADED = (
+    "import sys\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["sweep", "--spacing", "0.25", "--realizations", "100"],
+    ["capacity", "--spacing", "0.25", "--realizations", "1000"],
+    ["modes", "--fixture", "table1"],
+], ids=["import", "sweep", "capacity", "modes"])
+def test_import_and_cli_leave_scipy_unloaded(argv, tmp_path):
+    # scipy serves only the resonance fit and the quadrature check, so
+    # neither the import nor a Monte-Carlo or fixture-mode run may load it
+    if argv is None:
+        code = "import ucadiv\n"
+    else:
+        code = (
+            "from ucadiv.cli import cli_main\n"
+            f"assert cli_main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+        )
     src = os.path.dirname(os.path.dirname(ucadiv.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ucadiv; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code + _SCIPY_LOADED],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestRunMonteCarlo:

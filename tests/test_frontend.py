@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.constants import Boltzmann as K_B
 
-from ucadiv.errors import ModelError
+from ucadiv.errors import ModelError, NumericError
 from ucadiv.fano import MatchSpec, fano_boxcar
 from ucadiv.fixtures import isolated_mode, table1_fixture
 from ucadiv.frontend import (
@@ -163,6 +163,13 @@ class TestN0Normalize:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             n0_normalize(NoiseTemps(), 1.0, 1.5)
+
+    def test_zero_floor_rejected(self):
+        # every normalized sample would be 0/0
+        with pytest.raises(NumericError, match="not positive"):
+            n0_normalize(NoiseTemps(0.0, 0.0, 0.0), 1.0, 0.3)
+        with pytest.raises(NumericError):
+            n0_normalize(NoiseTemps(1.0, 0.0, 0.0), 1.0, 1.0)
 
     def test_uncoupled_baseline_is_identity(self):
         # identical isolated modes + gamma_iid: Sigma / N0 = I

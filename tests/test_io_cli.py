@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ucadiv import capacity
 from ucadiv.capacity import SimConfig
 from ucadiv.cli import cli_main
 from ucadiv.errors import ConfigError, ParseError
@@ -273,6 +274,30 @@ class TestCli:
         assert rc == 3
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_zero_noise_temperatures_exit_5(self, tmp_path, capsys):
+        # N0 = 0 used to give 0/0 samples: an all-NaN curve and exit 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25], "realizations": 150,
+            "temp_antenna": 0.0, "temp_forward": 0.0,
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("numeric error: ")
+        table = (tmp_path / "sweep.csv").read_text()
+        assert "nan" not in table
+        assert table.splitlines()[1].split(",")[1:3] == ["error", "error"]
+
+    def test_linalg_error_exit_5(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(capacity, "run_monte_carlo", singular)
+        rc = cli_main(["capacity", "--realizations", "150",
+                       "--out", str(tmp_path)])
+        assert rc == 5
+        assert capsys.readouterr().err == "numeric error: Singular matrix\n"
 
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
