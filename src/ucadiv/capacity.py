@@ -134,8 +134,15 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
         raise NumericError(
             "zero noise floor (no load noise behind a dark or matched mode)"
         )
-    quad = (np.abs(h_hat) ** 2 * weight / sigma_norm).sum(axis=-1)
-    c = np.log1p(snr_linear * quad).mean(axis=-1)
+    # |h|^2 w / sigma in that order on one C-ordered temporary: numpy sums a
+    # contiguous axis pairwise, a strided one sequentially (other bits)
+    power = np.abs(h_hat, order="C")
+    np.square(power, out=power)
+    power *= weight
+    power /= sigma_norm
+    quad = power.sum(axis=-1)
+    quad *= snr_linear
+    c = np.log1p(quad, out=quad).mean(axis=-1)
     return float(c) if c.ndim == 0 else c
 
 

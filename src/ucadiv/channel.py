@@ -132,8 +132,13 @@ def _correlate(model: CorrelationModel, l, profile, re, im):
         raise ValueError("profile length must equal the tap count")
     if abs(profile.sum() - 1.0) > 1e-9:
         raise ValueError("tap powers must sum to 1")
-    w = (re + 1j * im) / np.sqrt(2.0)
-    return np.sqrt(profile)[:, None] * (w @ model.sqrt_r_h.T)
+    w = np.empty(re.shape, dtype=complex)
+    w.real, w.imag = re, im
+    w /= np.sqrt(2.0)
+    # one (B*L, N) @ (N, N) product: a stacked matmul calls BLAS B times
+    taps = (w.reshape(-1, w.shape[-1]) @ model.sqrt_r_h.T).reshape(w.shape)
+    taps *= np.sqrt(profile)[:, None]
+    return taps
 
 
 def draw_taps(model: CorrelationModel, l, profile, rng):
@@ -179,7 +184,10 @@ def taps_to_subcarriers(taps, k):
     l = taps.shape[-2]
     if l > k:
         raise ModelError(f"tap count {l} exceeds sub-carrier count {k}")
-    return np.fft.fft(taps, n=k, axis=-2)
+    # FFT contiguous (..., N, L) lanes (numpy copies strided ones out one by
+    # one); to_eigenbasis makes the returned (..., K, N) view contiguous
+    lanes = np.ascontiguousarray(np.swapaxes(taps, -1, -2))
+    return np.swapaxes(np.fft.fft(lanes, n=k, axis=-1), -1, -2)
 
 
 def to_eigenbasis(h, q):

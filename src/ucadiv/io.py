@@ -226,9 +226,13 @@ def config_from_dict(doc) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     for key, typ in _CONFIG_KEYS.items():
-        if key in doc and not isinstance(doc[key], typ):
-            if typ is float and isinstance(doc[key], int):
-                continue
+        if key not in doc:
+            continue
+        if typ is float:
+            typ = (int, float)
+        # bool is an int to isinstance, but true is no antenna count
+        if (not isinstance(doc[key], typ)
+                or isinstance(doc[key], bool) and typ is not bool):
             raise ConfigError(
                 f"key {key!r} has wrong type {type(doc[key]).__name__}"
             )
@@ -238,6 +242,7 @@ def config_from_dict(doc) -> RunConfig:
                           f"{input_mode!r}")
     defaults = SimConfig()
     tap_powers = doc.get("tap_powers")
+    _entries(doc, "tap_powers", _number)  # checked, kept as written
     try:
         temps = NoiseTemps(
             t_antenna=float(doc.get("temp_antenna", 1.0)),
@@ -264,19 +269,44 @@ def config_from_dict(doc) -> RunConfig:
             planewaves=int(doc.get("planewaves", defaults.planewaves)),
             workers=int(doc.get("workers", defaults.workers)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(
         sim=sim,
         input_mode=input_mode,
-        impedance_files=tuple(
-            (float(s), str(p)) for s, p in doc.get("impedance_files", [])
-        ),
-        fixture_modes=tuple(
-            (float(s), tuple(tuple(float(x) for x in m) for m in ms))
-            for s, ms in doc.get("fixture_modes", [])
-        ),
+        impedance_files=_entries(doc, "impedance_files", _pair),
+        fixture_modes=_entries(doc, "fixture_modes",
+                               lambda e: _pair(e, _triples)),
     )
+
+
+def _number(value):
+    """A JSON number as a float; bool, str, null and lists are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _pair(entry, convert=str):
+    """A ``[spacing, value]`` entry as (spacing, convert(value))."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise TypeError(f"expected a [spacing, value] pair, got {entry!r}")
+    return _number(entry[0]), convert(entry[1])
+
+
+def _triples(modes):
+    """The (R, Q, f0) triples of one ``fixture_modes`` entry."""
+    if not all(isinstance(m, list) and len(m) == 3 for m in modes):
+        raise TypeError(f"expected [R, Q, f0] triples, got {modes!r}")
+    return tuple(tuple(map(_number, m)) for m in modes)
+
+
+def _entries(doc, key, convert):
+    """``convert`` applied to each entry of the list ``doc[key]``."""
+    try:
+        return tuple(convert(entry) for entry in doc.get(key) or ())
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

@@ -144,6 +144,38 @@ class TestRealizationCapacity:
             block, [realization_capacity(x, gamma, sigma, 10.0) for x in h]
         )
 
+    @staticmethod
+    def straight(h, gamma, sigma, snr):
+        w = 1.0 - gamma ** 2
+        return np.log1p(snr * (np.abs(h) ** 2 * w / sigma).sum(-1)).mean(-1)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (_BLOCK + 1,)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_equals_straight_formula(self, n, lead):
+        rng = np.random.default_rng(n)
+        shape = (*lead, 64, n)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gamma = rng.uniform(0, 1, (64, n))
+        sigma = rng.uniform(0.3, 3.0, (64, n))
+        before = [h.copy(), gamma.copy(), sigma.copy()]
+        got = realization_capacity(h, gamma, sigma, 10.0)
+        assert np.array_equal(got, self.straight(h, gamma, sigma, 10.0))
+        for arg, copy in zip((h, gamma, sigma), before):
+            assert np.array_equal(arg, copy)  # inputs left as they were
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_non_contiguous_input(self, n):
+        # (B, K, N) strided along N: the N-axis sum still runs on the
+        # contiguous temporary, as the straight formula's does
+        rng = np.random.default_rng(n)
+        shape = (_BLOCK + 1, n, 64)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = np.swapaxes(h, -1, -2)
+        gamma = rng.uniform(0, 1, (64, n))
+        sigma = rng.uniform(0.3, 3.0, (64, n))
+        assert np.array_equal(realization_capacity(h, gamma, sigma, 10.0),
+                              self.straight(h, gamma, sigma, 10.0))
+
     def test_coupling_bound(self):
         # replacing (1 - gamma^2) by 1 and the noise diagonal by its minimum
         # bounds the coupled quadratic form from above

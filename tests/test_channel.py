@@ -9,6 +9,7 @@ from scipy import special
 
 from ucadiv.capacity import _BLOCK
 from ucadiv.channel import (
+    _correlate,
     draw_tap_blocks,
     draw_taps,
     equal_power_profile,
@@ -162,6 +163,39 @@ class TestRealizationKeys:
             realization_keys(0, indices)
 
 
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# leading (realization) axes: one realization without and with a block axis,
+# and odd block sizes on either side of the kernel's block
+LEADING = [(), (1,), (3,), (_BLOCK + 1,)]
+
+
+class TestCorrelateBits:
+    """``_correlate`` against its straight formulation, bit for bit."""
+
+    @staticmethod
+    def straight(model, profile, re, im):
+        w = (re + 1j * im) / np.sqrt(2.0)
+        return np.sqrt(profile)[:, None] * (w @ model.sqrt_r_h.T)
+
+    @pytest.mark.parametrize("lead", LEADING + [(_BLOCK,)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_equals_stacked_matmul(self, n, lead):
+        rng = np.random.default_rng(n)
+        model = spatial_correlation(n, 0.3)
+        profile = rng.uniform(0.5, 1.5, 8)
+        profile /= profile.sum()
+        # re/im as draw_tap_blocks passes them: views of one block, strided
+        # once it holds more than one realization
+        w = rng.standard_normal((*lead, 2, 8, n))
+        re, im = w[..., 0, :, :], w[..., 1, :, :]
+        got = _correlate(model, 8, profile, re, im)
+        assert got.shape == (*lead, 8, n)
+        assert np.array_equal(got, self.straight(model, profile, re, im))
+
+
 class TestDrawTapBlocks:
     @pytest.mark.parametrize("n", [1, 3])
     def test_rows_equal_draw_taps(self, n):
@@ -196,6 +230,26 @@ class TestTapsToSubcarriers:
         lhs = np.sum(np.abs(h) ** 2)
         rhs = 64 * np.sum(np.abs(taps) ** 2)
         assert abs(lhs - rhs) / rhs < 1e-9
+
+    @pytest.mark.parametrize("lead", LEADING)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_equals_strided_axis_fft(self, n, lead):
+        taps = complex_normal(np.random.default_rng(n), (*lead, 8, n))
+        got = taps_to_subcarriers(taps, 64)
+        want = np.fft.fft(taps, n=64, axis=-2)
+        assert got.shape == (*lead, 64, n)
+        assert np.array_equal(got, want)
+        # the returned view gives the eigen-basis gains of a contiguous array
+        q = dft_beamformer(n)
+        assert np.array_equal(to_eigenbasis(got, q), want @ q.conj())
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_non_contiguous_input(self, n):
+        base = complex_normal(np.random.default_rng(n), (_BLOCK + 1, n, 16))
+        taps = np.swapaxes(base, -1, -2)[:, ::2]  # (B, 8, N), strided both ways
+        assert not taps.flags["C_CONTIGUOUS"]
+        want = np.fft.fft(taps, n=64, axis=-2)
+        assert np.array_equal(taps_to_subcarriers(taps, 64), want)
 
     def test_cyclic_prefix_violation(self):
         with pytest.raises(ModelError):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ucadiv import capacity
@@ -18,6 +20,7 @@ from ucadiv.fixtures import (
     table1_sweep,
 )
 from ucadiv.io import (
+    _CONFIG_KEYS,
     RunConfig,
     config_from_dict,
     config_hash,
@@ -207,6 +210,31 @@ class TestRunConfig:
         assert run.fixture_modes[0][1][1] == (28.31, 16.0, 0.9675)
 
 
+# any JSON value: scalars (unbounded ints, non-finite floats) and nested lists
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_DOCS = st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)),
+                              JSON_VALUES, max_size=4)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_only_config_error_escapes(self, doc):
+        try:
+            run = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(run, RunConfig)
+        # a bool is a number to isinstance, but only the flags take one
+        assert all(key in ("retune", "coupling")
+                   for key, value in doc.items() if isinstance(value, bool))
+
+
 class TestCli:
     def test_modes_fixture_table1(self, capsys):
         assert cli_main(["modes", "--fixture", "table1"]) == 0
@@ -265,6 +293,13 @@ class TestCli:
         {"snr_db": float("nan")},
         {"temp_forward": float("nan")},
         {"realizations": 2**32 + 1},
+        {"impedance_files": [1]},
+        {"fixture_modes": [5]},
+        {"fixture_modes": [[0.25, [[118.76, 3.75], [28.31, 16.0]]]]},
+        {"n_antennas": True, "spacings": [0.25], "realizations": 200},
+        {"snr_db": True},
+        {"snr_db": 10**400},
+        {"n_taps": 1, "tap_powers": [True]},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
