@@ -72,6 +72,8 @@ class SimConfig:
                 )
         if not math.isfinite(self.snr_db):
             raise ValueError("SNR must be finite")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ValueError("bandwidth must be finite and > 0")
         if not 0.0 < self.outage_p < 0.5:
             raise ValueError("outage level must lie in (0, 0.5)")
         if self.realizations > 2**32:
@@ -103,9 +105,9 @@ class SimConfig:
 @dataclass
 class SpacingResult:
     d: float
-    c_out: float
-    ci_half_width: float
-    n_samples: int
+    c_out: float = math.nan
+    ci_half_width: float = math.nan
+    n_samples: int = 0
     error: str = None
     cause: UcadivError = None  # the exception behind ``error``
 
@@ -164,24 +166,33 @@ def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
     return front, noise_cov(front, resistances, config.temps, n0=n0)
 
 
-def _simulate(config: SimConfig, corr, gamma, sigma_norm, q, indices):
-    """Capacity samples of the given realization indices, block by block."""
-    out = np.empty(len(indices))
+def _simulate(config: SimConfig, points, indices):
+    """Samples of realizations ``indices`` at each (corr, gamma, sigma_norm).
+
+    The points share each block's white taps.  A failed point gets the
+    stage error that failed it in place of its samples.
+    """
+    q, profile = dft_beamformer(config.n_antennas), config.profile
+    out = [np.empty(len(indices)) for _ in points]
     start = 0
-    try:
-        for taps in channel.draw_tap_blocks(corr, config.n_taps,
-                                            config.profile, config.seed,
-                                            indices, _BLOCK):
-            h = channel.taps_to_subcarriers(taps, config.subcarriers)
-            out[start:start + len(taps)] = realization_capacity(
-                channel.to_eigenbasis(h, q), gamma, sigma_norm,
-                config.snr_linear,
-            )
-            start += len(taps)
-    except UcadivError as exc:
-        # every stage error is independent of the draws, so it shows on the
-        # chunk's first realization
-        raise _with_realization(exc, indices[0]) from exc
+    for w in channel.draw_tap_blocks(config.n_antennas, config.n_taps,
+                                     config.seed, indices, _BLOCK):
+        for j, (corr, gamma, sigma_norm) in enumerate(points):
+            if isinstance(out[j], UcadivError):
+                continue
+            try:
+                taps = channel._correlate(corr, config.n_taps, profile, w)
+                h = channel.taps_to_subcarriers(taps, config.subcarriers)
+                out[j][start:start + len(w)] = realization_capacity(
+                    channel.to_eigenbasis(h, q), gamma, sigma_norm,
+                    config.snr_linear,
+                )
+            except UcadivError as exc:
+                # every stage error is independent of the draws, so it
+                # shows on the chunk's first realization
+                out[j] = _with_realization(exc, indices[0])
+                out[j].__cause__ = exc
+        start += len(w)
     return out
 
 
@@ -193,55 +204,57 @@ def _with_realization(exc, idx):
     return UcadivError(f"realization {idx}: {exc}")
 
 
-_POOL_STATE = {}
+def _pool_run(args):
+    return _simulate(*args)
 
 
-def _pool_init(config, corr, gamma, sigma_norm, q):
-    _POOL_STATE["args"] = (config, corr, gamma, sigma_norm, q)
+def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
+    """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them."""
+    if config.coupling:
+        if mode_set is None:
+            mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
+        front, cov = _match_and_noise(config, mode_set)
+        return (channel.spatial_correlation(config.n_antennas, d,
+                                            config.planewaves),
+                front.gamma, cov.normalized())
+    # perfect match and unit noise
+    shape = (config.subcarriers, config.n_antennas)
+    eye = np.eye(config.n_antennas, dtype=complex)
+    corr = channel.CorrelationModel(
+        n=config.n_antennas, d=float(d), k_prime=config.planewaves,
+        r_h=eye, sqrt_r_h=eye.copy(),
+    )
+    return corr, np.zeros(shape), np.ones(shape)
 
 
-def _pool_run(indices):
-    return _simulate(*_POOL_STATE["args"], indices)
+def _monte_carlo(config: SimConfig, points):
+    """``_simulate`` over all realizations; one pool serves every point."""
+    if not points:
+        return []
+    indices = np.arange(config.realizations)
+    if config.workers <= 1:
+        return _simulate(config, points, indices)
+    chunks = np.array_split(indices, config.workers * 4)
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        parts = list(pool.map(_pool_run,
+                              [(config, points, c) for c in chunks]))
+    # per point: the first failed chunk's error, else the joined samples
+    return [next((c for c in col if isinstance(c, UcadivError)), None)
+            or np.concatenate(col) for col in zip(*parts)]
 
 
 def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
     """Capacity samples (length ``realizations``) for one spacing.
 
-    Pipeline per block of realizations: draw correlated taps -> sub-carrier
-    DFT -> eigen-basis -> capacity.  Deterministic under (seed, d) and
+    Pipeline per block of realizations: draw white taps -> correlate ->
+    sub-carrier DFT -> eigen-basis -> capacity.  Deterministic under (seed, d) and
     invariant to the worker count.  ``mode_set`` overrides the synthetic
     coupling model (e.g. modes fitted from an ingested impedance sweep).
     """
-    if config.coupling:
-        if mode_set is None:
-            mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
-        front, cov = _match_and_noise(config, mode_set)
-        gamma, sigma_norm = front.gamma, cov.normalized()
-        corr = channel.spatial_correlation(
-            config.n_antennas, d, config.planewaves
-        )
-    else:
-        # perfect match and unit noise
-        shape = (config.subcarriers, config.n_antennas)
-        gamma, sigma_norm = np.zeros(shape), np.ones(shape)
-        eye = np.eye(config.n_antennas, dtype=complex)
-        corr = channel.CorrelationModel(
-            n=config.n_antennas, d=float(d), k_prime=config.planewaves,
-            r_h=eye, sqrt_r_h=eye.copy(),
-        )
-    q = dft_beamformer(config.n_antennas)
-
-    indices = np.arange(config.realizations)
-    if config.workers <= 1:
-        return _simulate(config, corr, gamma, sigma_norm, q, indices)
-    chunks = np.array_split(indices, config.workers * 4)
-    with ProcessPoolExecutor(
-        max_workers=config.workers,
-        initializer=_pool_init,
-        initargs=(config, corr, gamma, sigma_norm, q),
-    ) as pool:
-        parts = list(pool.map(_pool_run, chunks))
-    return np.concatenate(parts)
+    [samples] = _monte_carlo(config, [_kernel_inputs(config, d, mode_set)])
+    if isinstance(samples, UcadivError):
+        raise samples
+    return samples
 
 
 def _binom_ppf(q, m, p):
@@ -287,23 +300,27 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     ``mode_source`` optionally maps a spacing to its EigenModeSet (fitted
     from ingested data or pinned fixture parameters); the synthetic coupling
     model is the default.  Per-spacing failures are isolated: the offending
-    point records its error and the sweep continues.
+    point records its error and the sweep continues.  Every spacing sees
+    the same realizations, each drawn once, so the points are paired.
     """
     if not config.spacings:
         raise ValueError("sweep needs at least one spacing")
-    points = []
+    inputs = []  # per spacing: kernel inputs, or the error of its setup
     for d in config.spacings:
         try:
             mode_set = mode_source(d) if mode_source is not None else None
-            samples = run_monte_carlo(config, d, mode_set=mode_set)
-            c0, half = outage(samples, config.outage_p)
-            points.append(SpacingResult(
-                d=float(d), c_out=c0, ci_half_width=half,
-                n_samples=config.realizations,
-            ))
+            inputs.append(_kernel_inputs(config, d, mode_set))
         except UcadivError as exc:
-            points.append(SpacingResult(
-                d=float(d), c_out=float("nan"), ci_half_width=float("nan"),
-                n_samples=0, error=str(exc), cause=exc,
-            ))
+            inputs.append(exc)
+    samples = iter(_monte_carlo(
+        config, [p for p in inputs if not isinstance(p, UcadivError)]
+    ))
+    points = []
+    for d, p in zip(config.spacings, inputs):
+        p = p if isinstance(p, UcadivError) else next(samples)
+        if isinstance(p, UcadivError):
+            points.append(SpacingResult(float(d), error=str(p), cause=p))
+            continue
+        c0, half = outage(p, config.outage_p)
+        points.append(SpacingResult(float(d), c0, half, config.realizations))
     return OutageCurve(points=points, config=config)

@@ -125,16 +125,21 @@ def equal_power_profile(l):
     return np.full(l, 1.0 / l)
 
 
-def _correlate(model: CorrelationModel, l, profile, re, im):
-    """Correlated taps sqrt(p_l) R_h^(1/2) w_l from white draws (..., L, N)."""
-    profile = np.asarray(profile, dtype=float)
-    if profile.shape != (l,):
-        raise ValueError("profile length must equal the tap count")
-    if abs(profile.sum() - 1.0) > 1e-9:
-        raise ValueError("tap powers must sum to 1")
+def _white(re, im):
+    """Standard complex Gaussian taps (re + j im) / sqrt(2) as a new array."""
     w = np.empty(re.shape, dtype=complex)
     w.real, w.imag = re, im
     w /= np.sqrt(2.0)
+    return w
+
+
+def _correlate(model: CorrelationModel, l, profile, w):
+    """Correlated taps sqrt(p_l) R_h^(1/2) w_l from white taps (..., L, N)."""
+    profile = np.asarray(profile, dtype=float)
+    if profile.shape != (l,):
+        raise ValueError("profile length must equal the tap count")
+    if not abs(profile.sum() - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError("tap powers must sum to 1")
     # one (B*L, N) @ (N, N) product: a stacked matmul calls BLAS B times
     taps = (w.reshape(-1, w.shape[-1]) @ model.sqrt_r_h.T).reshape(w.shape)
     taps *= np.sqrt(profile)[:, None]
@@ -148,16 +153,15 @@ def draw_taps(model: CorrelationModel, l, profile, rng):
     """
     re = rng.standard_normal((l, model.n))
     im = rng.standard_normal((l, model.n))
-    return _correlate(model, l, profile, re, im)
+    return _correlate(model, l, profile, _white(re, im))
 
 
-def draw_tap_blocks(model: CorrelationModel, l, profile, seed, indices,
-                    block):
-    """Taps of realizations ``indices`` in (B, L, N) blocks of ``block``.
+def draw_tap_blocks(n, l, seed, indices, block):
+    """White taps w of ``indices`` in (B, L, N) blocks, for every spacing.
 
-    Row j equals ``draw_taps(model, l, profile, realization_rng(seed, i))``
-    bit for bit: one Philox generator, re-keyed per realization, starts
-    each stream as ``realization_rng`` does and draws it in the same order.
+    ``_correlate`` of row j equals ``draw_taps(model, l, profile,
+    realization_rng(seed, i))`` bit for bit: one Philox generator, re-keyed
+    per realization, starts each stream as ``realization_rng`` does.
     """
     keys = realization_keys(seed, indices)
     bitgen = np.random.Philox(0)
@@ -166,12 +170,12 @@ def draw_tap_blocks(model: CorrelationModel, l, profile, seed, indices,
     for start in range(0, len(keys), block):
         chunk = keys[start:start + block].tolist()
         # w[j] = (re, im) of realization j, filled in stream order
-        w = np.empty((len(chunk), 2, l, model.n))
+        w = np.empty((len(chunk), 2, l, n))
         for j, key in enumerate(chunk):
             state["state"]["key"] = key
             bitgen.state = state
             rng.standard_normal(out=w[j])
-        yield _correlate(model, l, profile, w[:, 0], w[:, 1])
+        yield _white(w[:, 0], w[:, 1])
 
 
 def taps_to_subcarriers(taps, k):

@@ -17,6 +17,7 @@ a line-numbered diagnostic.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -68,10 +69,13 @@ def write_impedance(sweep: ArraySweep, path):
 
 def parse_impedance(path) -> ArraySweep:
     """Parse a CSV sweep file, validating structure and monotonicity."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path) from None
 
-    header = {}
+    header, header_line = {}, {}
     body_start = None
     for i, line in enumerate(raw):
         if line.startswith("#"):
@@ -79,6 +83,7 @@ def parse_impedance(path) -> ArraySweep:
             if "=" in text:
                 key, _, val = text.partition("=")
                 header[key.strip()] = val.strip()
+                header_line[key.strip()] = i + 1
             elif i == 0 and text != FORMAT_TAG:
                 raise ParseError(f"unrecognized format tag {text!r}", path, 1)
             continue
@@ -96,6 +101,9 @@ def parse_impedance(path) -> ArraySweep:
         raise ParseError(f"bad header value: {exc}", path) from None
     if n < 1:
         raise ParseError(f"element count must be >= 1, got {n}", path)
+    if not (math.isfinite(d) and d >= 0):
+        raise ParseError(f"spacing must be finite and >= 0, got {d}",
+                         path, header_line["d"])
     funit = header.get("funit", "relative")
     if funit != "relative":
         raise ParseError(f"unsupported frequency unit {funit!r}", path)
@@ -125,6 +133,8 @@ def parse_impedance(path) -> ArraySweep:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(str(exc), path, lineno0 + 1) from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError("non-finite value", path, lineno0 + 1)
         f = vals[0]
         if f <= 0:
             raise ParseError(f"non-positive frequency {f}", path, lineno0 + 1)
@@ -281,9 +291,10 @@ def config_from_dict(doc) -> RunConfig:
 
 
 def _number(value):
-    """A JSON number as a float; bool, str, null and lists are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+    """A finite JSON number as a float; bool, str, null and lists are not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -351,10 +362,6 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
             f"{_fmt(p.ci_half_width * scale)},{p.n_samples},"
             f"{curve.config.seed},{h}"
         )
-    table_path = os.path.join(out_dir, f"{stem}.csv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-
     doc = {
         "config": run_config.to_dict(),
         "config_hash": h,
@@ -370,10 +377,14 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
             for p in curve.points
         ],
     }
+    # strict JSON: a non-finite value raises here, before any file is written
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    table_path = os.path.join(out_dir, f"{stem}.csv")
+    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
     doc_path = os.path.join(out_dir, f"{stem}.json")
     with open(doc_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return table_path, doc_path
 
 

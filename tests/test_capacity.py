@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import ucadiv
+from ucadiv import capacity
 from ucadiv.capacity import (
     _BLOCK,
     OutageCurve,
@@ -62,23 +63,24 @@ def iid_oracle_samples(config):
 
 
 def kernel_inputs(config, d, mode_set=None):
-    """(corr, gamma, sigma_norm, q) of one spacing, as the kernel gets them."""
+    """(corr, gamma, sigma_norm) of one spacing, as the kernel gets them."""
     n, k = config.n_antennas, config.subcarriers
     if not config.coupling:
         eye = np.eye(n, dtype=complex)
         corr = CorrelationModel(n=n, d=d, k_prime=config.planewaves,
                                 r_h=eye, sqrt_r_h=eye.copy())
-        return corr, np.zeros((k, n)), np.ones((k, n)), dft_beamformer(n)
+        return corr, np.zeros((k, n)), np.ones((k, n))
     front, cov = _match_and_noise(
         config, mode_set or CouplingModel().mode_set(n, d)
     )
     corr = spatial_correlation(n, d, config.planewaves)
-    return corr, front.gamma, cov.normalized(), dft_beamformer(n)
+    return corr, front.gamma, cov.normalized()
 
 
 def per_realization_samples(config, d, indices):
     """The public per-realization path, one realization at a time."""
-    corr, gamma, sigma, q = kernel_inputs(config, d)
+    corr, gamma, sigma = kernel_inputs(config, d)
+    q = dft_beamformer(config.n_antennas)
     out = np.empty(len(indices))
     for j, i in enumerate(indices):
         rng = realization_rng(config.seed, i)
@@ -324,6 +326,12 @@ class TestRunMonteCarlo:
         assert abs(np.mean(c_on) - np.mean(c_off)) < 0.2
 
 
+def dark_mode_set():
+    """Table I modes with the second too narrow to match: it stays dark."""
+    fx = table1_fixture()
+    return replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
+
+
 # realization counts around the block size; 3 is the fewest SimConfig
 # accepts (p < 0.5 needs p M >= 1)
 BLOCK_COUNTS = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
@@ -355,22 +363,66 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
     def test_single_realization_chunk(self, index):
         cfg = SimConfig(n_antennas=3, seed=2**40)
-        got = _simulate(cfg, *kernel_inputs(cfg, 0.5), np.array([index]))
+        [got] = _simulate(cfg, [kernel_inputs(cfg, 0.5)], np.array([index]))
         assert np.array_equal(got, per_realization_samples(cfg, 0.5, [index]))
 
     def test_zero_noise_error_names_chunk_start(self):
         # a mode too narrow to match stays dark (Gamma = 1), and with no
         # forward or reverse noise nothing is left behind it
-        fx = table1_fixture()
-        dark = replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
+        dark = dark_mode_set()
         cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200)
         with pytest.raises(NumericError,
                            match=r"^realization 0: zero noise floor"):
             run_monte_carlo(cfg, 0.25, mode_set=dark)
         inputs = kernel_inputs(cfg, 0.25, mode_set=dark)
+        # the kernel returns a point's error in place of its samples
+        [err] = _simulate(cfg, [inputs], np.arange(70, 200))
         with pytest.raises(NumericError,
                            match=r"^realization 70: zero noise floor"):
-            _simulate(cfg, *inputs, np.arange(70, 200))
+            raise err
+
+
+class TestSharedDraws:
+    """A sweep draws each realization once for all its spacings."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m", BLOCK_COUNTS)
+    @pytest.mark.parametrize("coupling", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_points_equal_run_monte_carlo(self, n, coupling, m, workers):
+        cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
+                        outage_p=0.49, seed=29, workers=workers)
+        serial = replace(cfg, workers=1)
+        for p in sweep(cfg).points:
+            assert p.error is None and p.n_samples == m
+            want = outage(run_monte_carlo(serial, p.d), cfg.outage_p)
+            assert (p.c_out, p.ci_half_width) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_spacing_leaves_others_alone(self, workers):
+        cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200,
+                        spacings=(0.1, 0.25, 0.5), seed=31, workers=workers)
+        curve = sweep(cfg, mode_source=lambda d: (dark_mode_set()
+                                                  if d == 0.25 else None))
+        bad = curve.points[1]
+        assert bad.error.startswith("realization 0: zero noise floor")
+        assert isinstance(bad.cause, NumericError) and bad.n_samples == 0
+        rest = sweep(replace(cfg, spacings=(0.1, 0.5)))
+        assert curve.points[::2] == rest.points
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        starts = []
+
+        class CountingPool(capacity.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", CountingPool)
+        curve = sweep(SimConfig(realizations=150, seed=37, workers=2))
+        assert len(curve.points) == 5
+        assert all(p.error is None for p in curve.points)
+        assert len(starts) == 1
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from scipy import special
 from ucadiv.capacity import _BLOCK
 from ucadiv.channel import (
     _correlate,
+    _white,
     draw_tap_blocks,
     draw_taps,
     equal_power_profile,
@@ -191,7 +192,7 @@ class TestCorrelateBits:
         # once it holds more than one realization
         w = rng.standard_normal((*lead, 2, 8, n))
         re, im = w[..., 0, :, :], w[..., 1, :, :]
-        got = _correlate(model, 8, profile, re, im)
+        got = _correlate(model, 8, profile, _white(re, im))
         assert got.shape == (*lead, 8, n)
         assert np.array_equal(got, self.straight(model, profile, re, im))
 
@@ -202,11 +203,12 @@ class TestDrawTapBlocks:
         model = spatial_correlation(n, 0.3)
         profile = equal_power_profile(5)
         indices = np.arange(7, 7 + 2 * 4 + 3)
-        blocks = list(draw_tap_blocks(model, 5, profile, 11, indices, 4))
+        blocks = list(draw_tap_blocks(n, 5, 11, indices, 4))
         assert [b.shape for b in blocks] == [(4, 5, n)] * 2 + [(3, 5, n)]
+        got = [_correlate(model, 5, profile, b) for b in blocks]
         want = [draw_taps(model, 5, profile, realization_rng(11, i))
                 for i in indices]
-        assert np.array_equal(np.concatenate(blocks), np.array(want))
+        assert np.array_equal(np.concatenate(got), np.array(want))
 
 
 class TestTapsToSubcarriers:

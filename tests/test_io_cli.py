@@ -1,6 +1,7 @@
 """File formats, run configuration, result emission, and the CLI surface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ucadiv import capacity
-from ucadiv.capacity import SimConfig
+from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
 from ucadiv.cli import cli_main
-from ucadiv.errors import ConfigError, ParseError
+from ucadiv.errors import ConfigError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
     TABLE1_MODE2,
@@ -24,11 +25,22 @@ from ucadiv.io import (
     RunConfig,
     config_from_dict,
     config_hash,
+    emit_curve,
     load_config,
     parse_impedance,
     write_impedance,
 )
 from ucadiv.modes import fit_modes
+from ucadiv.network import default_grid
+
+THREE_ROW_FILE = (
+    "# ucadiv impedance sweep v1\n# N = 2\n# d = 0.25\n"
+    "# funit = relative\n"
+    "f,re_z11,im_z11,re_z12,im_z12\n"
+    "0.9,70,-30,20,-5\n"
+    "1.0,72,1,21,0.5\n"
+    "1.1,75,28,22,6\n"
+)
 
 
 class TestImpedanceFiles:
@@ -108,6 +120,29 @@ class TestImpedanceFiles:
         path.write_text("# ucadiv impedance sweep v1\n# N = 2\n"
                         "f,re_z11,im_z11\n0.9,70,-30\n")
         with pytest.raises(ParseError):
+            parse_impedance(path)
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("1.0,72,1,", "1.0,72,nan,", 7),
+        ("0.9,70,", "nan,70,", 6),  # a NaN passes f <= 0 and f <= prev_f
+        ("1.1,75,28,22,6", "1.1,75,28,22,-inf", 8),
+        ("1.1,", "1e400,", 8),
+        ("# d = 0.25", "# d = nan", 3),
+        ("# d = 0.25", "# d = inf", 3),
+        ("# d = 0.25", "# d = -1", 3),
+    ])
+    def test_non_finite_or_negative_value_names_line(self, tmp_path, old,
+                                                     new, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(THREE_ROW_FILE.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            parse_impedance(path)
+        assert err.value.lineno == lineno
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(THREE_ROW_FILE.encode().replace(b"72", b"\xff\xfe"))
+        with pytest.raises(ParseError, match="UTF-8"):
             parse_impedance(path)
 
     def test_unsupported_frequency_unit(self, tmp_path):
@@ -235,6 +270,64 @@ class TestConfigFuzz:
                    for key, value in doc.items() if isinstance(value, bool))
 
 
+# tokens a corrupted or hand-edited file might hold
+BAD_TOKENS = ["nan", "NaN", "inf", "-inf", "1e400", "-1", "0", "", "junk",
+              "1,2", "=", "# d = 1", "\u00e9"]
+
+
+def _mutate(lines, op):
+    """One edit of a sweep file's lines; indices wrap around."""
+    kind, i, j, k, token = op
+    i %= len(lines)
+    fields = lines[i].split(",")
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j, k = j % len(fields), k % len(fields)
+        fields[j], fields[k] = fields[k], fields[j]
+        lines[i] = ",".join(fields)
+    elif kind == "field":
+        fields[j % len(fields)] = token
+        lines[i] = ",".join(fields)
+    elif kind == "header":  # the value of a "# key = value" line
+        key = ("N", "d", "funit")[j % 3]
+        lines = [f"# {key} = {token}" if ln.startswith(f"# {key} =") else ln
+                 for ln in lines]
+    else:
+        lines[i] = token
+    return lines or [""]
+
+
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["drop", "duplicate", "swap", "field",
+                               "header", "line"]),
+              st.integers(0, 40), st.integers(0, 4), st.integers(0, 4),
+              st.sampled_from(BAD_TOKENS)),
+    min_size=1, max_size=4,
+)
+
+
+class TestImpedanceFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=MUTATIONS)
+    def test_only_ucadiv_error_escapes(self, ops, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        write_impedance(table1_sweep(default_grid(points=12)), path)
+        lines = path.read_text().splitlines()
+        for op in ops:
+            lines = _mutate(lines, op)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            sweep = parse_impedance(path)
+        except UcadivError:
+            return
+        assert math.isfinite(sweep.d) and sweep.d >= 0
+        assert np.all(np.isfinite(sweep.grid.samples))
+        assert np.all(np.isfinite(sweep.first_row))
+
+
 class TestCli:
     def test_modes_fixture_table1(self, capsys):
         assert cli_main(["modes", "--fixture", "table1"]) == 0
@@ -300,6 +393,11 @@ class TestCli:
         {"snr_db": True},
         {"snr_db": 10**400},
         {"n_taps": 1, "tap_powers": [True]},
+        {"bandwidth_hz": -1e400},
+        {"bandwidth_hz": float("nan")},
+        {"bandwidth_hz": 0},
+        {"n_taps": 2, "tap_powers": [float("nan"), 1.0]},
+        {"fixture_modes": [[0.25, [[118.76, 3.75, float("inf")]] * 2]]},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -333,6 +431,45 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 5
         assert capsys.readouterr().err == "numeric error: Singular matrix\n"
+
+    def test_fit_nan_impedance_exit_3(self, tmp_path, capsys):
+        # a NaN impedance used to fit to NaN R/Q/f0 with exit 0
+        path = tmp_path / "sweep.csv"
+        write_impedance(table1_sweep(), path)
+        lines = path.read_text().splitlines()
+        row = lines[100].split(",")
+        lines[100] = ",".join(row[:2] + ["nan"] + row[3:])
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["fit", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}:101: ")
+
+    @pytest.mark.parametrize("argv,doc,stem", [
+        (["capacity", "--spacing", "0.25", "--realizations", "150"], None,
+         "capacity"),
+        (["sweep"], {"spacings": [0.25, 0.5], "realizations": 150}, "sweep"),
+        # an error point: its NaN capacity is written as null
+        (["sweep"], {"spacings": [0.25], "realizations": 150,
+                     "temp_antenna": 0.0, "temp_forward": 0.0}, "sweep"),
+    ])
+    def test_result_json_is_strict(self, argv, doc, stem, tmp_path):
+        if doc is not None:
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            argv = argv + ["--config", str(tmp_path / "run.json")]
+        cli_main(argv + ["--out", str(tmp_path)])
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        json.loads((tmp_path / f"{stem}.json").read_text(),
+                   parse_constant=reject)
+
+    def test_non_finite_result_writes_nothing(self, tmp_path):
+        point = SpacingResult(d=0.25, c_out=math.inf, ci_half_width=0.0,
+                              n_samples=150)
+        curve = OutageCurve(points=[point], config=SimConfig())
+        with pytest.raises(ValueError, match="JSON"):
+            emit_curve(curve, RunConfig(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
