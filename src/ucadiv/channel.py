@@ -166,7 +166,12 @@ def draw_tap_blocks(n, l, seed, indices, block):
     keys = realization_keys(seed, indices)
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh stream: counter 0, empty buffer
+    # a fresh stream (counter 0, buffer_pos 4: empty buffer, has_uint32 0),
+    # set whole per realization so no draw leaks into the next stream; as
+    # plain lists, since the setter reads numpy arrays element by element
+    fresh = bitgen.state
+    state = {**fresh, "buffer": fresh["buffer"].tolist(),
+             "state": {k: v.tolist() for k, v in fresh["state"].items()}}
     for start in range(0, len(keys), block):
         chunk = keys[start:start + block].tolist()
         # w[j] = (re, im) of realization j, filled in stream order

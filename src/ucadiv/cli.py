@@ -76,6 +76,17 @@ def _load_run_config(args) -> io.RunConfig:
     return replace(run, sim=sim)
 
 
+def _warn_unresolved(sim):
+    """Say on stderr when the sample count resolves the quantile coarsely.
+
+    Only a run that succeeds warns: a failed one prints its error alone.
+    """
+    if not sim.quantile_well_resolved:
+        print(f"warning: {sim.realizations} samples resolve the "
+              f"{sim.outage_p:g} outage quantile coarsely; about "
+              f"{100.0 / sim.outage_p:.0f} are needed", file=sys.stderr)
+
+
 def _mode_set_for(args, run: io.RunConfig, d):
     """Resolve the mode set for one spacing from the configured input."""
     if getattr(args, "fixture", None) == "table1":
@@ -166,6 +177,7 @@ def cmd_capacity(args):
           f"+/- {half * scale:.6f} {unit}/s/Hz  [{sim.realizations} samples]")
     if args.verbose:
         print(f"wrote {table} and {doc}")
+    _warn_unresolved(sim)
     return 0
 
 
@@ -198,6 +210,7 @@ def cmd_sweep(args):
     failed = [p.cause for p in curve.points if p.cause is not None]
     if failed:
         raise failed[0]
+    _warn_unresolved(run.sim)
     return 0
 
 

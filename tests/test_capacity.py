@@ -18,6 +18,7 @@ from ucadiv.capacity import (
     SimConfig,
     _binom_ppf,
     _match_and_noise,
+    _mode_sum,
     _simulate,
     outage,
     realization_capacity,
@@ -178,6 +179,17 @@ class TestRealizationCapacity:
         assert np.array_equal(realization_capacity(h, gamma, sigma, 10.0),
                               self.straight(h, gamma, sigma, 10.0))
 
+    @pytest.mark.parametrize("lead", [(), (3,), (64, 64)])
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_mode_sum_equals_numpy_sum(self, n, lead):
+        rng = np.random.default_rng(n)
+        shape = (*lead, n)
+        p = rng.exponential(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        strided = np.repeat(p, 2, axis=-1)[..., ::2]
+        for x in (p, strided, np.zeros(shape)):
+            assert _mode_sum(x).tobytes() == x.sum(axis=-1).tobytes()
+            assert not np.shares_memory(_mode_sum(x), x)
+
     def test_coupling_bound(self):
         # replacing (1 - gamma^2) by 1 and the noise diagonal by its minimum
         # bounds the coupled quadratic form from above
@@ -313,6 +325,25 @@ class TestRunMonteCarlo:
         c_iid = run_monte_carlo(iid, 30.0)
         # same streams, vanishing coupling: only residual correlation differs
         assert abs(np.mean(c_coupled) - np.mean(c_iid)) < 0.05
+
+    def test_pool_size_bounded_by_cpus(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool(capacity.ProcessPoolExecutor):
+            # records the size asked for; starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=1)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", InProcessPool)
+        cfg = SimConfig(realizations=300, seed=5, workers=1000)
+        got = run_monte_carlo(cfg, 0.25)
+        assert sizes == [min(1000, os.cpu_count() or 1)]
+        assert np.array_equal(got, run_monte_carlo(replace(cfg, workers=1),
+                                                   0.25))
 
     def test_retune_flag_changes_band_placement_only(self):
         on = SimConfig(realizations=200, seed=4, retune_modes=True)

@@ -210,6 +210,17 @@ class TestDrawTapBlocks:
                 for i in indices]
         assert np.array_equal(np.concatenate(got), np.array(want))
 
+    def test_rekey_after_part_used_buffer(self):
+        # 2 L N = 6 normals stop inside a 4-word Philox block, so the next
+        # stream must not start from the leftover words
+        seed, n, l = 11, 1, 3
+        rng = realization_rng(seed, 40)
+        rng.standard_normal((2, l, n))
+        assert rng.bit_generator.state["buffer_pos"] < 4
+        [w] = draw_tap_blocks(n, l, seed, [40, 41], 2)
+        re, im = realization_rng(seed, 41).standard_normal((2, l, n))
+        assert np.array_equal(w[1], _white(re, im))
+
 
 class TestTapsToSubcarriers:
     def test_single_tap_is_flat(self):

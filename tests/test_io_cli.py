@@ -328,6 +328,81 @@ class TestImpedanceFuzz:
         assert np.all(np.isfinite(sweep.first_row))
 
 
+# argv tokens per flag, valid and not; a switch takes none.  "@name" is a
+# file prepared by the test.  The Monte-Carlo values keep a run small: at
+# most 300 realizations and 2 workers.
+CLI_FLAGS = {
+    "--config": ["@run.json", "@files.json", "@bad.json", "@missing.json",
+                 "@"],
+    "--fixture": ["table1", "other"],
+    "--spacing": ["0.25", "0.5", "0", "-1", "nan", "1e400", "x"],
+    "--workers": ["-1", "0", "1", "2"],
+    "--seed": ["0", "-3", str(2**70), "x"],
+    "--realizations": ["-1", "0", "1", "150", "300", "x"],
+    "--n": ["-1", "0", "1", "3"],
+    "--span": ["0.15", "0", "-1", "nan"],
+    "--points": ["-1", "0", "1", "3", "12"],
+    "--bits": [], "--retune": [], "--no-retune": [], "-v": [], "--bogus": [],
+}
+
+
+_INPUT = ["--config", "--fixture", "--spacing"]
+_MONTE_CARLO = _INPUT + ["--workers", "--seed", "--realizations", "--bits",
+                         "--retune", "--no-retune", "-v"]
+# each subcommand's own flags; the others are usage errors
+CLI_OWN_FLAGS = {
+    "modes": _INPUT, "match": _INPUT,
+    "capacity": _MONTE_CARLO, "sweep": _MONTE_CARLO,
+    "fit": [], "fixture": ["--n", "--spacing", "--span", "--points"],
+    "other": [],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(CLI_OWN_FLAGS)))
+    argv = [command]
+    if command == "fit":
+        argv.append(draw(st.sampled_from(["@sweep.csv", "@bad.json",
+                                          "@missing.csv", "@"])))
+    if command in ("capacity", "sweep"):  # the default is 5000
+        argv += ["--realizations", draw(st.sampled_from(["150", "300"]))]
+    own = CLI_OWN_FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(own), max_size=4)) if own else []
+    flags += draw(st.lists(st.sampled_from(sorted(CLI_FLAGS)), max_size=1))
+    for flag in flags:
+        argv.append(flag)
+        if flag == "--spacing":  # takes any number of values
+            argv += draw(st.lists(st.sampled_from(CLI_FLAGS[flag]),
+                                  max_size=2))
+        elif CLI_FLAGS[flag]:
+            argv.append(draw(st.sampled_from(CLI_FLAGS[flag])))
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=cli_argvs())
+    def test_only_exit_codes_escape(self, argv, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp() / "cli-fuzz"
+        base.mkdir(exist_ok=True)
+        write_impedance(table1_sweep(), base / "sweep.csv")
+        (base / "run.json").write_text(json.dumps(
+            {"spacings": [0.25, 0.5], "realizations": 150}))
+        (base / "files.json").write_text(json.dumps({
+            "input": "files", "spacings": [0.25, 0.5], "realizations": 150,
+            "impedance_files": [[0.25, str(base / "sweep.csv")]],
+        }))
+        (base / "bad.json").write_text("{")
+        argv = [str(base / a[1:]) if a.startswith("@") else a for a in argv]
+        try:
+            rc = cli_main(argv + ["--out", str(base / "out")])
+        except SystemExit as exc:  # an argparse usage error
+            assert exc.code == 2
+            return
+        assert isinstance(rc, int) and rc in (0, 2, 3, 4, 5)
+
+
 class TestCli:
     def test_modes_fixture_table1(self, capsys):
         assert cli_main(["modes", "--fixture", "table1"]) == 0
@@ -398,6 +473,8 @@ class TestCli:
         {"bandwidth_hz": 0},
         {"n_taps": 2, "tap_powers": [float("nan"), 1.0]},
         {"fixture_modes": [[0.25, [[118.76, 3.75, float("inf")]] * 2]]},
+        {"workers": 0},
+        {"workers": -2},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -407,6 +484,35 @@ class TestCli:
         assert rc == 3
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["capacity", "sweep"])
+    def test_workers_below_one_exit_3(self, command, tmp_path, capsys):
+        rc = cli_main([command, "--workers", "0", "--realizations", "150",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: need at least one worker")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fixture_without_antennas_exit_3(self, n, tmp_path, capsys):
+        # N = 0 used to escape as an IndexError traceback
+        rc = cli_main(["fixture", "--n", n, "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_coarse_quantile_warns_on_stderr(self, tmp_path, capsys):
+        assert cli_main(["sweep", "--realizations", "1000",
+                         "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: 1000 samples resolve the 0.01 outage "
+                       "quantile coarsely; about 10000 are needed\n")
+        assert "warning" not in out
+        assert cli_main(["capacity", "--realizations", "150",
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.startswith("warning: 150 samples ")
+        assert cli_main(["sweep", "--realizations", "10000", "--spacing",
+                         "0.25", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_zero_noise_temperatures_exit_5(self, tmp_path, capsys):
         # N0 = 0 used to give 0/0 samples: an all-NaN curve and exit 0
