@@ -223,6 +223,9 @@ def cmd_fit(args):
         out = os.path.join(args.out, "fit.csv")
     text = _report_modes(mode_set, out)
     sys.stdout.write(text)
+    for m in mode_set.modes:
+        print(f"mode {m.dft_index}: rms fit residual {m.fit_residual:.3g} ohm",
+              file=sys.stderr)
     return 0
 
 

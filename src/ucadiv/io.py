@@ -45,7 +45,24 @@ def _fmt(x):
 
 
 def write_impedance(sweep: ArraySweep, path):
-    """Write an ArraySweep to the CSV sweep format."""
+    """Write an ArraySweep to the CSV sweep format.
+
+    A sweep the parser would refuse (no element, a non-finite or negative
+    spacing, fewer than two samples, a non-finite value) raises
+    ``ValueError`` before the file is opened.
+    """
+    if sweep.n < 1:
+        raise ValueError(f"element count must be >= 1, got {sweep.n}")
+    if not (math.isfinite(sweep.d) and sweep.d >= 0):
+        raise ValueError(f"spacing must be finite and >= 0, got {sweep.d}")
+    if sweep.grid.size < 2:
+        raise ValueError("need at least two frequency samples")
+    # one (F, 1 + 2M) table: f, then Re/Im pairs of the first row
+    table = np.column_stack([
+        sweep.grid.samples, np.ascontiguousarray(sweep.first_row).view(float)
+    ])
+    if not np.all(np.isfinite(table)):
+        raise ValueError("impedance sweep holds a non-finite value")
     m = sweep.n // 2 + 1
     cols = ["f"]
     for j in range(1, m + 1):
@@ -57,12 +74,8 @@ def write_impedance(sweep: ArraySweep, path):
         "# funit = relative",
         ",".join(cols),
     ]
-    for i, f in enumerate(sweep.grid.samples):
-        row = [_fmt(f)]
-        for j in range(m):
-            z = sweep.first_row[i, j]
-            row += [_fmt(z.real), _fmt(z.imag)]
-        lines.append(",".join(row))
+    row = ",".join(["{:.17g}"] * table.shape[1])
+    lines += [row.format(*values) for values in table.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -117,7 +130,7 @@ def parse_impedance(path) -> ArraySweep:
             f"{len(columns)}", path, body_start + 1,
         )
 
-    freqs, rows = [], []
+    rows = []
     prev_f = None
     for lineno0 in range(body_start + 1, len(raw)):
         line = raw[lineno0].strip()
@@ -144,13 +157,14 @@ def parse_impedance(path) -> ArraySweep:
                 path, lineno0 + 1,
             )
         prev_f = f
-        freqs.append(f)
-        rows.append([complex(vals[2 * j + 1], vals[2 * j + 2]) for j in range(m)])
+        rows.append(vals)
 
-    if len(freqs) < 2:
+    if len(rows) < 2:
         raise ParseError("need at least two data rows", path)
-    grid = FrequencyGrid(np.array(freqs))
-    return ArraySweep(n=n, d=d, grid=grid, first_row=np.array(rows))
+    table = np.array(rows)
+    grid = FrequencyGrid(table[:, 0].copy())
+    return ArraySweep(n=n, d=d, grid=grid,
+                      first_row=np.ascontiguousarray(table[:, 1:]).view(complex))
 
 
 # ---------------------------------------------------------------------------

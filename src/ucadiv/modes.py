@@ -174,16 +174,15 @@ def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     # linear interpolation seed for the resonant frequency
     f0_seed = f[k] - im[k] * (f[k + 1] - f[k]) / (im[k + 1] - im[k])
 
-    def q_for(f0):
+    def profile(f0):
+        """Closed-form Q at f0 and the squared residual it leaves."""
         g = f / f0 - f0 / f
         denom = r * float(g @ g)
-        if denom == 0.0:
-            return 0.0
-        return float(im @ g) / denom
+        q = 0.0 if denom == 0.0 else float(im @ g) / denom
+        return q, float(np.sum((im - r * q * g) ** 2))
 
     def residual(f0):
-        g = f / f0 - f0 / f
-        return float(np.sum((im - r * q_for(f0) * g) ** 2))
+        return profile(f0)[1]
 
     span = f[-1] - f[0]
     lo = max(f[0], f0_seed - 0.25 * span)
@@ -205,12 +204,12 @@ def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
         f0 = float(fine.x)
     else:
         f0 = x
-    q = q_for(f0)
+    q, sq = profile(f0)
     if q <= 0:
         raise FitFailureError(f"fitted quality factor is non-positive ({q:.4g})")
     return ResonantMode(
         r=r, q=q, f0=f0, dft_index=dft_index, multiplicity=multiplicity,
-        fit_residual=math.sqrt(residual(f0) / f.size),
+        fit_residual=math.sqrt(sq / f.size),
     )
 
 
@@ -310,10 +309,11 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
     def assemble(diag):
         return np.einsum("ij,fj,jk->fik", q, diag, qh)
 
+    s12 = assemble(t.astype(complex))
     return MultiportS(
         s11=assemble(-np.conj(g)),
-        s12=assemble(t.astype(complex)),
-        s21=assemble(t.astype(complex)),
+        s12=s12,
+        s21=s12.copy(),  # reciprocal; a copy so the blocks stay independent
         s22=assemble(g),
         grid=sweep.grid,
         z_ref=float(zr[0]) if np.all(zr == zr[0]) else 1.0,

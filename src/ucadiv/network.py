@@ -33,6 +33,8 @@ class FrequencyGrid:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("frequency grid needs at least one sample")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("relative frequencies must be finite")
         if np.any(samples <= 0):
             raise ValueError("relative frequencies must be positive")
         if np.any(np.diff(samples) <= 0):
@@ -158,7 +160,8 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         S21c = S21m (I - S22a S11m)^-1 S21a
         S22c = S22m + S21m (I - S22a S11m)^-1 S22a S12m
 
-    so the composite relates the outer wave vectors of the chain.
+    so the composite relates the outer wave vectors of the chain.  Each
+    inner matrix is checked and factored once, for both right-hand sides.
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -166,25 +169,21 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         a.grid.samples, m.grid.samples
     ):
         raise ValueError("cascade requires a shared frequency grid")
-    eye = np.eye(a.n_ports, dtype=complex)
-    # X = (I - S11m S22a)^-1 S11m ; Y = (I - S22a S11m)^-1 applied to S21a, S22a
-    x = _solve_per_sample(
-        eye - m.s11 @ a.s22, m.s11, a.grid, "resonant inner term (I - S11m S22a)"
+    n = a.n_ports
+    eye = np.eye(n, dtype=complex)
+    # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
+    xm = _solve_per_sample(
+        eye - m.s11 @ a.s22, np.concatenate([m.s11, m.s12], axis=2), a.grid,
+        "resonant inner term (I - S11m S22a)",
     )
-    y21 = _solve_per_sample(
-        eye - a.s22 @ m.s11, a.s21, a.grid, "resonant inner term (I - S22a S11m)"
+    ya = _solve_per_sample(
+        eye - a.s22 @ m.s11, np.concatenate([a.s21, a.s22 @ m.s12], axis=2),
+        a.grid, "resonant inner term (I - S22a S11m)",
     )
-    y22 = _solve_per_sample(
-        eye - a.s22 @ m.s11, a.s22 @ m.s12, a.grid,
-        "resonant inner term (I - S22a S11m)",
-    )
-    inner = _solve_per_sample(
-        eye - m.s11 @ a.s22, m.s12, a.grid, "resonant inner term (I - S11m S22a)"
-    )
-    s11 = a.s11 + a.s12 @ x @ a.s21
-    s12 = a.s12 @ inner
-    s21 = m.s21 @ y21
-    s22 = m.s22 + m.s21 @ y22
+    s11 = a.s11 + a.s12 @ xm[..., :n] @ a.s21
+    s12 = a.s12 @ xm[..., n:]
+    s21 = m.s21 @ ya[..., :n]
+    s22 = m.s22 + m.s21 @ ya[..., n:]
     return MultiportS(s11, s12, s21, s22, a.grid, a.z_ref)
 
 

@@ -17,6 +17,7 @@ from ucadiv.errors import ConfigError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
     TABLE1_MODE2,
+    fixture_sweep,
     table1_fixture,
     table1_sweep,
 )
@@ -30,8 +31,8 @@ from ucadiv.io import (
     parse_impedance,
     write_impedance,
 )
-from ucadiv.modes import fit_modes
-from ucadiv.network import default_grid
+from ucadiv.modes import ArraySweep, fit_modes
+from ucadiv.network import FrequencyGrid, default_grid
 
 THREE_ROW_FILE = (
     "# ucadiv impedance sweep v1\n# N = 2\n# d = 0.25\n"
@@ -167,6 +168,88 @@ class TestImpedanceFiles:
         write_impedance(fixture_sweep(n, d), path)
         lam = eigen_impedances(parse_impedance(path))  # raises if not passive
         assert np.all(lam.real > 0)
+
+
+def per_element_writer(sweep):
+    """The sweep file bytes, formatted one numpy element at a time."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    m = sweep.n // 2 + 1
+    cols = ["f"]
+    for j in range(1, m + 1):
+        cols += [f"re_z1{j}", f"im_z1{j}"]
+    lines = ["# ucadiv impedance sweep v1", f"# N = {sweep.n}",
+             f"# d = {fmt(sweep.d)}", "# funit = relative", ",".join(cols)]
+    for i, f in enumerate(sweep.grid.samples):
+        row = [fmt(f)]
+        for j in range(m):
+            z = sweep.first_row[i, j]
+            row += [fmt(z.real), fmt(z.imag)]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def extreme_sweep():
+    """N = 3 sweep holding -0.0, the smallest subnormal and +-1e300."""
+    vals = np.array([[-0.0, 5e-324, 1e300, -1e300],
+                     [-1e300, -0.0, -5e-324, 0.0],
+                     [1.0 / 3.0, 1e300, -0.0, 2.0 ** -1074]])
+    grid = FrequencyGrid(np.array([0.5, 1.0, 1.0 + 2.0 ** -52]))
+    return ArraySweep(n=3, d=-0.0, grid=grid, first_row=vals.view(complex))
+
+
+class TestImpedanceFileBytes:
+    """One formatting pass writes the per-element writer's bytes."""
+
+    @pytest.mark.parametrize("make", [
+        table1_sweep,
+        lambda: fixture_sweep(16, 0.3),
+        extreme_sweep,
+    ], ids=["table1", "fixture-n16", "extremes"])
+    def test_bytes_and_round_trip_bits(self, make, tmp_path):
+        sweep = make()
+        path = tmp_path / "z.csv"
+        write_impedance(sweep, path)
+        assert path.read_bytes() == per_element_writer(sweep)
+        back = parse_impedance(path)
+        # tobytes tells -0.0 from 0.0, which array_equal does not
+        assert back.first_row.tobytes() == sweep.first_row.tobytes()
+        assert back.grid.samples.tobytes() == sweep.grid.samples.tobytes()
+        assert str(back.d) == str(sweep.d)
+
+    @pytest.mark.parametrize("d,bad,match", [
+        (float("nan"), None, "spacing"),
+        (-1.0, None, "spacing"),
+        (float("inf"), None, "spacing"),
+        (0.25, np.nan, "non-finite"),
+        (0.25, np.inf, "non-finite"),
+    ])
+    def test_refuses_what_the_parser_refuses(self, d, bad, match, tmp_path):
+        sweep = table1_sweep(default_grid(points=5))
+        sweep.d = d
+        if bad is not None:
+            sweep.first_row[2, 1] = complex(1.0, bad)
+        path = tmp_path / "z.csv"
+        with pytest.raises(ValueError, match=match):
+            write_impedance(sweep, path)
+        assert not path.exists()
+
+    def test_refuses_no_element(self, tmp_path):
+        g = default_grid(points=5)
+        sweep = ArraySweep(n=0, d=0.25, grid=g,
+                           first_row=np.ones((g.size, 1), dtype=complex))
+        path = tmp_path / "z.csv"
+        with pytest.raises(ValueError, match="element count"):
+            write_impedance(sweep, path)
+        assert not path.exists()
+
+    def test_refuses_a_single_sample(self, tmp_path):
+        sweep = table1_sweep(FrequencyGrid(np.array([1.0])))
+        path = tmp_path / "z.csv"
+        with pytest.raises(ValueError, match="two"):
+            write_impedance(sweep, path)
+        assert not path.exists()
 
 
 class TestTable1Fixture:
@@ -395,12 +478,23 @@ class TestCliFuzz:
         }))
         (base / "bad.json").write_text("{")
         argv = [str(base / a[1:]) if a.startswith("@") else a for a in argv]
+        out = base / "out"
+        for stale in out.glob("fixture_*.csv"):
+            stale.unlink()
         try:
-            rc = cli_main(argv + ["--out", str(base / "out")])
+            rc = cli_main(argv + ["--out", str(out)])
         except SystemExit as exc:  # an argparse usage error
             assert exc.code == 2
             return
         assert isinstance(rc, int) and rc in (0, 2, 3, 4, 5)
+        # a fixture run writes a file the parser accepts, or exits non-zero
+        # and writes nothing
+        written = list(out.glob("fixture_*.csv"))
+        if argv[0] == "fixture" and rc == 0:
+            assert len(written) == 1
+            parse_impedance(written[0])
+        else:
+            assert written == []
 
 
 class TestCli:
@@ -499,6 +593,30 @@ class TestCli:
         rc = cli_main(["fixture", "--n", n, "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--spacing", "nan"],
+                                      ["--spacing", "-1"],
+                                      ["--span", "nan"]])
+    def test_fixture_unparseable_sweep_exit_3(self, argv, tmp_path, capsys):
+        # these used to exit 0 with a file that parse_impedance refuses
+        rc = cli_main(["fixture", *argv, "--out", str(tmp_path)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_fit_reports_residuals_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        write_impedance(table1_sweep(), path)
+        assert cli_main(["fit", str(path), "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (tmp_path / "fit.csv").read_text()
+        assert "residual" not in out
+        modes = fit_modes(parse_impedance(path)).modes
+        assert err.splitlines() == [
+            f"mode {m.dft_index}: rms fit residual {m.fit_residual:.3g} ohm"
+            for m in modes
+        ]
 
     def test_coarse_quantile_warns_on_stderr(self, tmp_path, capsys):
         assert cli_main(["sweep", "--realizations", "1000",

@@ -263,6 +263,24 @@ class TestRetune:
 
 
 class TestExtendTo2nPort:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_transmission_blocks_are_one_assembly_copied(self, n):
+        from ucadiv.fixtures import fixture_sweep
+        from ucadiv.network import dft_beamformer
+
+        sw = fixture_sweep(n, 0.25, default_grid(points=61))
+        s = extend_to_2n_port(sw)
+        lam = eigen_impedances(sw)
+        zr = np.full(n, 1.0)
+        g = (lam - zr) / (lam + zr)
+        t = np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, None))
+        q = dft_beamformer(n)
+        want = np.einsum("ij,fj,jk->fik", q, t.astype(complex), q.conj().T)
+        assert np.array_equal(s.s12, want)
+        assert np.array_equal(s.s21, want)
+        # callers may write into one block without touching the other
+        assert not np.shares_memory(s.s12, s.s21)
+
     def test_uncoupled_unit_resistive_array(self):
         g = default_grid(points=21)
         row = np.zeros((g.size, 2), dtype=complex)

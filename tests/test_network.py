@@ -48,6 +48,13 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([-0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(np.array([0.9, 1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(np.array([bad, 1.0, 1.1]))
+
     def test_band_must_be_inside(self):
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([0.9, 1.0, 1.1]), band=(0.5, 1.0))
@@ -192,6 +199,53 @@ class TestCascade:
         with pytest.raises(SingularSampleError) as err:
             cascade(a, m)
         assert err.value.sample_index == 3
+
+    def test_both_inner_terms_singular_names_the_first(self):
+        # S22a = S11m = I makes both inner matrices singular; the
+        # (I - S11m S22a) check runs first
+        g = grid(3)
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+        a = MultiportS(eye.copy(), eye.copy(), eye.copy(), eye.copy(), g)
+        m = MultiportS(eye.copy(), eye.copy(), eye.copy(), eye.copy(), g)
+        with pytest.raises(SingularSampleError, match=r"\(I - S11m S22a\)"):
+            cascade(a, m)
+
+
+def four_solve_cascade(a, m):
+    """The block composition with one solve per term, written out."""
+    eye = np.eye(a.n_ports, dtype=complex)
+    x = np.linalg.solve(eye - m.s11 @ a.s22, m.s11)
+    inner = np.linalg.solve(eye - m.s11 @ a.s22, m.s12)
+    y21 = np.linalg.solve(eye - a.s22 @ m.s11, a.s21)
+    y22 = np.linalg.solve(eye - a.s22 @ m.s11, a.s22 @ m.s12)
+    return (a.s11 + a.s12 @ x @ a.s21, a.s12 @ inner,
+            m.s21 @ y21, m.s22 + m.s21 @ y22)
+
+
+def assert_blocks_equal(c, want):
+    for blk, w in zip(("s11", "s12", "s21", "s22"), want):
+        assert np.array_equal(getattr(c, blk), w), blk
+
+
+class TestCascadeBits:
+    """One factorization per inner matrix gives the four-solve bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+    def test_completion_with_through_and_with_completion(self, n):
+        from ucadiv.fixtures import fixture_sweep
+        from ucadiv.modes import extend_to_2n_port
+
+        ext = extend_to_2n_port(fixture_sweep(n, 0.25))
+        other = extend_to_2n_port(fixture_sweep(n, 0.6))
+        for m in (through_network(n, ext.grid), other):
+            assert_blocks_equal(cascade(ext, m), four_solve_cascade(ext, m))
+
+    def test_random_lossless_pairs(self):
+        rng = np.random.default_rng(11)
+        g = grid()
+        for n in (1, 2, 3):
+            a, m = random_lossless(rng, n, g), random_lossless(rng, n, g)
+            assert_blocks_equal(cascade(a, m), four_solve_cascade(a, m))
 
 
 class TestBeamformer:
