@@ -89,6 +89,15 @@ class SimConfig:
             raise ValueError("relative bandwidth must lie in (0, 2)")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
+        if self.tap_powers is not None:  # kept as written, checked here once
+            p = self.profile
+            if p.shape != (self.n_taps,):
+                raise ValueError(f"tap_powers needs n_taps = {self.n_taps} "
+                                 f"entries, got {len(self.tap_powers)}")
+            if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+                    and abs(p.sum() - 1.0) <= 1e-9):
+                raise ValueError("tap_powers must be finite, >= 0 and sum "
+                                 f"to 1, got {list(self.tap_powers)}")
 
     @property
     def snr_linear(self):
@@ -189,21 +198,27 @@ def _simulate(config: SimConfig, points, indices):
     """Samples of realizations ``indices`` at each (corr, gamma, sigma_norm).
 
     The points share each block's white taps.  A failed point gets the
-    stage error that failed it in place of its samples.
+    stage error that failed it in place of its samples.  Each block stays
+    in (N, B, L) antenna-major lanes from the correlation to the FFT, so
+    the correlation and the eigen-basis product are one BLAS call each and
+    nothing is transposed.  The channel stays the left operand of the
+    eigen-basis product: swapped, BLAS sums some N in another order.
     """
-    q, profile = dft_beamformer(config.n_antennas), config.profile
+    n, l, k = config.n_antennas, config.n_taps, config.subcarriers
+    q_conj, sqrt_p = dft_beamformer(n).conj(), np.sqrt(config.profile)
     out = [np.empty(len(indices)) for _ in points]
     start = 0
-    for w in channel.draw_tap_blocks(config.n_antennas, config.n_taps,
-                                     config.seed, indices, _BLOCK):
+    for w in channel.draw_tap_blocks(n, l, config.seed, indices, _BLOCK):
+        b = len(w)
         for j, (corr, gamma, sigma_norm) in enumerate(points):
             if isinstance(out[j], UcadivError):
                 continue
             try:
-                taps = channel._correlate(corr, config.n_taps, profile, w)
-                h = channel.taps_to_subcarriers(taps, config.subcarriers)
-                out[j][start:start + len(w)] = realization_capacity(
-                    channel.to_eigenbasis(h, q), gamma, sigma_norm,
+                lanes = (corr.sqrt_r_h @ w.reshape(-1, n).T).reshape(n, b, l)
+                lanes *= sqrt_p
+                h = np.fft.fft(lanes, n=k, axis=-1).reshape(n, -1)
+                out[j][start:start + b] = realization_capacity(
+                    (h.T @ q_conj).reshape(b, k, n), gamma, sigma_norm,
                     config.snr_linear,
                 )
             except UcadivError as exc:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -366,15 +367,19 @@ def dark_mode_set():
 # realization counts around the block size; 3 is the fewest SimConfig
 # accepts (p < 0.5 needs p M >= 1)
 BLOCK_COUNTS = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+# antenna counts that expose a reordered sum: swapped eigen-basis operands
+# change bits at 2, 3, 5, 9 and 17, a mode sum over a strided axis at 9,
+# 16 and 17 (numpy's 8-way pairwise sum); N = 17 needs 34 plane waves
+KERNEL_NS = [1, 2, 3, 5, 9, 16, 17]
 
 
 class TestBlockedKernel:
     @pytest.mark.parametrize("coupling", [True, False])
-    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("n", KERNEL_NS)
     @pytest.mark.parametrize("m", BLOCK_COUNTS)
     def test_equals_per_realization_path(self, n, coupling, m):
         cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
-                        outage_p=0.49, seed=17)
+                        outage_p=0.49, seed=17, planewaves=max(32, 2 * n))
         want = per_realization_samples(cfg, 0.25, range(m))
         assert np.array_equal(run_monte_carlo(cfg, 0.25), want)
 
@@ -419,10 +424,11 @@ class TestSharedDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("m", BLOCK_COUNTS)
     @pytest.mark.parametrize("coupling", [True, False])
-    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("n", KERNEL_NS)
     def test_points_equal_run_monte_carlo(self, n, coupling, m, workers):
         cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
-                        outage_p=0.49, seed=29, workers=workers)
+                        outage_p=0.49, seed=29, workers=workers,
+                        planewaves=max(32, 2 * n))
         serial = replace(cfg, workers=1)
         for p in sweep(cfg).points:
             assert p.error is None and p.n_samples == m
@@ -509,6 +515,28 @@ class TestSimConfig:
         assert SimConfig(realizations=2**32).realizations == 2**32
         with pytest.raises(ValueError, match="2\\*\\*32"):
             SimConfig(realizations=2**32 + 1)
+
+    @pytest.mark.parametrize("n_taps, powers, message", [
+        (8, (1.5, -0.5, 0, 0, 0, 0, 0, 0), "must be finite, >= 0 and sum"),
+        (8, (0.5, 0.6), "needs n_taps = 8 entries, got 2"),
+        (2, (0.5, 0.6), "must be finite, >= 0 and sum to 1"),
+        (2, (float("nan"), 1.0), "must be finite"),
+        (2, (float("inf"), 0.0), "must be finite"),
+        (1, (1.0, 0.0), "needs n_taps = 1 entries, got 2"),
+    ])
+    def test_tap_powers_checked_before_any_draw(self, n_taps, powers,
+                                                message):
+        # refused by the config, so no bad power reaches the kernel's sqrt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^tap_powers .*" + message):
+                SimConfig(n_taps=n_taps, tap_powers=powers)
+
+    def test_tap_powers_kept_as_written(self):
+        powers = (0.25, 0.75)
+        cfg = SimConfig(n_taps=2, tap_powers=powers)
+        assert cfg.tap_powers is powers
+        assert np.array_equal(cfg.profile, [0.25, 0.75])
 
     def test_desk_scale_flag(self):
         assert not SimConfig(realizations=5000).quantile_well_resolved

@@ -569,6 +569,9 @@ class TestCli:
         {"fixture_modes": [[0.25, [[118.76, 3.75, float("inf")]] * 2]]},
         {"workers": 0},
         {"workers": -2},
+        {"spacings": [0.25, 0.5], "realizations": 200,
+         "tap_powers": [1.5, -0.5, 0, 0, 0, 0, 0, 0]},
+        {"tap_powers": [0.5, 0.6]},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -577,6 +580,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error: ") and "Traceback" not in err
+        if "tap_powers" in doc:  # named, and refused before any draw
+            assert "tap_powers" in err
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["capacity", "sweep"])
