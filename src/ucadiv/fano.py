@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .modes import ResonantMode
 
 # VSWR <= 2 usability threshold on the in-band reflection magnitude.
@@ -97,6 +98,68 @@ def boxcar_profile(spec: MatchSpec, center, f):
     return float(out) if out.ndim == 0 else out
 
 
+# QUADPACK's QK21 (Piessens et al., 1983), literals as in SciPy's _quad_vec:
+# nodes from 1 to the centre, their Kronrod weights, Gauss weights of odd j.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _gk21(f, a, b):
+    """QK21 on [a, b]: (result, abserr) in QUADPACK's summation order."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centr)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [(f(centr - hlgth * x), f(centr + hlgth * x)) for x in _XGK]
+    # the Gauss nodes first, then the Kronrod-only ones, as QK21 adds them
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        f1, f2 = fv[j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * (f1 + f2)
+        resk = resk + _WGK[j] * (f1 + f2)
+        resabs = resabs + _WGK[j] * (abs(f1) + abs(f2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j, (f1, f2) in enumerate(fv):
+        resasc = resasc + _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resabs, resasc = resabs * abs(hlgth), resasc * abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > 2.2250738585072014e-308 / (50.0 * 2.0 ** -52):
+        abserr = max(50.0 * 2.0 ** -52 * resabs, abserr)
+    return resk * hlgth, abserr
+
+
+def _quad(f, a, b):
+    """QK21, bisecting the worst panel until the summed error meets quad's
+    default tolerance max(1.49e-8, 1.49e-8 |result|), in 50 panels at most."""
+    panels = [(*_gk21(f, a, b), a, b)]
+    while True:
+        result, abserr = sum(p[0] for p in panels), sum(p[1] for p in panels)
+        if abserr <= max(1.49e-8, 1.49e-8 * abs(result)):
+            return result, abserr
+        if len(panels) == 50:
+            raise NumericError(f"quadrature on [{a:.6g}, {b:.6g}] misses its "
+                               f"tolerance in 50 panels (error {abserr:.3g})")
+        worst = max(range(len(panels)), key=lambda i: panels[i][1])
+        _, _, lo, hi = panels.pop(worst)
+        mid = 0.5 * (lo + hi)
+        panels += [(*_gk21(f, lo, mid), lo, mid), (*_gk21(f, mid, hi), mid, hi)]
+
+
 @dataclass(frozen=True)
 class FanoResidualReport:
     """Residuals of the two matching constraints for a computed spec."""
@@ -120,12 +183,15 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     The band integrals are evaluated by quadrature in the mode-normalized
     frequency (they are closed-form for a box-car; the quadrature keeps the
     check independent of the construction).  Constraint (a) must be exact;
-    the magnitude of the (b) residual is bounded by pi W^2 / (2 Q).
+    the magnitude of the (b) residual is bounded by pi W^2 / (2 Q).  The rule
+    is QUADPACK's QK21 (Piessens et al., 1983): where one pass meets quad's
+    tolerance (W <= 1.25) the bits equal SciPy 1.17's ``quad``, and wider
+    bands are bisected.  Q W below ~0.0084 underflows: NumericError.
     """
-    # imported here so that the Monte-Carlo path never loads scipy
-    from scipy import integrate
-
     q, f0, w = mode.q, mode.f0, spec.w
+    if spec.gamma0_sq_lower == 0.0:
+        raise NumericError(f"box-car budget of the mode with Q = {q:.6g} at "
+                           f"W = {w:.6g} underflows double precision")
     g0 = -math.log(spec.gamma0_sq_lower)
     alpha = spec.rhp_zero.real
 
@@ -134,8 +200,8 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
         return -2.0 * np.log(mag)
 
     lo, hi = 1.0 - w / 2.0, 1.0 + w / 2.0
-    int_a, err_a = integrate.quad(logprof, lo, hi)
-    int_b, err_b = integrate.quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
+    int_a, err_a = _quad(logprof, lo, hi)
+    int_b, err_b = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
 
     closed_a = w * g0
     closed_b = w * g0 / (1.0 - w * w / 4.0)

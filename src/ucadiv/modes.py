@@ -146,16 +146,79 @@ def eigen_impedances(sweep: ArraySweep):
     return lam
 
 
+# Ported from SciPy 1.17, optimize/_optimize.py (BSD-3): same float operations.
+def _bounded_min(fun, lo, hi, xatol):
+    """Brent's bounded minimiser of ``fun`` on [lo, hi], 500 evaluations at most."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = fun(xf)
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        # the parabola's step, if it stays in (a, b) under half the one before last
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p, q = -p if q > 0.0 else p, abs(q)
+        if (abs(e) > tol1 and abs(p) < abs(0.5 * q * e)
+                and q * (a - xf) < p < q * (b - xf)):
+            e, rat = rat, (p + 0.0) / q
+            if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                rat = tol1 if xm - xf >= 0 else -tol1
+        else:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = fun(x)
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf
+
+
+def _golden_min(fun, xa, xb, xc, xtol):
+    """Golden-section minimiser in a bracket xa < xb < xc with f(xb) lowest."""
+    gr = 0.61803399
+    gc = 1.0 - gr
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(5000):
+        if abs(xc - xa) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            xa, x1, x2 = x1, x2, gr * x2 + gc * xc
+            f1, f2 = f2, fun(x2)
+        else:
+            xc, x2, x1 = x2, x1, gr * x1 + gc * xa
+            f2, f1 = f1, fun(x1)
+    return x1 if f1 < f2 else x2
+
+
 def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     """Fit a series-RLC resonance to one eigen-impedance trace.
 
     R is fixed to the band-average resistance; f0 is then refined from the
     reactance zero crossing by minimising the profiled squared residual of
-    Im(lambda) against R Q (f/f0 - f0/f), with Q closed-form for each f0.
+    Im(lambda) against R Q (f/f0 - f0/f), with Q closed-form for each f0, by
+    Brent's bounded search and a golden-section polish (Brent, 1973) that
+    repeat SciPy 1.17's ``minimize_scalar``: the fitted bits equal SciPy's.
     """
-    # imported here so that the Monte-Carlo path never loads scipy
-    from scipy import optimize
-
     trace = np.asarray(trace, dtype=complex)
     f = grid.samples
     if f.size < 3:
@@ -187,23 +250,13 @@ def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     span = f[-1] - f[0]
     lo = max(f[0], f0_seed - 0.25 * span)
     hi = min(f[-1], f0_seed + 0.25 * span)
-    coarse = optimize.minimize_scalar(
-        residual, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    # fminbound stalls at ~sqrt(eps) relative; golden-section has no such
-    # floor and polishes exact-model fits to near machine precision.
-    x = float(coarse.x)
+    x = _bounded_min(residual, lo, hi, 1e-12)
+    # Brent's search stalls at ~sqrt(eps) relative; golden-section has no
+    # such floor and polishes exact-model fits to near machine precision.
     step = max(1e-5 * x, 2.0 * abs(x - f0_seed) + 1e-12)
-    bracket = (x - step, x, x + step)
-    if residual(bracket[0]) > residual(x) < residual(bracket[2]):
-        fine = optimize.minimize_scalar(
-            residual, bracket=bracket, method="golden",
-            options={"xtol": 1e-13},
-        )
-        f0 = float(fine.x)
-    else:
-        f0 = x
+    f0 = x
+    if residual(x - step) > residual(x) < residual(x + step):
+        f0 = _golden_min(residual, x - step, x, x + step, 1e-13)
     q, sq = profile(f0)
     if q <= 0:
         raise FitFailureError(f"fitted quality factor is non-positive ({q:.4g})")

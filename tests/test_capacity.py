@@ -1,5 +1,6 @@
 """Per-realization capacity, outage quantiles, and the Monte-Carlo pipeline."""
 
+import json
 import os
 import subprocess
 import sys
@@ -35,8 +36,9 @@ from ucadiv.channel import (
     to_eigenbasis,
 )
 from ucadiv.errors import ModelError, NumericError
-from ucadiv.fixtures import CouplingModel, table1_fixture
+from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
 from ucadiv.frontend import NoiseTemps
+from ucadiv.io import write_impedance
 from ucadiv.network import dft_beamformer
 
 
@@ -266,13 +268,23 @@ _SCIPY_LOADED = (
     ["sweep", "--spacing", "0.25", "--realizations", "100"],
     ["capacity", "--spacing", "0.25", "--realizations", "1000"],
     ["modes", "--fixture", "table1"],
-], ids=["import", "sweep", "capacity", "modes"])
+    ["match", "--fixture", "table1"],
+    ["fit", "{tmp}/table1.csv"],
+    ["sweep", "--config", "{tmp}/files.json"],
+], ids=["import", "sweep", "capacity", "modes", "match", "fit", "sweep-files"])
 def test_import_and_cli_leave_scipy_unloaded(argv, tmp_path):
-    # scipy serves only the resonance fit and the quadrature check, so
-    # neither the import nor a Monte-Carlo or fixture-mode run may load it
+    # no runtime path loads scipy: not the import, the Monte-Carlo runs,
+    # the fixture modes, the resonance fit, the quadrature check of
+    # `match` or a sweep over impedance files
+    write_impedance(table1_sweep(), tmp_path / "table1.csv")
+    (tmp_path / "files.json").write_text(json.dumps({
+        "spacings": [0.25], "realizations": 100, "input": "files",
+        "impedance_files": [[0.25, str(tmp_path / "table1.csv")]],
+    }))
     if argv is None:
         code = "import ucadiv\n"
     else:
+        argv = [a.format(tmp=tmp_path) for a in argv]
         code = (
             "from ucadiv.cli import cli_main\n"
             f"assert cli_main({argv + ['--out', str(tmp_path)]!r}) == 0\n"

@@ -651,6 +651,19 @@ class TestCli:
         assert "nan" not in table
         assert table.splitlines()[1].split(",")[1:3] == ["error", "error"]
 
+    def test_match_underflowing_budget_exit_5(self, tmp_path, capsys):
+        # |Gamma0|^2 = exp(-2 pi / (3.75 * 0.001)) is 0.0 in double
+        # precision; the check took log(0) and exited 3 on a bare ValueError
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"relative_bandwidth": 0.001}))
+        rc = cli_main(["match", "--fixture", "table1", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ")
+        assert "Q = 3.75" in err and "W = 0.001" in err
+        assert "underflows double precision" in err
+
     def test_linalg_error_exit_5(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
