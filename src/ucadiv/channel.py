@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, NumericError
 from .modes import uca_pairwise_distance
 
 # Eigenvalues of the plane-wave correlation matrix below this are treated
@@ -97,17 +97,20 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
         raise ValueError(f"plane-wave count {k_prime} undersamples N={n}")
     phi = 2.0 * np.pi * np.arange(k_prime) / k_prime
     gain_sq = 1.0 / k_prime
-    r_h = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            dist = uca_pairwise_distance(n, d, abs(i - j))
-            r_h[i, j] = gain_sq * np.sum(
-                np.exp(1j * 2.0 * np.pi * dist * np.cos(phi))
-            )
+    chords = [uca_pairwise_distance(n, d, k) for k in range(n)]
+    idx = np.arange(n)
+    dist = np.array(chords)[np.abs(idx[:, None] - idx)]
+    # a spacing too large for a finite phase gives NaN, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        r_h = gain_sq * np.exp(
+            1j * 2.0 * np.pi * dist[..., None] * np.cos(phi)
+        ).sum(axis=-1)
+    if not np.all(np.isfinite(r_h)):
+        raise NumericError(f"correlation matrix is not finite at spacing {d}")
     r_h = 0.5 * (r_h + r_h.conj().T)  # kill roundoff asymmetry
 
     vals, vecs = np.linalg.eigh(r_h)
-    if np.min(vals) < PSD_CLIP:
+    if not np.min(vals) >= PSD_CLIP:  # NaN fails too
         raise ModelError(
             f"correlation matrix is not PSD (min eigenvalue {np.min(vals):.3g})"
         )

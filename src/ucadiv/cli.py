@@ -32,12 +32,18 @@ EXIT_MODEL = 4
 EXIT_NUMERIC = 5
 
 
-def _add_input(p):
-    """Where the modes come from: modes, match, capacity and sweep."""
+def _add_input(p, spacings=1):
+    """Where the modes come from: modes, match, capacity and sweep.
+
+    ``spacings`` is the argparse ``nargs`` of ``--spacing``: one value for
+    a single-spacing subcommand, "+" for sweep.  Too many values or none
+    is a usage error.
+    """
     p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--fixture", choices=["table1"],
                    help="use the built-in reference fixture")
-    p.add_argument("--spacing", type=float, nargs="*", default=None)
+    p.add_argument("--spacing", type=float, nargs=spacings, default=None,
+                   metavar="D", help="element spacing in wavelengths")
 
 
 def _add_out(p):
@@ -182,9 +188,6 @@ def cmd_capacity(args):
 
 
 def cmd_sweep(args):
-    if args.spacing is not None and len(args.spacing) == 0:
-        print("usage: sweep requires at least one spacing", file=sys.stderr)
-        return 2
     run = _load_run_config(args)
     if not run.sim.spacings:
         print("usage: sweep requires at least one spacing", file=sys.stderr)
@@ -270,7 +273,7 @@ def build_parser():
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("sweep", help="outage capacity versus spacing")
-    _add_input(p)
+    _add_input(p, spacings="+")
     _add_out(p)
     _add_monte_carlo(p)
     p.set_defaults(func=cmd_sweep)

@@ -109,8 +109,30 @@ def through_network(n, grid):
 
 
 def _solve_per_sample(a, b, grid, what):
-    """Solve a[k] x = b[k] for every sample, flagging near-singular systems."""
-    bad = np.flatnonzero(np.linalg.cond(a) > COND_LIMIT)
+    """Solve a[k] x = b[k] for every sample, flagging near-singular systems.
+
+    A sample is flagged exactly when ``np.linalg.cond(a[k]) > COND_LIMIT``,
+    but the full SVD runs only on the samples a cheaper bound cannot clear.
+    Guggenheimer, Edelman and Johnson ("A simple estimate of the condition
+    number of a linear system", College Math. J. 26, 1995) bound the
+    2-norm condition number of an n x n matrix by
+
+        kappa(A) < (2 / |det A|) (||A||_F / sqrt(n))^n,
+
+    which one LU factorization (``slogdet``) and the Frobenius norms give.
+    A sample whose bound is at most COND_LIMIT / 16 cannot be flagged; the
+    16x margin absorbs the rounding of the computed bound, which can fall
+    slightly below kappa near the limit.  Singular, all-zero or non-finite
+    samples give an infinite or NaN bound and go to the SVD, as does
+    everything else the bound leaves unsure.
+    """
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):
+        logdet = np.linalg.slogdet(a).logabsdet
+        fro = np.linalg.norm(a, axis=(-2, -1))
+        log_bound = np.log(2.0) - logdet + n * np.log(fro / np.sqrt(n))
+    unsure = np.flatnonzero(~(log_bound <= np.log(COND_LIMIT / 16.0)))
+    bad = unsure[np.linalg.cond(a[unsure]) > COND_LIMIT]
     if bad.size:
         k = int(bad[0])
         raise SingularSampleError(

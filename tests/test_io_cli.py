@@ -455,7 +455,7 @@ def cli_argvs(draw):
     flags += draw(st.lists(st.sampled_from(sorted(CLI_FLAGS)), max_size=1))
     for flag in flags:
         argv.append(flag)
-        if flag == "--spacing":  # takes any number of values
+        if flag == "--spacing":  # a count other than one may be a usage error
             argv += draw(st.lists(st.sampled_from(CLI_FLAGS[flag]),
                                   max_size=2))
         elif CLI_FLAGS[flag]:
@@ -650,6 +650,43 @@ class TestCli:
         table = (tmp_path / "sweep.csv").read_text()
         assert "nan" not in table
         assert table.splitlines()[1].split(",")[1:3] == ["error", "error"]
+
+    def test_unphysical_spacing_fails_its_point_exit_5(self, tmp_path,
+                                                       capsys):
+        # d = 1e308 gave NaN phases; the NaN R_h passed the PSD test, the
+        # JSON writer refused the NaN curve (exit 3) and the good point was
+        # lost with it
+        rc = cli_main(["sweep", "--spacing", "0.25", "1e308",
+                       "--realizations", "200", "--out", str(tmp_path)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert "Warning" not in err
+        assert err.startswith("numeric error: correlation matrix is not "
+                              "finite")
+        assert out.splitlines()[1].startswith("d = 1e+308: failed (")
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "0.25" and float(rows[0][1]) > 0
+        assert rows[1][:3] == ["1e+308", "error", "error"]
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert len(doc["points"]) == 2
+        rc = cli_main(["capacity", "--spacing", "1e308", "--realizations",
+                       "200", "--out", str(tmp_path / "cap")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "Warning" not in err and err.startswith("numeric error: ")
+
+    @pytest.mark.parametrize("command", ["modes", "match", "capacity"])
+    @pytest.mark.parametrize("values", [[], ["0.25", "0.5"]])
+    def test_single_spacing_takes_one_value(self, command, values, tmp_path,
+                                            capsys):
+        # extra spacings were ignored, and a bare --spacing fell back to
+        # the Table I spacing, both with exit 0
+        rc = cli_main([command, "--spacing", *values,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_match_underflowing_budget_exit_5(self, tmp_path, capsys):
         # |Gamma0|^2 = exp(-2 pi / (3.75 * 0.001)) is 0.0 in double

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ucadiv.errors import ModelMismatchError, SingularSampleError
 from ucadiv.network import (
+    COND_LIMIT,
     FrequencyGrid,
     MultiportS,
     cascade,
@@ -17,6 +18,7 @@ from ucadiv.network import (
     diagonalize_circulant,
     s_to_z,
     through_network,
+    _solve_per_sample,
     z_to_s,
 )
 
@@ -340,3 +342,83 @@ class TestLosslessCheck:
     def test_reciprocity_of_through(self):
         ok, _ = check_reciprocal(through_network(2, grid()))
         assert ok
+
+
+class TestSingularGuard:
+    """The bound-then-SVD guard flags exactly what the full SVD flags."""
+
+    KAPPAS = np.concatenate([
+        np.geomspace(1.0, 1e17, 35),
+        # around the 16x margin and the limit itself
+        COND_LIMIT * np.array([1 / 16.5, 1 / 16, 1 / 15.5, 0.5, 0.999,
+                               1.001, 2.0]),
+    ])
+
+    @staticmethod
+    def conditioned(rng, n, kappa, scale=1.0):
+        """U diag(sigma) V^H with singular values from 1 down to 1/kappa."""
+        sigma = scale * np.geomspace(1.0, 1.0 / kappa, n)
+        return (random_unitary(rng, n) * sigma) @ random_unitary(rng, n).conj().T
+
+    @staticmethod
+    def specials(rng, n):
+        """Exactly singular, all-zero and NaN samples."""
+        rank_short = rng.standard_normal((n, n)) + 0j
+        rank_short[-1] = rank_short[0]  # a repeated row; zero for N = 1
+        if n == 1:
+            rank_short[0, 0] = 0.0
+        nan = np.eye(n, dtype=complex)
+        nan[n // 2, 0] = np.nan
+        return [rank_short, np.zeros((n, n), dtype=complex), nan]
+
+    @staticmethod
+    def reference(a):
+        """Today's verdict: ('ok',), ('singular', k) or ('linalg', message)."""
+        try:
+            bad = np.flatnonzero(np.linalg.cond(a) > COND_LIMIT)
+        except np.linalg.LinAlgError as exc:
+            return ("linalg", str(exc))
+        return ("singular", int(bad[0])) if bad.size else ("ok",)
+
+    def assert_agrees(self, a):
+        g = FrequencyGrid(np.linspace(0.5, 1.5, len(a)))
+        b = np.ones_like(a)
+        want = self.reference(a)
+        try:
+            x = _solve_per_sample(a, b, g, "test system")
+        except SingularSampleError as exc:
+            assert want[0] == "singular", (want, str(exc))
+            k = want[1]
+            assert exc.sample_index == k
+            assert str(exc) == str(SingularSampleError(
+                "singular test system", k, float(g.samples[k])))
+        except np.linalg.LinAlgError as exc:
+            assert want == ("linalg", str(exc))
+        else:
+            assert want == ("ok",)
+            assert np.array_equal(x, np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17])
+    def test_kappa_sweep(self, n):
+        rng = np.random.default_rng(100 + n)
+        for scale in (1e-150, 1.0, 1e150):
+            stack = np.stack([self.conditioned(rng, n, k, scale)
+                              for k in self.KAPPAS])
+            self.assert_agrees(stack)
+            for sample in stack:
+                self.assert_agrees(sample[None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17])
+    def test_mixed_stacks(self, n):
+        rng = np.random.default_rng(200 + n)
+        pool = [self.conditioned(rng, n, k) for k in self.KAPPAS]
+        specials = self.specials(rng, n)
+        for sample in specials:
+            self.assert_agrees(sample[None])
+        for _ in range(20):
+            picks = rng.choice(len(pool), size=12)
+            stack = [pool[i] for i in picks]
+            # splice in a random subset of the special samples
+            for sample in rng.permutation(specials)[:rng.integers(0, 4)]:
+                stack.insert(rng.integers(0, len(stack) + 1), sample)
+            self.assert_agrees(np.stack(stack))
