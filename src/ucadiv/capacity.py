@@ -36,6 +36,10 @@ from .network import dft_beamformer
 # while peak memory stays independent of the realization count.
 _BLOCK = 64
 
+# |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
+# realization_capacity, while 10**30 leaves them a wide margin
+SNR_DB_LIMIT = 300.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -71,8 +75,9 @@ class SimConfig:
                 raise ValueError(
                     f"spacing must be a finite number >= 0, got {d!r}"
                 )
-        if not math.isfinite(self.snr_db):
-            raise ValueError("SNR must be finite")
+        if not abs(self.snr_db) <= SNR_DB_LIMIT:  # also refuses NaN
+            raise ValueError(f"SNR must lie within +-{SNR_DB_LIMIT:g} dB, "
+                             f"got {self.snr_db}")
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ValueError("bandwidth must be finite and > 0")
         if not 0.0 < self.outage_p < 0.5:

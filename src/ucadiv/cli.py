@@ -66,20 +66,19 @@ def _add_monte_carlo(p):
     p.add_argument("-v", "--verbose", action="count", default=0)
 
 
+# flag dest -> the SimConfig field it overrides when given
+_OVERRIDES = {"seed": "seed", "realizations": "realizations",
+              "retune": "retune_modes", "spacing": "spacings",
+              "workers": "workers"}
+
+
 def _load_run_config(args) -> io.RunConfig:
     run = io.load_config(args.config) if args.config else io.RunConfig()
-    sim = run.sim
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    if getattr(args, "realizations", None) is not None:
-        sim = replace(sim, realizations=args.realizations)
-    if getattr(args, "retune", None) is not None:
-        sim = replace(sim, retune_modes=args.retune)
-    if getattr(args, "spacing", None):
-        sim = replace(sim, spacings=tuple(args.spacing))
-    if getattr(args, "workers", None) is not None:
-        sim = replace(sim, workers=args.workers)
-    return replace(run, sim=sim)
+    given = {name: getattr(args, dest) for dest, name in _OVERRIDES.items()
+             if getattr(args, dest, None) is not None}
+    if "spacings" in given:  # argparse gives a list
+        given["spacings"] = tuple(given["spacings"])
+    return replace(run, sim=replace(run.sim, **given))
 
 
 def _warn_unresolved(sim):

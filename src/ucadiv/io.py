@@ -19,13 +19,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 
 import numpy as np
 
 from .capacity import OutageCurve, SimConfig
 from .errors import ConfigError, ParseError
-from .frontend import NoiseTemps
 from .modes import ArraySweep
 from .network import FrequencyGrid
 
@@ -42,6 +42,15 @@ def default_outdir():
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _write_lines(path, lines):
+    """The lines as text, also written to ``path`` when one is given."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return text
 
 
 def write_impedance(sweep: ArraySweep, path):
@@ -63,10 +72,8 @@ def write_impedance(sweep: ArraySweep, path):
     ])
     if not np.all(np.isfinite(table)):
         raise ValueError("impedance sweep holds a non-finite value")
-    m = sweep.n // 2 + 1
-    cols = ["f"]
-    for j in range(1, m + 1):
-        cols += [f"re_z1{j}", f"im_z1{j}"]
+    cols = ["f"] + [f"{part}_z1{j}" for j in range(1, sweep.n // 2 + 2)
+                    for part in ("re", "im")]
     lines = [
         f"# {FORMAT_TAG}",
         f"# N = {sweep.n}",
@@ -76,8 +83,7 @@ def write_impedance(sweep: ArraySweep, path):
     ]
     row = ",".join(["{:.17g}"] * table.shape[1])
     lines += [row.format(*values) for values in table.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def parse_impedance(path) -> ArraySweep:
@@ -168,7 +174,35 @@ def parse_impedance(path) -> ArraySweep:
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# run configuration: each leaf field of SimConfig (NoiseTemps flattened) is
+# a config key, a to_dict entry and a hashed value
+
+# fields whose config key is not the field name
+_RENAMES = {"retune_modes": "retune", "t_antenna": "temp_antenna",
+            "t_forward": "temp_forward", "t_reverse": "temp_reverse"}
+# parsed and validated, but never emitted or hashed: it changes no result
+_UNHASHED = {"workers"}
+
+
+def _leaves(cls, path=()):
+    """(config key, attribute path, field) per leaf field, in field order."""
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            yield from _leaves(f.type, path + (f.name,))
+        else:
+            yield _RENAMES.get(f.name, f.name), path + (f.name,), f
+
+
+_SIM_LEAVES = tuple(_leaves(SimConfig))
+# JSON types per key: a float takes any number, a tuple a list, and a field
+# that defaults to None also null
+_CONFIG_KEYS = {
+    key: {float: (int, float), tuple: (list,)}.get(f.type, (f.type,))
+    + ((type(None),) if f.default is None else ()) for key, _, f in _SIM_LEAVES
+}
+_CONFIG_KEYS.update(input=(str,), impedance_files=(list,),
+                    fixture_modes=(list,))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -185,61 +219,12 @@ class RunConfig:
     fixture_modes: tuple = ()
 
     def to_dict(self):
-        out = {
-            "n_antennas": self.sim.n_antennas,
-            "spacings": list(self.sim.spacings),
-            "subcarriers": self.sim.subcarriers,
-            "bandwidth_hz": self.sim.bandwidth_hz,
-            "relative_bandwidth": self.sim.relative_bandwidth,
-            "snr_db": self.sim.snr_db,
-            "temp_antenna": self.sim.temps.t_antenna,
-            "temp_forward": self.sim.temps.t_forward,
-            "temp_reverse": self.sim.temps.t_reverse,
-            "realizations": self.sim.realizations,
-            "outage_p": self.sim.outage_p,
-            "seed": self.sim.seed,
-            "retune": self.sim.retune_modes,
-            "n_taps": self.sim.n_taps,
-            "tap_powers": (
-                list(self.sim.tap_powers)
-                if self.sim.tap_powers is not None else None
-            ),
-            "coupling": self.sim.coupling,
-            "planewaves": self.sim.planewaves,
-            # workers deliberately omitted: parallelism does not change
-            # results, so it must not change emitted files or their hash
-            "input": self.input_mode,
-            "impedance_files": [list(p) for p in self.impedance_files],
-            "fixture_modes": [
-                [s, [list(m) for m in ms]] for s, ms in self.fixture_modes
-            ],
-        }
-        return out
-
-
-_CONFIG_KEYS = {
-    "n_antennas": int,
-    "spacings": list,
-    "subcarriers": int,
-    "bandwidth_hz": float,
-    "relative_bandwidth": float,
-    "snr_db": float,
-    "temp_antenna": float,
-    "temp_forward": float,
-    "temp_reverse": float,
-    "realizations": int,
-    "outage_p": float,
-    "seed": int,
-    "retune": bool,
-    "n_taps": int,
-    "tap_powers": (list, type(None)),
-    "coupling": bool,
-    "planewaves": int,
-    "workers": int,
-    "input": str,
-    "impedance_files": list,
-    "fixture_modes": list,
-}
+        """The hashed configuration; ``json`` writes its tuples as lists."""
+        sim = {key: reduce(getattr, path, self.sim)
+               for key, path, _ in _SIM_LEAVES if key not in _UNHASHED}
+        return {**sim, "input": self.input_mode,
+                "impedance_files": self.impedance_files,
+                "fixture_modes": self.fixture_modes}
 
 
 def config_from_dict(doc) -> RunConfig:
@@ -249,59 +234,40 @@ def config_from_dict(doc) -> RunConfig:
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for key, typ in _CONFIG_KEYS.items():
-        if key not in doc:
-            continue
-        if typ is float:
-            typ = (int, float)
+    for key, types in _CONFIG_KEYS.items():  # schema order names the key
+        value = doc.get(key)
         # bool is an int to isinstance, but true is no antenna count
-        if (not isinstance(doc[key], typ)
-                or isinstance(doc[key], bool) and typ is not bool):
-            raise ConfigError(
-                f"key {key!r} has wrong type {type(doc[key]).__name__}"
-            )
+        if key in doc and (not isinstance(value, types) or
+                           isinstance(value, bool) and bool not in types):
+            raise ConfigError(f"key {key!r} has wrong type "
+                              f"{type(value).__name__}")
     input_mode = doc.get("input", "fixture")
     if input_mode not in ("fixture", "files"):
         raise ConfigError(f"input mode must be 'fixture' or 'files', got "
                           f"{input_mode!r}")
-    defaults = SimConfig()
-    tap_powers = doc.get("tap_powers")
-    _entries(doc, "tap_powers", _number)  # checked, kept as written
     try:
-        temps = NoiseTemps(
-            t_antenna=float(doc.get("temp_antenna", 1.0)),
-            t_forward=float(doc.get("temp_forward", 2.0)),
-            t_reverse=float(doc.get("temp_reverse", 0.0)),
-        )
-        sim = SimConfig(
-            n_antennas=int(doc.get("n_antennas", defaults.n_antennas)),
-            spacings=tuple(doc.get("spacings", defaults.spacings)),
-            subcarriers=int(doc.get("subcarriers", defaults.subcarriers)),
-            bandwidth_hz=float(doc.get("bandwidth_hz", defaults.bandwidth_hz)),
-            relative_bandwidth=float(
-                doc.get("relative_bandwidth", defaults.relative_bandwidth)
-            ),
-            snr_db=float(doc.get("snr_db", defaults.snr_db)),
-            temps=temps,
-            realizations=int(doc.get("realizations", defaults.realizations)),
-            outage_p=float(doc.get("outage_p", defaults.outage_p)),
-            seed=int(doc.get("seed", defaults.seed)),
-            retune_modes=bool(doc.get("retune", defaults.retune_modes)),
-            n_taps=int(doc.get("n_taps", defaults.n_taps)),
-            tap_powers=tuple(tap_powers) if tap_powers is not None else None,
-            coupling=bool(doc.get("coupling", defaults.coupling)),
-            planewaves=int(doc.get("planewaves", defaults.planewaves)),
-            workers=int(doc.get("workers", defaults.workers)),
-        )
+        sim = _build(SimConfig, doc)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        sim=sim,
-        input_mode=input_mode,
-        impedance_files=_entries(doc, "impedance_files", _pair),
-        fixture_modes=_entries(doc, "fixture_modes",
-                               lambda e: _pair(e, _triples)),
-    )
+    return RunConfig(sim=sim, input_mode=input_mode,
+                     impedance_files=_entries(doc, "impedance_files", _pair),
+                     fixture_modes=_entries(doc, "fixture_modes",
+                                            lambda e: _pair(e, _triples)))
+
+
+def _build(cls, doc):
+    """``cls`` from the document; an absent key keeps the field's default."""
+    given = {}
+    for f in fields(cls):
+        key = _RENAMES.get(f.name, f.name)
+        if is_dataclass(f.type):
+            given[f.name] = _build(f.type, doc)
+        elif key in doc:
+            if f.type is tuple:
+                _entries(doc, key, _number)  # checked, kept as written
+            value = doc[key]  # an int for a float field is hashed as float
+            given[f.name] = None if value is None else f.type(value)
+    return cls(**given)
 
 
 def _number(value):
@@ -366,16 +332,10 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
 
     rows = [f"spacing,c_out_{unit},ci_half_width,samples,seed,config"]
     for p in curve.points:
-        if p.error is not None:
-            rows.append(
-                f"{_fmt(p.d)},error,error,0,{curve.config.seed},{h}"
-            )
-            continue
-        rows.append(
-            f"{_fmt(p.d)},{_fmt(p.c_out * scale)},"
-            f"{_fmt(p.ci_half_width * scale)},{p.n_samples},"
-            f"{curve.config.seed},{h}"
-        )
+        values = "error,error,0" if p.error is not None else (
+            f"{_fmt(p.c_out * scale)},{_fmt(p.ci_half_width * scale)},"
+            f"{p.n_samples}")
+        rows.append(f"{_fmt(p.d)},{values},{curve.config.seed},{h}")
     doc = {
         "config": run_config.to_dict(),
         "config_hash": h,
@@ -394,11 +354,9 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     # strict JSON: a non-finite value raises here, before any file is written
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     table_path = os.path.join(out_dir, f"{stem}.csv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_lines(table_path, rows)
     doc_path = os.path.join(out_dir, f"{stem}.json")
-    with open(doc_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_lines(doc_path, [text])
     return table_path, doc_path
 
 
@@ -413,11 +371,7 @@ def emit_mode_report(mode_set, usable_bands, out_path=None):
             f"{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(mode.inductance)},"
             f"{_fmt(mode.capacitance)},{_fmt(lo)},{_fmt(hi)},{_fmt(hi - lo)}"
         )
-    text = "\n".join(rows) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return _write_lines(out_path, rows)
 
 
 def emit_match_report(mode_set, specs, reports, out_path=None):
@@ -432,8 +386,4 @@ def emit_match_report(mode_set, specs, reports, out_path=None):
             f"{int(spec.usable)},{_fmt(rep.residual_a)},"
             f"{_fmt(rep.residual_b)},{_fmt(rep.residual_b_bound)}"
         )
-    text = "\n".join(rows) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return _write_lines(out_path, rows)

@@ -15,6 +15,7 @@ from scipy import stats
 import ucadiv
 from ucadiv import capacity
 from ucadiv.capacity import (
+    SNR_DB_LIMIT,
     _BLOCK,
     OutageCurve,
     SimConfig,
@@ -522,6 +523,18 @@ class TestSimConfig:
     def test_outage_level_domain(self):
         with pytest.raises(ValueError):
             SimConfig(outage_p=0.6)
+
+    @pytest.mark.parametrize("snr_db", [-SNR_DB_LIMIT, SNR_DB_LIMIT])
+    def test_snr_range_ends_run_finite(self, snr_db):
+        cfg = SimConfig(snr_db=snr_db, realizations=150)
+        c_out, half = outage(run_monte_carlo(cfg, 0.25), cfg.outage_p)
+        assert np.isfinite(c_out) and np.isfinite(half)
+
+    @pytest.mark.parametrize("snr_db", [300.5, -300.5, 3080.0, 4000.0,
+                                        float("inf"), float("nan")])
+    def test_snr_outside_range_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR must lie within"):
+            SimConfig(snr_db=snr_db)
 
     def test_realization_count_fits_one_index_word(self):
         assert SimConfig(realizations=2**32).realizations == 2**32

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,36 @@ class TestRunConfig:
             hashes.add(config_hash(config_from_dict(doc)))
         assert len(hashes) == len(perturbations) + 1
 
+    # each pin is config_hash(config_from_dict(doc)) computed by the
+    # hand-written key table, parser and to_dict that the schema derived
+    # from SimConfig's fields replaced; result files embed these hashes
+    @pytest.mark.parametrize("doc,pinned", [
+        ({}, "2138195298e0fb98"),
+        ({"n_antennas": 16}, "a51e74655682c7df"),
+        ({"input": "files", "impedance_files": [[0.25, "z.csv"]]},
+         "af75f24b928f8bf3"),
+        ({"fixture_modes": [[0.25, [list(TABLE1_MODE1),
+                                    list(TABLE1_MODE2)]]]},
+         "d70f49aa5e589b13"),
+        ({"temp_reverse": 0.7}, "16ab5e03fc5ad67f"),
+        ({"n_taps": 2, "tap_powers": [0.75, 0.25]}, "9a88179d83d27071"),
+        ({"spacings": [1, 2]}, "95e78493f4a9fe9c"),
+        ({"workers": 2}, "2138195298e0fb98"),  # workers is never hashed
+    ])
+    def test_hash_pins(self, doc, pinned):
+        assert config_hash(config_from_dict(doc)) == pinned
+
+    def test_readme_key_table_is_the_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("**Run configuration JSON**")[1]
+        rows = re.findall(r"^\| `(\w+)` \|.*\| `(.+)` \|$",
+                          section.split("**Results**")[0], re.M)
+        assert sorted(key for key, _ in rows) == sorted(_CONFIG_KEYS)
+        run = RunConfig()
+        defaults = json.loads(json.dumps(run.to_dict()))
+        defaults["workers"] = run.sim.workers
+        assert {key: json.loads(v) for key, v in rows} == defaults
+
     def test_fixture_modes_pinning(self):
         run = config_from_dict({
             "fixture_modes": [
@@ -337,6 +370,37 @@ JSON_VALUES = st.recursive(
 )
 CONFIG_DOCS = st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)),
                               JSON_VALUES, max_size=4)
+# in-range values for every key; whole numbers may stand for floats
+_REAL = st.floats(-50, 50) | st.integers(-50, 50)
+_TEMP = st.floats(0, 10) | st.integers(0, 10)
+_SPACING = st.floats(0, 2) | st.integers(0, 2)
+_TRIPLE = st.lists(st.floats(0.1, 200), min_size=3, max_size=3)
+VALID_DOCS = st.fixed_dictionaries({}, optional={
+    "n_antennas": st.integers(1, 16),
+    "spacings": st.lists(_SPACING, max_size=3),
+    "subcarriers": st.integers(8, 128),
+    "bandwidth_hz": st.floats(1.0, 1e9) | st.integers(1, 10**20),
+    "relative_bandwidth": st.floats(0.001, 1.9),
+    "snr_db": _REAL,
+    "temp_antenna": _TEMP,
+    "temp_forward": _TEMP,
+    "temp_reverse": _TEMP,
+    "realizations": st.integers(100, 10**6),
+    "outage_p": st.floats(0.01, 0.49),
+    "seed": st.integers(0, 2**63),
+    "retune": st.booleans(),
+    "n_taps": st.integers(1, 8),
+    "tap_powers": st.sampled_from([None, [1.0], [0.75, 0.25], [1, 0]]),
+    "coupling": st.booleans(),
+    "planewaves": st.integers(1, 64),
+    "workers": st.integers(1, 4),
+    "input": st.sampled_from(["fixture", "files"]),
+    "impedance_files": st.lists(st.tuples(_SPACING, st.text(max_size=4))
+                                .map(list), max_size=2),
+    "fixture_modes": st.lists(
+        st.tuples(_SPACING, st.lists(_TRIPLE, max_size=3)).map(list),
+        max_size=2),
+})
 
 
 class TestConfigFuzz:
@@ -351,6 +415,18 @@ class TestConfigFuzz:
         # a bool is a number to isinstance, but only the flags take one
         assert all(key in ("retune", "coupling")
                    for key, value in doc.items() if isinstance(value, bool))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=VALID_DOCS)
+    def test_result_config_reads_back(self, doc):
+        # the "config" of a result json re-runs the same configuration
+        try:
+            run = config_from_dict(doc)
+        except ConfigError:  # e.g. too few realizations for outage_p
+            return
+        back = config_from_dict(json.loads(json.dumps(run.to_dict())))
+        assert back == replace(run, sim=replace(run.sim, workers=1))
+        assert config_hash(back) == config_hash(run)
 
 
 # tokens a corrupted or hand-edited file might hold
@@ -561,6 +637,8 @@ class TestCli:
         {"n_antennas": True, "spacings": [0.25], "realizations": 200},
         {"snr_db": True},
         {"snr_db": 10**400},
+        {"snr_db": 4000},  # would overflow snr_linear
+        {"snr_db": 3080},  # would overflow the capacity products
         {"n_taps": 1, "tap_powers": [True]},
         {"bandwidth_hz": -1e400},
         {"bandwidth_hz": float("nan")},
