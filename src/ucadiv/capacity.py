@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel, fixtures
-from .errors import DataError, ModelError, NumericError, UcadivError
+from .errors import NumericError, UcadivError
 from .fano import fano_boxcar
 from .frontend import (
     NoiseTemps,
@@ -94,6 +94,8 @@ class SimConfig:
             raise ValueError("relative bandwidth must lie in (0, 2)")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tap_powers is not None:  # kept as written, checked here once
             p = self.profile
             if p.shape != (self.n_taps,):
@@ -148,11 +150,7 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
     """
     h_hat = np.asarray(h_hat)
     weight = 1.0 - np.asarray(gamma) ** 2
-    sigma_norm = np.asarray(sigma_norm)
-    if not np.all(sigma_norm > 0.0):  # NaN fails too
-        raise NumericError(
-            "zero noise floor (no load noise behind a dark or matched mode)"
-        )
+    sigma_norm = _noise_floor(sigma_norm)
     # |h|^2 w / sigma in that order on one C-ordered temporary: numpy sums a
     # contiguous axis pairwise, a strided one sequentially (other bits)
     power = np.abs(h_hat, order="C")
@@ -163,6 +161,16 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
     quad *= snr_linear
     c = np.log1p(quad, out=quad).mean(axis=-1)
     return float(c) if c.ndim == 0 else c
+
+
+def _noise_floor(sigma_norm):
+    """``sigma_norm`` as an array, checked to be positive everywhere."""
+    sigma_norm = np.asarray(sigma_norm)
+    if not np.all(sigma_norm > 0.0):  # NaN fails too
+        raise NumericError(
+            "zero noise floor (no load noise behind a dark or matched mode)"
+        )
+    return sigma_norm
 
 
 def _mode_sum(power):
@@ -202,10 +210,9 @@ def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
 def _simulate(config: SimConfig, points, indices):
     """Samples of realizations ``indices`` at each (corr, gamma, sigma_norm).
 
-    The points share each block's white taps.  A failed point gets the
-    stage error that failed it in place of its samples.  Each block stays
-    in (N, B, L) antenna-major lanes from the correlation to the FFT, so
-    the correlation and the eigen-basis product are one BLAS call each and
+    The points share each block's white taps, and each block stays in
+    (N, B, L) antenna-major lanes from the correlation to the FFT, so the
+    correlation and the eigen-basis product are one BLAS call each and
     nothing is transposed.  The channel stays the left operand of the
     eigen-basis product: swapped, BLAS sums some N in another order.
     """
@@ -215,32 +222,16 @@ def _simulate(config: SimConfig, points, indices):
     start = 0
     for w in channel.draw_tap_blocks(n, l, config.seed, indices, _BLOCK):
         b = len(w)
-        for j, (corr, gamma, sigma_norm) in enumerate(points):
-            if isinstance(out[j], UcadivError):
-                continue
-            try:
-                lanes = (corr.sqrt_r_h @ w.reshape(-1, n).T).reshape(n, b, l)
-                lanes *= sqrt_p
-                h = np.fft.fft(lanes, n=k, axis=-1).reshape(n, -1)
-                out[j][start:start + b] = realization_capacity(
-                    (h.T @ q_conj).reshape(b, k, n), gamma, sigma_norm,
-                    config.snr_linear,
-                )
-            except UcadivError as exc:
-                # every stage error is independent of the draws, so it
-                # shows on the chunk's first realization
-                out[j] = _with_realization(exc, indices[0])
-                out[j].__cause__ = exc
-        start += len(w)
+        for samples, (corr, gamma, sigma_norm) in zip(out, points):
+            lanes = (corr.sqrt_r_h @ w.reshape(-1, n).T).reshape(n, b, l)
+            lanes *= sqrt_p
+            h = np.fft.fft(lanes, n=k, axis=-1).reshape(n, -1)
+            samples[start:start + b] = realization_capacity(
+                (h.T @ q_conj).reshape(b, k, n), gamma, sigma_norm,
+                config.snr_linear,
+            )
+        start += b
     return out
-
-
-def _with_realization(exc, idx):
-    """Re-wrap a stage error in its category, tagged with the realization."""
-    for category in (DataError, ModelError, NumericError):
-        if isinstance(exc, category):
-            return category(f"realization {idx}: {exc}")
-    return UcadivError(f"realization {idx}: {exc}")
 
 
 def _pool_run(args):
@@ -248,14 +239,18 @@ def _pool_run(args):
 
 
 def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
-    """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them."""
+    """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them.
+
+    Every error of the spacing is raised here, before any draw: the
+    kernel's only one, a zero noise floor, does not depend on the draws.
+    """
     if config.coupling:
         if mode_set is None:
             mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
         front, cov = _match_and_noise(config, mode_set)
         return (channel.spatial_correlation(config.n_antennas, d,
                                             config.planewaves),
-                front.gamma, cov.normalized())
+                front.gamma, _noise_floor(cov.normalized()))
     # perfect match and unit noise
     shape = (config.subcarriers, config.n_antennas)
     eye = np.eye(config.n_antennas, dtype=complex)
@@ -279,9 +274,7 @@ def _monte_carlo(config: SimConfig, points):
     with ProcessPoolExecutor(max_workers=processes) as pool:
         parts = list(pool.map(_pool_run,
                               [(config, points, c) for c in chunks]))
-    # per point: the first failed chunk's error, else the joined samples
-    return [next((c for c in col if isinstance(c, UcadivError)), None)
-            or np.concatenate(col) for col in zip(*parts)]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
@@ -292,10 +285,7 @@ def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
     invariant to the worker count.  ``mode_set`` overrides the synthetic
     coupling model (e.g. modes fitted from an ingested impedance sweep).
     """
-    [samples] = _monte_carlo(config, [_kernel_inputs(config, d, mode_set)])
-    if isinstance(samples, UcadivError):
-        raise samples
-    return samples
+    return _monte_carlo(config, [_kernel_inputs(config, d, mode_set)])[0]
 
 
 def _binom_ppf(q, m, p):
@@ -358,10 +348,9 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     ))
     points = []
     for d, p in zip(config.spacings, inputs):
-        p = p if isinstance(p, UcadivError) else next(samples)
         if isinstance(p, UcadivError):
             points.append(SpacingResult(float(d), error=str(p), cause=p))
             continue
-        c0, half = outage(p, config.outage_p)
+        c0, half = outage(next(samples), config.outage_p)
         points.append(SpacingResult(float(d), c0, half, config.realizations))
     return OutageCurve(points=points, config=config)

@@ -8,6 +8,7 @@ the eigen-basis.  Every step after the draw accepts leading batch axes, so
 blocks of realizations go through it at once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,11 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
         ).sum(axis=-1)
     if not np.all(np.isfinite(r_h)):
         raise NumericError(f"correlation matrix is not finite at spacing {d}")
+    # from 2 pi d_max = 2**33 rad (d_max ~ 1.37e9 wavelengths) on, adjacent
+    # floats lie over 1e-6 rad apart and the phases are rounding noise
+    if math.ulp(2.0 * math.pi * max(chords)) > 1e-6:
+        raise NumericError(f"spacing {d} is too large for the phases of "
+                           "the correlation matrix to be resolved")
     r_h = 0.5 * (r_h + r_h.conj().T)  # kill roundoff asymmetry
 
     vals, vecs = np.linalg.eigh(r_h)

@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity as cap
 from . import fano, fixtures, io
 from .errors import DataError, ModelError, NumericError, UcadivError
-from .modes import fit_modes, usable_bandwidth
+from .modes import EigenModeSet, fit_modes, usable_bandwidth
 from .network import default_grid
 
 EXIT_DATA = 3
@@ -101,26 +101,10 @@ def _mode_set_for(args, run: io.RunConfig, d):
             return fit_modes(io.parse_impedance(path))
     for spacing, triples in run.fixture_modes:
         if abs(spacing - d) < 1e-12:
-            return _modes_from_triples(run.sim.n_antennas, triples)
+            return EigenModeSet.from_params(run.sim.n_antennas, triples)
     if run.input_mode == "files":
         raise DataError(f"no impedance file configured for spacing {d}")
     return fixtures.CouplingModel().mode_set(run.sim.n_antennas, d)
-
-
-def _modes_from_triples(n, triples):
-    from .modes import EigenModeSet, ResonantMode, distinct_dft_indices
-
-    indices = distinct_dft_indices(n)
-    if len(triples) != len(indices):
-        raise DataError(
-            f"need {len(indices)} (R, Q, f0) triples for N={n}, "
-            f"got {len(triples)}"
-        )
-    modes = tuple(
-        ResonantMode(r=t[0], q=t[1], f0=t[2], dft_index=m, multiplicity=mult)
-        for t, (m, mult) in zip(triples, indices)
-    )
-    return EigenModeSet(n=n, modes=modes)
 
 
 def _report_modes(mode_set, out_path=None):

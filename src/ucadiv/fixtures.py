@@ -18,7 +18,6 @@ from .modes import (
     ArraySweep,
     EigenModeSet,
     ResonantMode,
-    distinct_dft_indices,
     sweep_from_modes,
     uca_pairwise_distance,
 )
@@ -74,18 +73,11 @@ class CouplingModel:
         a_r = math.log(TABLE1_MODE1[0] / R_ISOLATED)
         a_q = math.log(TABLE1_MODE2[1] / Q_ISOLATED)
         a_f = math.log(TABLE1_MODE1[2] / F0_ISOLATED)
-        weights = self.mode_weights(n, d)
-        modes = []
-        for m, mult in distinct_dft_indices(n):
-            c = weights[m]
-            modes.append(ResonantMode(
-                r=R_ISOLATED * math.exp(a_r * c),
-                q=Q_ISOLATED * math.exp(-a_q * c),
-                f0=F0_ISOLATED * math.exp(a_f * c),
-                dft_index=m,
-                multiplicity=mult,
-            ))
-        return EigenModeSet(n=n, modes=tuple(modes))
+        weights = self.mode_weights(n, d)[:n // 2 + 1]  # distinct modes
+        return EigenModeSet.from_params(n, [
+            (R_ISOLATED * math.exp(a_r * c), Q_ISOLATED * math.exp(-a_q * c),
+             F0_ISOLATED * math.exp(a_f * c)) for c in weights
+        ])
 
 
 def isolated_mode(f0=None) -> ResonantMode:
@@ -98,15 +90,7 @@ def isolated_mode(f0=None) -> ResonantMode:
 
 def table1_fixture() -> EigenModeSet:
     """The reference two-element mode set (d = 0.25 wavelengths)."""
-    r1, q1, f1 = TABLE1_MODE1
-    r2, q2, f2 = TABLE1_MODE2
-    return EigenModeSet(
-        n=2,
-        modes=(
-            ResonantMode(r=r1, q=q1, f0=f1, dft_index=0, multiplicity=1),
-            ResonantMode(r=r2, q=q2, f0=f2, dft_index=1, multiplicity=1),
-        ),
-    )
+    return EigenModeSet.from_params(2, (TABLE1_MODE1, TABLE1_MODE2))
 
 
 def table1_sweep(grid: FrequencyGrid = None) -> ArraySweep:

@@ -42,12 +42,12 @@ class NoiseTemps:
             )
 
 
-def subcarrier_grid(k, w, center=1.0):
-    """K sub-carrier frequencies at the midpoints of equal slices of the band."""
+def subcarrier_grid(k, w):
+    """K sub-carrier frequencies: slice midpoints of the band centred on fc."""
     if k < 1:
         raise ValueError("need at least one sub-carrier")
     offsets = (np.arange(k) + 0.5) / k - 0.5
-    return center * (1.0 + w * offsets)
+    return 1.0 + w * offsets
 
 
 @dataclass
@@ -67,7 +67,7 @@ class FrontEnd:
         return self.gamma.shape[1]
 
 
-def build_frontend(modes: EigenModeSet, specs, freqs, band_center=1.0) -> FrontEnd:
+def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
     """Assemble the box-car matched front-end on a sub-carrier grid.
 
     ``specs`` maps each distinct mode (same order as ``modes.modes``) to its
@@ -82,13 +82,7 @@ def build_frontend(modes: EigenModeSet, specs, freqs, band_center=1.0) -> FrontE
             f"need one match spec per distinct mode "
             f"({len(modes.modes)}), got {len(specs)}"
         )
-    n = modes.n
-    gamma = np.empty((freqs.size, n))
-    for mode, spec in zip(modes.modes, specs):
-        profile = boxcar_profile(spec, band_center, freqs)
-        gamma[:, mode.dft_index] = profile
-        if mode.multiplicity > 1:
-            gamma[:, n - mode.dft_index] = profile
+    gamma = modes.expand([boxcar_profile(s, 1.0, freqs) for s in specs])
     if np.all(gamma >= 1.0):
         raise ModelError("sub-carrier grid lies outside every matched band")
     trans = np.sqrt(np.clip(1.0 - gamma ** 2, 0.0, None))

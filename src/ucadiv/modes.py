@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import network
-from .errors import FitFailureError, NonPhysicalDataError, NoResonanceError
+from .errors import (DataError, FitFailureError, NonPhysicalDataError,
+                     NoResonanceError)
 from .network import FrequencyGrid, MultiportS, dft_beamformer
 
 
@@ -108,15 +109,30 @@ class EigenModeSet:
                 f"mode multiplicities sum to {total}, expected N={self.n}"
             )
 
+    @classmethod
+    def from_params(cls, n, params):
+        """Modes from (R, Q, f0) triples, in ``distinct_dft_indices`` order."""
+        indices = distinct_dft_indices(n)
+        if len(params) != len(indices):
+            raise DataError(f"need {len(indices)} (R, Q, f0) triples for "
+                            f"N={n}, got {len(params)}")
+        return cls(n=n, modes=tuple(
+            ResonantMode(r=r, q=q, f0=f0, dft_index=m, multiplicity=mult)
+            for (r, q, f0), (m, mult) in zip(params, indices)
+        ))
+
     def expand(self, values):
-        """Spread per-distinct-mode values onto the N DFT-indexed diagonal."""
-        values = list(values)
-        out = np.empty(self.n, dtype=np.result_type(*values, float))
-        for mode, v in zip(self.modes, values):
-            out[mode.dft_index] = v
+        """Per-mode scalars or equal-shape arrays on a new last axis of N.
+
+        Entry i of that axis is the value of the mode owning DFT index i; a
+        mode of multiplicity 2 owns indices m and N - m.
+        """
+        owner = np.empty(self.n, dtype=int)
+        for j, mode in enumerate(self.modes):
+            owner[mode.dft_index] = j
             if mode.multiplicity > 1:
-                out[self.n - mode.dft_index] = v
-        return out
+                owner[self.n - mode.dft_index] = j
+        return np.take(np.stack(values, axis=-1), owner, axis=-1)
 
 
 def distinct_dft_indices(n):
@@ -380,13 +396,7 @@ def sweep_from_modes(modes: EigenModeSet, grid: FrequencyGrid, d) -> ArraySweep:
     the multiplicity-expanded eigenvalue vector, so eigen-decomposing the
     result recovers the mode traces exactly.
     """
-    n = modes.n
-    lam = np.empty((grid.size, n), dtype=complex)
-    for mode in modes.modes:
-        trace = mode.impedance(grid.samples)
-        lam[:, mode.dft_index] = trace
-        if mode.multiplicity > 1:
-            lam[:, n - mode.dft_index] = trace
+    lam = modes.expand([m.impedance(grid.samples) for m in modes.modes])
     row = np.fft.ifft(lam, axis=1)
-    m = n // 2 + 1
-    return ArraySweep(n=n, d=float(d), grid=grid, first_row=row[:, :m])
+    return ArraySweep(n=modes.n, d=float(d), grid=grid,
+                      first_row=row[:, :modes.n // 2 + 1])

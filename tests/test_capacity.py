@@ -415,20 +415,19 @@ class TestBlockedKernel:
         [got] = _simulate(cfg, [kernel_inputs(cfg, 0.5)], np.array([index]))
         assert np.array_equal(got, per_realization_samples(cfg, 0.5, [index]))
 
-    def test_zero_noise_error_names_chunk_start(self):
+    def test_zero_noise_raises_before_any_draw(self, monkeypatch):
         # a mode too narrow to match stays dark (Gamma = 1), and with no
         # forward or reverse noise nothing is left behind it
-        dark = dark_mode_set()
+        def no_draws(*args):
+            raise AssertionError("taps drawn for a spacing that cannot run")
+
+        monkeypatch.setattr(capacity.channel, "draw_tap_blocks", no_draws)
         cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200)
-        with pytest.raises(NumericError,
-                           match=r"^realization 0: zero noise floor"):
-            run_monte_carlo(cfg, 0.25, mode_set=dark)
-        inputs = kernel_inputs(cfg, 0.25, mode_set=dark)
-        # the kernel returns a point's error in place of its samples
-        [err] = _simulate(cfg, [inputs], np.arange(70, 200))
-        with pytest.raises(NumericError,
-                           match=r"^realization 70: zero noise floor"):
-            raise err
+        with pytest.raises(NumericError, match=r"^zero noise floor \("):
+            run_monte_carlo(cfg, 0.25, mode_set=dark_mode_set())
+        [point] = sweep(replace(cfg, spacings=(0.25,)),
+                        mode_source=lambda d: dark_mode_set()).points
+        assert isinstance(point.cause, NumericError)
 
 
 class TestSharedDraws:
@@ -455,7 +454,7 @@ class TestSharedDraws:
         curve = sweep(cfg, mode_source=lambda d: (dark_mode_set()
                                                   if d == 0.25 else None))
         bad = curve.points[1]
-        assert bad.error.startswith("realization 0: zero noise floor")
+        assert bad.error.startswith("zero noise floor")
         assert isinstance(bad.cause, NumericError) and bad.n_samples == 0
         rest = sweep(replace(cfg, spacings=(0.1, 0.5)))
         assert curve.points[::2] == rest.points

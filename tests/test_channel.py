@@ -20,7 +20,7 @@ from ucadiv.channel import (
     taps_to_subcarriers,
     to_eigenbasis,
 )
-from ucadiv.errors import ModelError
+from ucadiv.errors import ModelError, NumericError
 from ucadiv.modes import uca_pairwise_distance
 from ucadiv.network import dft_beamformer
 
@@ -80,6 +80,14 @@ class TestSpatialCorrelation:
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError):
             spatial_correlation(4, 0.5, k_prime=6)
+
+    def test_unresolved_phases_rejected(self):
+        # from 2 pi d = 2**33 rad on, adjacent phases lie over 1e-6 rad apart
+        bound = 2.0**33 / (2.0 * np.pi)
+        spatial_correlation(2, 0.99 * bound)
+        with pytest.raises(NumericError, match=r"^spacing 138\d+\.\d+ is too"):
+            spatial_correlation(2, 1.01 * bound)
+        spatial_correlation(1, 1e300)  # one element has no phase to resolve
 
 
 class TestDrawTaps:

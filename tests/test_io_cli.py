@@ -650,6 +650,7 @@ class TestCli:
         {"spacings": [0.25, 0.5], "realizations": 200,
          "tap_powers": [1.5, -0.5, 0, 0, 0, 0, 0, 0]},
         {"tap_powers": [0.5, 0.6]},
+        {"seed": -1},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -669,6 +670,15 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith(
             "error: need at least one worker")
+
+    @pytest.mark.parametrize("command", ["capacity", "sweep"])
+    def test_negative_seed_exit_3(self, command, tmp_path, capsys):
+        # -1 used to reach the random streams, which refused it unnamed
+        rc = cli_main([command, "--seed", "-1", "--realizations", "150",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_fixture_without_antennas_exit_3(self, n, tmp_path, capsys):
@@ -753,6 +763,42 @@ class TestCli:
         assert rc == 5
         err = capsys.readouterr().err
         assert "Warning" not in err and err.startswith("numeric error: ")
+
+    def test_unresolved_phase_spacing_fails_its_point_exit_5(self, tmp_path,
+                                                             capsys):
+        # d = 1e300 gave a capacity made of rounding noise, and exit 0
+        rc = cli_main(["sweep", "--spacing", "0.25", "1e300",
+                       "--realizations", "200", "--out", str(tmp_path)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert err.startswith("numeric error: spacing 1e+300 is too large")
+        assert out.splitlines()[1].startswith("d = 1e+300: failed (")
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "0.25" and float(rows[0][1]) > 0
+        assert float(rows[1][0]) == 1e300
+        assert rows[1][1:3] == ["error", "error"]
+        rc = cli_main(["capacity", "--spacing", "1e300", "--realizations",
+                       "200", "--out", str(tmp_path / "cap")])
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("numeric error: spacing ")
+
+    def test_wrong_triple_count_fails_its_spacing_exit_3(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "n_antennas": 4, "spacings": [0.25, 0.5], "realizations": 150,
+            "fixture_modes": [[0.5, [list(TABLE1_MODE1),
+                                     list(TABLE1_MODE2)]]],
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: need 3 (R, Q, f0) triples for N=4, got 2\n")
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert float(rows[0][1]) > 0
+        assert rows[1][:3] == ["0.5", "error", "error"]
 
     @pytest.mark.parametrize("command", ["modes", "match", "capacity"])
     @pytest.mark.parametrize("values", [[], ["0.25", "0.5"]])
@@ -919,7 +965,7 @@ class TestCli:
         rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 5
         err = capsys.readouterr().err
-        assert err.startswith("numeric error: realization 0: zero noise")
+        assert err.startswith("numeric error: zero noise")
         table = (tmp_path / "sweep.csv").read_text().splitlines()
         assert table[1].split(",")[1] != "error"
         assert table[2].split(",")[1:3] == ["error", "error"]

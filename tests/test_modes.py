@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from ucadiv.errors import NonPhysicalDataError, NoResonanceError
-from ucadiv.fixtures import table1_fixture, table1_sweep
+from ucadiv.errors import DataError, NonPhysicalDataError, NoResonanceError
+from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
 from ucadiv.modes import (
     ArraySweep,
     EigenModeSet,
     ResonantMode,
+    distinct_dft_indices,
     eigen_impedances,
     eigen_mode_response,
     extend_to_2n_port,
@@ -374,3 +375,48 @@ class TestExtendTo2nPort:
                 np.abs(t_alt[:, idx]) ** 2,
                 atol=1e-12,
             )
+
+
+def placed_per_index(mode_set, values):
+    """Per-mode values placed index by index on a new last axis of N."""
+    out = np.empty(np.shape(values[0]) + (mode_set.n,),
+                   dtype=np.result_type(*values))
+    for mode, v in zip(mode_set.modes, values):
+        out[..., mode.dft_index] = v
+        if mode.multiplicity > 1:
+            out[..., mode_set.n - mode.dft_index] = v
+    return out
+
+
+class TestEigenModeSet:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_expand_equals_per_index_placement(self, n):
+        mode_set = CouplingModel().mode_set(n, 0.25)
+        rng = np.random.default_rng(n)
+        arrays = [rng.standard_normal((3, 5))
+                  + 1j * rng.standard_normal((3, 5)) for _ in mode_set.modes]
+        got = mode_set.expand(arrays)
+        assert got.shape == (3, 5, n) and got.flags.c_contiguous
+        assert np.array_equal(got, placed_per_index(mode_set, arrays))
+        scalars = [m.r for m in mode_set.modes]
+        assert np.array_equal(mode_set.expand(scalars),
+                              placed_per_index(mode_set, scalars))
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_from_params_follows_distinct_indices(self, n):
+        params = [(1.0 + j, 2.0 + j, 1.0) for j in range(n // 2 + 1)]
+        modes = EigenModeSet.from_params(n, params).modes
+        assert [(m.dft_index, m.multiplicity) for m in modes] == \
+            distinct_dft_indices(n)
+        assert [(m.r, m.q, m.f0) for m in modes] == params
+
+    def test_from_params_table1(self):
+        assert EigenModeSet.from_params(2, TABLE1) == EigenModeSet(2, (
+            ResonantMode(*TABLE1[0], dft_index=0, multiplicity=1),
+            ResonantMode(*TABLE1[1], dft_index=1, multiplicity=1),
+        ))
+
+    def test_from_params_wrong_count(self):
+        with pytest.raises(DataError, match=r"^need 3 \(R, Q, f0\) triples "
+                                            r"for N=4, got 2$"):
+            EigenModeSet.from_params(4, TABLE1)
