@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel, fixtures
-from .errors import NumericError, UcadivError
+from .errors import DataError, NumericError, UcadivError
 from .fano import fano_boxcar
 from .frontend import (
     NoiseTemps,
@@ -247,6 +247,9 @@ def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
     if config.coupling:
         if mode_set is None:
             mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
+        if mode_set.n != config.n_antennas:
+            raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
+                            f"the run has N={config.n_antennas}")
         front, cov = _match_and_noise(config, mode_set)
         return (channel.spatial_correlation(config.n_antennas, d,
                                             config.planewaves),

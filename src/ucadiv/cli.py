@@ -10,8 +10,8 @@ Subcommands:
   fixture   emit a synthetic impedance sweep file
 
 Exit codes: 0 success, 2 usage, 3 data/parse error, 4 model error,
-5 numeric error; a sweep with a failed point writes its files, then exits
-with the code of the first failure.
+5 numeric error; a capacity or sweep run with a failed point writes its
+files, then exits with the code of the first failure.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity as cap
 from . import fano, fixtures, io
 from .errors import DataError, ModelError, NumericError, UcadivError
-from .modes import EigenModeSet, fit_modes, usable_bandwidth
+from .modes import EigenModeSet, fit_modes
 from .network import default_grid
 
 EXIT_DATA = 3
@@ -107,90 +107,58 @@ def _mode_set_for(args, run: io.RunConfig, d):
     return fixtures.CouplingModel().mode_set(run.sim.n_antennas, d)
 
 
-def _report_modes(mode_set, out_path=None):
-    bands = [usable_bandwidth(m) for m in mode_set.modes]
-    return io.emit_mode_report(mode_set, bands, out_path)
+def _spacing(args):
+    """The one ``--spacing`` of a single-spacing subcommand, or Table I's."""
+    return args.spacing[0] if args.spacing else fixtures.TABLE1_SPACING
+
+
+def _out_path(args, name):
+    """``name`` in the ``--out`` directory, made if need be, else None."""
+    if not args.out:
+        return None
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def cmd_modes(args):
-    run = _load_run_config(args)
-    d = args.spacing[0] if args.spacing else fixtures.TABLE1_SPACING
-    mode_set = _mode_set_for(args, run, d)
-    out = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "modes.csv")
-    text = _report_modes(mode_set, out)
-    sys.stdout.write(text)
+    mode_set = _mode_set_for(args, _load_run_config(args), _spacing(args))
+    sys.stdout.write(io.emit_mode_report(mode_set,
+                                         _out_path(args, "modes.csv")))
     return 0
 
 
 def cmd_match(args):
     run = _load_run_config(args)
-    d = args.spacing[0] if args.spacing else fixtures.TABLE1_SPACING
-    mode_set = _mode_set_for(args, run, d)
+    mode_set = _mode_set_for(args, run, _spacing(args))
     w = run.sim.relative_bandwidth
     specs = [fano.fano_boxcar(m, w) for m in mode_set.modes]
     reports = [fano.fano_integral_check(s, m)
                for s, m in zip(specs, mode_set.modes)]
-    out = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "match.csv")
-    text = io.emit_match_report(mode_set, specs, reports, out)
-    sys.stdout.write(text)
+    sys.stdout.write(io.emit_match_report(mode_set, specs, reports,
+                                          _out_path(args, "match.csv")))
     return 0
 
 
-def cmd_capacity(args):
-    run = _load_run_config(args)
-    d = args.spacing[0] if args.spacing else fixtures.TABLE1_SPACING
-    sim = replace(run.sim, spacings=(d,))
-    run = replace(run, sim=sim)
-    mode_set = None
-    if run.sim.coupling:
-        mode_set = _mode_set_for(args, run, d)
-    samples = cap.run_monte_carlo(sim, d, mode_set=mode_set)
-    c0, half = cap.outage(samples, sim.outage_p)
-    curve = cap.OutageCurve(
-        points=[cap.SpacingResult(d=d, c_out=c0, ci_half_width=half,
-                                  n_samples=sim.realizations)],
-        config=sim,
-    )
-    out_dir = args.out or io.default_outdir()
-    table, doc = io.emit_curve(curve, run, out_dir, stem="capacity",
-                               to_bits=args.bits)
-    unit = "bits" if args.bits else "nats"
-    scale = 1.0 / np.log(2.0) if args.bits else 1.0
-    print(f"d = {d}: C_out({sim.outage_p:g}) = {c0 * scale:.6f} "
-          f"+/- {half * scale:.6f} {unit}/s/Hz  [{sim.realizations} samples]")
-    if args.verbose:
-        print(f"wrote {table} and {doc}")
-    _warn_unresolved(sim)
-    return 0
+def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
+    """Sweep the run's spacings, write ``stem``.csv/.json, print each point.
 
-
-def cmd_sweep(args):
-    run = _load_run_config(args)
-    if not run.sim.spacings:
-        print("usage: sweep requires at least one spacing", file=sys.stderr)
-        return 2
+    A failed point prints its error; once the files are written, the first
+    failure is raised again, so it sets the exit code.
+    """
     mode_source = None
     if run.sim.coupling:
         def mode_source(d):
             return _mode_set_for(args, run, d)
     curve = cap.sweep(run.sim, mode_source=mode_source)
-    out_dir = args.out or io.default_outdir()
-    table, doc = io.emit_curve(curve, run, out_dir, stem="sweep",
-                               to_bits=args.bits)
-    scale = 1.0 / np.log(2.0) if args.bits else 1.0
-    unit = "bits" if args.bits else "nats"
+    table, doc = io.emit_curve(curve, run, args.out or io.default_outdir(),
+                               stem=stem, to_bits=args.bits)
+    scale, unit = io.capacity_unit(args.bits)
     for p in curve.points:
         if p.error:
             print(f"d = {p.d}: failed ({p.error})")
         else:
-            print(f"d = {p.d}: C_out = {p.c_out * scale:.6f} "
-                  f"+/- {p.ci_half_width * scale:.6f} {unit}/s/Hz")
+            print(f"d = {p.d}: {label} = {p.c_out * scale:.6f} "
+                  f"+/- {p.ci_half_width * scale:.6f} {unit}/s/Hz{note}")
     if args.verbose:
         print(f"wrote {table} and {doc}")
     failed = [p.cause for p in curve.points if p.cause is not None]
@@ -200,15 +168,25 @@ def cmd_sweep(args):
     return 0
 
 
+def cmd_capacity(args):
+    run = _load_run_config(args)
+    sim = replace(run.sim, spacings=(_spacing(args),))
+    return _run_curve(args, replace(run, sim=sim), "capacity",
+                      label=f"C_out({sim.outage_p:g})",
+                      note=f"  [{sim.realizations} samples]")
+
+
+def cmd_sweep(args):
+    run = _load_run_config(args)
+    if not run.sim.spacings:
+        print("usage: sweep requires at least one spacing", file=sys.stderr)
+        return 2
+    return _run_curve(args, run, "sweep")
+
+
 def cmd_fit(args):
-    sweep = io.parse_impedance(args.path)
-    mode_set = fit_modes(sweep)
-    out = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out = os.path.join(args.out, "fit.csv")
-    text = _report_modes(mode_set, out)
-    sys.stdout.write(text)
+    mode_set = fit_modes(io.parse_impedance(args.path))
+    sys.stdout.write(io.emit_mode_report(mode_set, _out_path(args, "fit.csv")))
     for m in mode_set.modes:
         print(f"mode {m.dft_index}: rms fit residual {m.fit_residual:.3g} ohm",
               file=sys.stderr)

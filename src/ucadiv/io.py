@@ -26,7 +26,7 @@ import numpy as np
 
 from .capacity import OutageCurve, SimConfig
 from .errors import ConfigError, ParseError
-from .modes import ArraySweep
+from .modes import ArraySweep, usable_bandwidth
 from .network import FrequencyGrid
 
 FORMAT_TAG = "ucadiv impedance sweep v1"
@@ -318,6 +318,11 @@ def config_hash(config: RunConfig):
 # ---------------------------------------------------------------------------
 # result emission
 
+def capacity_unit(to_bits):
+    """(scale, name): the factor that takes nats to the reported unit."""
+    return (1.0 / np.log(2.0), "bits") if to_bits else (1.0, "nats")
+
+
 def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
                stem="sweep", to_bits=False):
     """Write an outage curve as a CSV table plus a JSON document.
@@ -327,8 +332,7 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     """
     os.makedirs(out_dir, exist_ok=True)
     h = config_hash(run_config)
-    unit = "bits" if to_bits else "nats"
-    scale = 1.0 / np.log(2.0) if to_bits else 1.0
+    scale, unit = capacity_unit(to_bits)
 
     rows = [f"spacing,c_out_{unit},ci_half_width,samples,seed,config"]
     for p in curve.points:
@@ -360,12 +364,12 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     return table_path, doc_path
 
 
-def emit_mode_report(mode_set, usable_bands, out_path=None):
+def emit_mode_report(mode_set, out_path=None):
     """Delimited mode table: index, multiplicity, R, Q, f0, L, C, band."""
     rows = ["dft_index,multiplicity,r_ohm,q,f0,l_per_fc,c_per_fc,"
             "band_lo,band_hi,band_width"]
-    for mode, band in zip(mode_set.modes, usable_bands):
-        lo, hi = band
+    for mode in mode_set.modes:
+        lo, hi = usable_bandwidth(mode)
         rows.append(
             f"{mode.dft_index},{mode.multiplicity},{_fmt(mode.r)},"
             f"{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(mode.inductance)},"

@@ -103,11 +103,19 @@ class EigenModeSet:
     modes: tuple
 
     def __post_init__(self):
-        total = sum(m.multiplicity for m in self.modes)
-        if total != self.n:
-            raise ValueError(
-                f"mode multiplicities sum to {total}, expected N={self.n}"
-            )
+        owner = {}  # DFT index -> position of the mode owning it
+        for j, mode in enumerate(self.modes):
+            m, mult = mode.dft_index, mode.multiplicity
+            # a mode owns index m, and N - m too if its multiplicity is 2
+            for i in (m, self.n - m)[:mult] if mult in (1, 2) else (-1,):
+                if not 0 <= i < self.n or i in owner:
+                    raise ValueError(f"mode {j} (DFT index {m}, multiplicity "
+                                     f"{mult}) does not fit N={self.n}")
+                owner[i] = j
+        if len(owner) != self.n:
+            raise ValueError(f"the modes own {len(owner)} of N={self.n} "
+                             "DFT indices")
+        object.__setattr__(self, "_owner", [owner[i] for i in range(self.n)])
 
     @classmethod
     def from_params(cls, n, params):
@@ -127,12 +135,7 @@ class EigenModeSet:
         Entry i of that axis is the value of the mode owning DFT index i; a
         mode of multiplicity 2 owns indices m and N - m.
         """
-        owner = np.empty(self.n, dtype=int)
-        for j, mode in enumerate(self.modes):
-            owner[mode.dft_index] = j
-            if mode.multiplicity > 1:
-                owner[self.n - mode.dft_index] = j
-        return np.take(np.stack(values, axis=-1), owner, axis=-1)
+        return np.take(np.stack(values, axis=-1), self._owner, axis=-1)
 
 
 def distinct_dft_indices(n):

@@ -829,7 +829,7 @@ class TestCli:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(capacity, "run_monte_carlo", singular)
+        monkeypatch.setattr(capacity, "_monte_carlo", singular)
         rc = cli_main(["capacity", "--realizations", "150",
                        "--out", str(tmp_path)])
         assert rc == 5
@@ -950,6 +950,70 @@ class TestCli:
         assert rc == 3  # the point's data error, after the files are written
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert doc["points"][0]["error"] is not None
+
+    def test_capacity_is_a_one_spacing_sweep(self, tmp_path):
+        args = ["--seed", "3", "--realizations", "150", "--spacing", "0.5"]
+        assert cli_main(["capacity", *args, "--out", str(tmp_path)]) == 0
+        assert cli_main(["sweep", *args, "--out", str(tmp_path)]) == 0
+        rows = {stem: (tmp_path / f"{stem}.csv").read_text().splitlines()
+                for stem in ("capacity", "sweep")}
+        assert rows["capacity"] == rows["sweep"] and len(rows["sweep"]) == 2
+        docs = {stem: json.loads((tmp_path / f"{stem}.json").read_text())
+                for stem in ("capacity", "sweep")}
+        assert docs["capacity"]["points"] == docs["sweep"]["points"]
+
+    def test_capacity_failed_point_writes_its_files_exit_5(self, tmp_path,
+                                                          capsys):
+        rc = cli_main(["capacity", "--spacing", "1e300", "--realizations",
+                       "200", "--out", str(tmp_path)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert out == ("d = 1e+300: failed (spacing 1e+300 is too large for "
+                       "the phases of the correlation matrix to be "
+                       "resolved)\n")
+        assert err.startswith("numeric error: spacing 1e+300 is too large")
+        row = (tmp_path / "capacity.csv").read_text().splitlines()[1]
+        assert row.split(",")[:4] == ["1.0000000000000001e+300", "error",
+                                      "error", "0"]
+        doc = json.loads((tmp_path / "capacity.json").read_text())
+        assert doc["points"][0]["c_out"] is None
+        assert doc["points"][0]["error"] == out[len("d = 1e+300: failed ("):-2]
+
+    def test_files_of_another_n_fail_their_spacing_exit_3(self, tmp_path,
+                                                         capsys):
+        # the N = 2 file used to reach the kernel and crash the whole sweep
+        # with numpy's broadcast message, writing no file
+        small, large = tmp_path / "n2.csv", tmp_path / "n4.csv"
+        write_impedance(table1_sweep(), small)
+        write_impedance(fixture_sweep(4, 0.5), large)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "n_antennas": 4, "spacings": [0.25, 0.5], "realizations": 150,
+            "input": "files",
+            "impedance_files": [[0.25, str(small)], [0.5, str(large)]],
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: modes of spacing 0.25 are for N=2, the run has N=4\n")
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][1:3] == ["error", "error"]
+        assert float(rows[1][1]) > 0
+
+    def test_table1_fixture_with_another_n_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_antennas": 4}))
+        rc = cli_main(["capacity", "--fixture", "table1", "--config",
+                       str(cfg), "--realizations", "150",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert err == ("error: modes of spacing 0.25 are for N=2, the run "
+                       "has N=4\n")
+        assert out.startswith("d = 0.25: failed (modes of spacing 0.25 ")
+        row = (tmp_path / "capacity.csv").read_text().splitlines()[1]
+        assert row.split(",")[1:3] == ["error", "error"]
 
     def test_partial_sweep_failure_exits_with_its_category(self, tmp_path,
                                                             capsys):

@@ -420,3 +420,26 @@ class TestEigenModeSet:
         with pytest.raises(DataError, match=r"^need 3 \(R, Q, f0\) triples "
                                             r"for N=4, got 2$"):
             EigenModeSet.from_params(4, TABLE1)
+
+    @pytest.mark.parametrize("n,layout", [
+        (2, [(0, 1), (0, 1)]),  # index 0 twice, index 1 never
+        (3, [(0, 2), (1, 1)]),  # index 0 has no partner index 3
+        (4, [(0, 1), (2, 2), (1, 1)]),  # index 2 is its own partner
+        (3, [(0, 3)]),  # no multiplicity above 2
+        (3, [(0, 1), (1, 1)]),  # index 2 unowned
+    ])
+    def test_layout_must_own_each_index_once(self, n, layout):
+        # expand used to read unset owner entries: [2., 0.], garbage
+        # indices or a bare IndexError
+        modes = tuple(ResonantMode(1.0, 2.0, 1.0, dft_index=m,
+                                   multiplicity=mult) for m, mult in layout)
+        with pytest.raises(ValueError, match=f"N={n}"):
+            EigenModeSet(n, modes)
+
+    def test_hand_built_layout_of_single_modes(self):
+        mode_set = EigenModeSet(3, tuple(
+            ResonantMode(r, 2.0, 1.0, dft_index=m, multiplicity=1)
+            for m, r in [(2, 30.0), (0, 10.0), (1, 20.0)]
+        ))
+        assert mode_set.expand([30.0, 10.0, 20.0]).tolist() == [10.0, 20.0,
+                                                                30.0]
