@@ -68,7 +68,6 @@ from .network import (
     MultiportS,
     cascade,
     check_lossless,
-    check_reciprocal,
     default_grid,
     dft_beamformer,
     diagonalize_circulant,

@@ -95,10 +95,16 @@ def _warn_unresolved(sim):
 def _mode_set_for(args, run: io.RunConfig, d):
     """Resolve the mode set for one spacing from the configured input."""
     if getattr(args, "fixture", None) == "table1":
-        return fixtures.table1_fixture()
+        if abs(d - fixtures.TABLE1_SPACING) < 1e-12:
+            return fixtures.table1_fixture()
+        raise DataError(f"table1 is only for d = {fixtures.TABLE1_SPACING}")
     for spacing, path in run.impedance_files:
         if abs(spacing - d) < 1e-12:
-            return fit_modes(io.parse_impedance(path))
+            try:
+                sweep = io.parse_impedance(path)
+            except OSError as exc:
+                raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+            return fit_modes(sweep)
     for spacing, triples in run.fixture_modes:
         if abs(spacing - d) < 1e-12:
             return EigenModeSet.from_params(run.sim.n_antennas, triples)

@@ -3,7 +3,9 @@
 All spectral quantities live on a shared :class:`FrequencyGrid` of relative
 frequencies f/fc.  A "sweep" is a complex ndarray of shape (F, N, N): one
 N x N matrix per grid sample.  Scattering descriptions of 2N-port networks
-are held in N x N block form by :class:`MultiportS`.
+are held in N x N block form by :class:`MultiportS`.  ``cascade`` and
+``check_lossless`` bound their temporaries to slabs of ``_SLAB_BYTES`` per
+array; their outputs stay F x N x N, with the bits of one whole-grid pass.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,9 @@ from .errors import ModelMismatchError, SingularSampleError
 # Condition estimate above which a per-sample solve is treated as singular;
 # separates physical open/short limits from ordinary roundoff.
 COND_LIMIT = 1e12
+
+# Size of one slab of complex (2N x 2N) per-sample matrices.
+_SLAB_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,20 @@ def through_network(n, grid):
     return MultiportS(zero, eye.copy(), eye, zero.copy(), grid)
 
 
+def _slabs(size, n):
+    """Consecutive sample slices of at most _SLAB_BYTES of complex n x n."""
+    step = max(1, _SLAB_BYTES // (16 * n * n))
+    return [slice(k, k + step) for k in range(0, size, step)]
+
+
 def _solve_per_sample(a, b, grid, what):
-    """Solve a[k] x = b[k] for every sample, flagging near-singular systems.
+    """Solve a[k] x = b[k] for every sample, flagging near-singular systems."""
+    _guard(a, grid, what)
+    return np.linalg.solve(a, b)
+
+
+def _guard(a, grid, what):
+    """Raise SingularSampleError at the first sample with cond > COND_LIMIT.
 
     A sample is flagged exactly when ``np.linalg.cond(a[k]) > COND_LIMIT``,
     but the full SVD runs only on the samples a cheaper bound cannot clear.
@@ -138,7 +155,6 @@ def _solve_per_sample(a, b, grid, what):
         raise SingularSampleError(
             f"singular {what}", k, float(grid.samples[k])
         )
-    return np.linalg.solve(a, b)
 
 
 def z_to_s(z, z_ref=1.0, grid=None):
@@ -182,8 +198,8 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         S21c = S21m (I - S22a S11m)^-1 S21a
         S22c = S22m + S21m (I - S22a S11m)^-1 S22a S12m
 
-    so the composite relates the outer wave vectors of the chain.  Each
-    inner matrix is checked and factored once, for both right-hand sides.
+    so the composite relates the outer wave vectors of the chain.  Both
+    inner matrices are checked first, then factored per slab for both sides.
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -193,19 +209,21 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         raise ValueError("cascade requires a shared frequency grid")
     n = a.n_ports
     eye = np.eye(n, dtype=complex)
+    inner_m = eye - m.s11 @ a.s22
+    _guard(inner_m, a.grid, "resonant inner term (I - S11m S22a)")
+    inner_a = eye - a.s22 @ m.s11
+    _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)")
+    s11, s12, s21, s22 = (np.empty_like(inner_m) for _ in range(4))
     # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
-    xm = _solve_per_sample(
-        eye - m.s11 @ a.s22, np.concatenate([m.s11, m.s12], axis=2), a.grid,
-        "resonant inner term (I - S11m S22a)",
-    )
-    ya = _solve_per_sample(
-        eye - a.s22 @ m.s11, np.concatenate([a.s21, a.s22 @ m.s12], axis=2),
-        a.grid, "resonant inner term (I - S22a S11m)",
-    )
-    s11 = a.s11 + a.s12 @ xm[..., :n] @ a.s21
-    s12 = a.s12 @ xm[..., n:]
-    s21 = m.s21 @ ya[..., :n]
-    s22 = m.s22 + m.s21 @ ya[..., n:]
+    for k in _slabs(a.grid.size, 2 * n):
+        xm = np.linalg.solve(inner_m[k], np.concatenate(
+            [m.s11[k], m.s12[k]], axis=2))
+        ya = np.linalg.solve(inner_a[k], np.concatenate(
+            [a.s21[k], a.s22[k] @ m.s12[k]], axis=2))
+        s11[k] = a.s11[k] + a.s12[k] @ xm[..., :n] @ a.s21[k]
+        s12[k] = a.s12[k] @ xm[..., n:]
+        s21[k] = m.s21[k] @ ya[..., :n]
+        s22[k] = m.s22[k] + m.s21[k] @ ya[..., n:]
     return MultiportS(s11, s12, s21, s22, a.grid, a.z_ref)
 
 
@@ -269,15 +287,12 @@ def diagonalize_circulant(row, n, tol=1e-8):
 
 def check_lossless(s: MultiportS, tol=1e-10):
     """Verify S S^H = I per sample; returns (passed, worst Frobenius deviation)."""
-    full = s.full()
-    eye = np.eye(full.shape[1])
-    dev = full @ np.conj(np.transpose(full, (0, 2, 1))) - eye
-    worst = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
-    return worst <= tol, worst
-
-
-def check_reciprocal(s: MultiportS, tol=1e-10):
-    """Verify S = S^T per sample; returns (passed, worst deviation)."""
-    full = s.full()
-    worst = float(np.max(np.abs(full - np.transpose(full, (0, 2, 1)))))
+    eye = np.eye(2 * s.n_ports)
+    dev = np.empty(s.grid.size)
+    for k in _slabs(s.grid.size, 2 * s.n_ports):
+        full = np.block([[s.s11[k], s.s12[k]], [s.s21[k], s.s22[k]]])
+        prod = full @ np.conj(np.transpose(full, (0, 2, 1)))
+        prod -= eye
+        dev[k] = np.linalg.norm(prod, axis=(1, 2))
+    worst = float(np.max(dev))  # np.max keeps a NaN, so the check fails
     return worst <= tol, worst

@@ -1015,6 +1015,61 @@ class TestCli:
         row = (tmp_path / "capacity.csv").read_text().splitlines()[1]
         assert row.split(",")[1:3] == ["error", "error"]
 
+    def test_missing_impedance_file_fails_its_spacing_exit_3(self, tmp_path,
+                                                            capsys):
+        # the OSError escaped the sweep's per-spacing isolation: exit 3
+        # with "[Errno 2] ...", and the good d = 0.25 point was lost
+        good, missing = tmp_path / "d025.csv", tmp_path / "missing.csv"
+        write_impedance(table1_sweep(), good)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25, 0.5], "realizations": 150, "input": "files",
+            "impedance_files": [[0.25, str(good)], [0.5, str(missing)]],
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        message = f"cannot read {missing}: No such file or directory"
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == f"d = 0.5: failed ({message})"
+        assert err == f"error: {message}\n"
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert float(rows[0][1]) > 0
+        assert rows[1][:3] == ["0.5", "error", "error"]
+
+    @pytest.mark.parametrize("spacings, good", [
+        (["0.05", "1.0"], []), (["0.25", "1.0"], ["0.25"])])
+    def test_table1_fixture_at_another_spacing_fails_it_exit_3(
+            self, spacings, good, tmp_path, capsys):
+        # the d = 0.25 Table I modes were applied at every spacing, exit 0
+        rc = cli_main(["sweep", "--fixture", "table1", "--spacing", *spacings,
+                       "--realizations", "150", "--out", str(tmp_path)])
+        assert rc == 3
+        out = capsys.readouterr().out.splitlines()
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        for d, line, row in zip(spacings, out, rows):
+            if d in good:
+                assert float(row[1]) > 0
+            else:
+                assert line == f"d = {d}: failed (table1 is only for d = 0.25)"
+                assert row[1:3] == ["error", "error"]
+
+    @pytest.mark.parametrize("command", ["modes", "match"])
+    def test_table1_fixture_reports_only_at_its_spacing(self, command,
+                                                       tmp_path, capsys):
+        assert cli_main([command, "--fixture", "table1",
+                         "--out", str(tmp_path)]) == 0
+        assert os.listdir(tmp_path) == [f"{command}.csv"]
+        capsys.readouterr()
+        out = tmp_path / "other"
+        rc = cli_main([command, "--fixture", "table1", "--spacing", "0.5",
+                       "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "", "error: table1 is only for d = 0.25\n")
+        assert not out.exists()
+
     def test_partial_sweep_failure_exits_with_its_category(self, tmp_path,
                                                             capsys):
         # d = 0.5 pins a mode too narrow to match; with no forward or

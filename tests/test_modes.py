@@ -23,7 +23,7 @@ from ucadiv.modes import (
     usable_bandwidth,
     vswr,
 )
-from ucadiv.network import FrequencyGrid, check_lossless, check_reciprocal, default_grid
+from ucadiv.network import FrequencyGrid, check_lossless, default_grid
 
 TABLE1 = [(118.76, 3.75, 1.0425), (28.31, 16.0, 0.9675)]
 
@@ -312,8 +312,9 @@ class TestExtendTo2nPort:
         s = extend_to_2n_port(sw)
         ok, worst = check_lossless(s, tol=1e-10)
         assert ok, f"losslessness deviation {worst}"
-        ok, worst = check_reciprocal(s, tol=1e-10)
-        assert ok, f"reciprocity deviation {worst}"
+        full = s.full()
+        worst = np.max(np.abs(full - np.transpose(full, (0, 2, 1))))
+        assert worst <= 1e-10, f"reciprocity deviation {worst}"
 
     def test_retuned_modes_transmissivity_matches_response(self):
         # with modes centered at the carrier and per-mode reference

@@ -10,7 +10,8 @@ Each digest covers, for every default spacing: the ``z_to_s`` scattering
 sweep and its ``s_to_z`` round trip; the four blocks of the 2N-port
 completion; the four blocks of that completion cascaded with a through
 network and with a second completion (reference resistance 2 ohm); and the
-worst deviation ``check_lossless`` reports for both cascades.
+worst deviation ``check_lossless`` reports for both cascades.  The same
+digests hold whatever slab size ``cascade`` and ``check_lossless`` use.
 
 The digests were computed with the per-sample singular guard that ran a
 full ``np.linalg.cond`` over every sample, before the guard learned to clear
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from ucadiv import (SimConfig, cascade, check_lossless, extend_to_2n_port,
-                    fixture_sweep, s_to_z, through_network, z_to_s)
+                    fixture_sweep, network, s_to_z, through_network, z_to_s)
 
 SPACINGS = SimConfig().spacings
 
@@ -68,4 +69,12 @@ def chain_digest(n):
 
 @pytest.mark.parametrize("n", sorted(DIGESTS))
 def test_network_chain_keeps_its_bits(n):
+    assert chain_digest(n) == DIGESTS[n]
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 2**40],
+                         ids=["one-sample-slabs", "one-slab"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slab_size_keeps_the_bits(n, slab_bytes, monkeypatch):
+    monkeypatch.setattr(network, "_SLAB_BYTES", slab_bytes)
     assert chain_digest(n) == DIGESTS[n]
