@@ -15,7 +15,7 @@ import os
 # kept at module level although serial runs never use it (~18 ms of import):
 # perfbench/tracer.py times the pool by replacing this binding
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .frontend import (
     noise_cov,
     subcarrier_grid,
 )
-from .modes import EigenModeSet, retune
+from .modes import EigenModeSet
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
@@ -45,6 +45,8 @@ SNR_DB_LIMIT = 300.0
 class SimConfig:
     """Monte-Carlo configuration; defaults follow the reference scenario.
 
+    Every mode's box-car band is centred on the carrier, and its Fano
+    budget depends on Q and ``relative_bandwidth`` alone, not on f0.
     ``realizations`` defaults to a desk-scale 5000; quantile confidence is
     meaningful from about 100/outage_p samples upward.
     """
@@ -52,14 +54,12 @@ class SimConfig:
     n_antennas: int = 2
     spacings: tuple = (0.05, 0.1, 0.25, 0.5, 1.0)
     subcarriers: int = 64
-    bandwidth_hz: float = 20e6          # informational only
     relative_bandwidth: float = 0.02
     snr_db: float = 10.0
     temps: NoiseTemps = field(default_factory=NoiseTemps)
     realizations: int = 5000
     outage_p: float = 0.01
     seed: int = 0
-    retune_modes: bool = True
     n_taps: int = 8
     tap_powers: tuple = None
     coupling: bool = True
@@ -78,8 +78,6 @@ class SimConfig:
         if not abs(self.snr_db) <= SNR_DB_LIMIT:  # also refuses NaN
             raise ValueError(f"SNR must lie within +-{SNR_DB_LIMIT:g} dB, "
                              f"got {self.snr_db}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ValueError("bandwidth must be finite and > 0")
         if not 0.0 < self.outage_p < 0.5:
             raise ValueError("outage level must lie in (0, 0.5)")
         if self.realizations > 2**32:
@@ -191,16 +189,11 @@ def _mode_sum(power):
 
 def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
     """Front end and noise covariance for a mode set."""
-    if config.retune_modes:
-        mode_set = replace(
-            mode_set,
-            modes=tuple(retune(m, 1.0) for m in mode_set.modes),
-        )
     specs = [fano_boxcar(m, config.relative_bandwidth) for m in mode_set.modes]
     freqs = subcarrier_grid(config.subcarriers, config.relative_bandwidth)
     front = build_frontend(mode_set, specs, freqs)
 
-    iso = fixtures.isolated_mode(f0=1.0 if config.retune_modes else None)
+    iso = fixtures.isolated_mode(f0=1.0)
     gamma_iid = fano_boxcar(iso, config.relative_bandwidth).gamma0
     n0 = n0_normalize(config.temps, iso.r, gamma_iid)
     resistances = mode_set.expand([m.r for m in mode_set.modes]).real

@@ -58,18 +58,12 @@ def _add_monte_carlo(p):
     p.add_argument("--realizations", type=int, help="override sample count")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats")
-    retune = p.add_mutually_exclusive_group()
-    retune.add_argument("--retune", dest="retune", action="store_true",
-                        default=None, help="retune mode resonances to fc")
-    retune.add_argument("--no-retune", dest="retune", action="store_false",
-                        default=None)
     p.add_argument("-v", "--verbose", action="count", default=0)
 
 
 # flag dest -> the SimConfig field it overrides when given
 _OVERRIDES = {"seed": "seed", "realizations": "realizations",
-              "retune": "retune_modes", "spacing": "spacings",
-              "workers": "workers"}
+              "spacing": "spacings", "workers": "workers"}
 
 
 def _load_run_config(args) -> io.RunConfig:

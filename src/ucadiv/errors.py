@@ -54,11 +54,10 @@ class NumericError(UcadivError):
 
 
 class SingularSampleError(NumericError):
-    """A per-frequency matrix solve hit a (near-)singular system."""
+    """A per-sample solve hit a near-singular system (f/fc None: no grid)."""
 
-    def __init__(self, message, sample_index, frequency):
+    def __init__(self, message, sample_index, frequency=None):
         self.sample_index = sample_index
         self.frequency = frequency
-        super().__init__(
-            f"{message} at sample {sample_index} (f/fc = {frequency:.6g})"
-        )
+        where = "" if frequency is None else f" (f/fc = {frequency:.6g})"
+        super().__init__(f"{message} at sample {sample_index}{where}")

@@ -19,15 +19,14 @@ from .errors import ModelError, NumericError
 from .fano import boxcar_profile
 from .modes import EigenModeSet
 
-K_B = 1.380649e-23  # Boltzmann constant, J/K (exact in the 2019 SI)
-
 
 @dataclass(frozen=True)
 class NoiseTemps:
     """Antenna / forward / reverse effective noise temperatures.
 
-    Expressed as ratios of the standard temperature T0 throughout the
-    capacity pipeline; kelvin only matters for report output.
+    Ratios of the standard temperature T0: every noise quantity is in
+    units of 4 kB B T0, so neither kelvin nor the bandwidth B enters a
+    result.
     """
 
     t_antenna: float = 1.0
@@ -52,15 +51,15 @@ def subcarrier_grid(k, w):
 
 @dataclass
 class FrontEnd:
-    """Per-sub-carrier diagonal reflection/transmissivity in the eigen-basis.
+    """Per-sub-carrier diagonal reflection in the eigen-basis.
 
-    ``gamma`` and ``trans`` have shape (K, N): diagonal entries expanded over
-    mode multiplicities, ordered by DFT index.
+    ``gamma`` has shape (K, N): diagonal entries expanded over mode
+    multiplicities, ordered by DFT index.  The power transmissivity is
+    1 - gamma**2.
     """
 
     freqs: np.ndarray
     gamma: np.ndarray
-    trans: np.ndarray
 
     @property
     def n_ports(self):
@@ -72,7 +71,7 @@ def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
 
     ``specs`` maps each distinct mode (same order as ``modes.modes``) to its
     MatchSpec.  Each diagonal entry of Gamma_k is the owning mode's box-car
-    profile at the sub-carrier frequency; T_k = sqrt(1 - |Gamma_k|^2).
+    profile at the sub-carrier frequency.
     Sub-carriers outside every matched band leave all modes dark.
     """
     freqs = np.asarray(freqs, dtype=float)
@@ -85,8 +84,7 @@ def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
     gamma = modes.expand([boxcar_profile(s, 1.0, freqs) for s in specs])
     if np.all(gamma >= 1.0):
         raise ModelError("sub-carrier grid lies outside every matched band")
-    trans = np.sqrt(np.clip(1.0 - gamma ** 2, 0.0, None))
-    return FrontEnd(freqs=freqs, gamma=gamma, trans=trans)
+    return FrontEnd(freqs=freqs, gamma=gamma)
 
 
 @dataclass
@@ -103,10 +101,6 @@ class NoiseCov:
 
     def normalized(self):
         return self.diag / self.n0
-
-    def in_kelvin_units(self, bandwidth_hz):
-        """Absolute covariance entries, 4 kB B (T0 = 1 K) folded back in."""
-        return 4.0 * K_B * bandwidth_hz * self.diag
 
 
 def noise_cov(front: FrontEnd, mode_resistances, temps: NoiseTemps,

@@ -178,8 +178,8 @@ def parse_impedance(path) -> ArraySweep:
 # a config key, a to_dict entry and a hashed value
 
 # fields whose config key is not the field name
-_RENAMES = {"retune_modes": "retune", "t_antenna": "temp_antenna",
-            "t_forward": "temp_forward", "t_reverse": "temp_reverse"}
+_RENAMES = {"t_antenna": "temp_antenna", "t_forward": "temp_forward",
+            "t_reverse": "temp_reverse"}
 # parsed and validated, but never emitted or hashed: it changes no result
 _UNHASHED = {"workers"}
 

@@ -379,7 +379,8 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
     qh = q.conj().T
 
     def assemble(diag):
-        return np.einsum("ij,fj,jk->fik", q, diag, qh)
+        # two einsums keep the bits: einsum's sum-of-products does both
+        return np.einsum("fij,jk->fik", np.einsum("ij,fj->fij", q, diag), qh)
 
     s12 = assemble(t.astype(complex))
     return MultiportS(

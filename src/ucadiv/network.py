@@ -152,9 +152,8 @@ def _guard(a, grid, what):
     bad = unsure[np.linalg.cond(a[unsure]) > COND_LIMIT]
     if bad.size:
         k = int(bad[0])
-        raise SingularSampleError(
-            f"singular {what}", k, float(grid.samples[k])
-        )
+        f = None if grid is None else float(grid.samples[k])
+        raise SingularSampleError(f"singular {what}", k, f)
 
 
 def z_to_s(z, z_ref=1.0, grid=None):
@@ -166,8 +165,6 @@ def z_to_s(z, z_ref=1.0, grid=None):
     n = z.shape[1]
     zr = np.asarray(z_ref, dtype=complex)
     ref = np.diag(zr * np.ones(n)) if zr.ndim <= 1 else zr
-    if grid is None:
-        grid = FrequencyGrid(np.linspace(1.0, 2.0, z.shape[0]))
     return _solve_per_sample(z + ref, z - ref, grid, "(Z + z_ref I)")
 
 
@@ -176,8 +173,6 @@ def s_to_z(s, z_ref=1.0, grid=None):
     s = as_sweep(s)
     n = s.shape[1]
     eye = np.eye(n, dtype=complex)
-    if grid is None:
-        grid = FrequencyGrid(np.linspace(1.0, 2.0, s.shape[0]))
     # (I+S)(I-S)^-1 computed through the transposed system.
     zt = _solve_per_sample(
         np.transpose(eye - s, (0, 2, 1)),

@@ -232,7 +232,6 @@ def test_criterion_06_noise_degeneracies():
     # Gamma = I leaves only the load noise 4 kB B (T_f + T_r) I
     dark = build_frontend(modes, specs, subcarrier_grid(16, 0.02))
     dark.gamma = np.ones_like(dark.gamma)
-    dark.trans = np.zeros_like(dark.trans)
     cov = noise_cov(dark, r, NoiseTemps(1.0, 2.0, 0.7))
     assert_allclose(cov.diag, 2.7 * np.ones_like(cov.diag), rtol=1e-14)
 

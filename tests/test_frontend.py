@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.constants import Boltzmann as K_B
 
 from ucadiv.errors import ModelError, NumericError
 from ucadiv.fano import MatchSpec, fano_boxcar
@@ -45,30 +44,23 @@ class TestBuildFrontend:
         modes = table1_fixture()
         freqs = subcarrier_grid(16, 0.02)
         front = build_frontend(modes, [perfect_spec(), perfect_spec()], freqs)
-        assert_allclose(front.gamma, 0.0)
-        assert_allclose(front.trans, 1.0)
+        assert np.all(front.gamma == 0.0)
 
     def test_out_of_band_subcarrier_is_dark(self):
         modes, specs = table1_specs()
         freqs = np.array([0.9, 1.0, 1.1])  # outer two outside the band
         front = build_frontend(modes, specs, freqs)
         assert_allclose(front.gamma[0], 1.0)
-        assert_allclose(front.trans[0], 0.0)
         assert_allclose(front.gamma[2], 1.0)
-        assert front.trans[1].min() > 0.999
+        assert np.all(1.0 - front.gamma[1] ** 2 > 0.999 ** 2)
 
     def test_table1_transmissivities(self):
         modes, specs = table1_specs()
         freqs = subcarrier_grid(64, 0.02)
         front = build_frontend(modes, specs, freqs)
         for mode, spec in zip(modes.modes, specs):
-            got = front.trans[:, mode.dft_index] ** 2
+            got = 1.0 - front.gamma[:, mode.dft_index] ** 2
             assert_allclose(got, 1.0 - spec.gamma0_sq, rtol=1e-12)
-
-    def test_energy_identity_exact(self):
-        modes, specs = table1_specs()
-        front = build_frontend(modes, specs, subcarrier_grid(64, 0.02))
-        assert np.max(np.abs(front.trans ** 2 + front.gamma ** 2 - 1.0)) < 1e-15
 
     def test_grid_outside_all_bands_rejected(self):
         modes, specs = table1_specs()
@@ -95,15 +87,13 @@ class TestNoiseCov:
     def test_amplifier_only(self):
         temps = NoiseTemps(t_antenna=0.0, t_forward=3.0, t_reverse=0.0)
         cov = noise_cov(self.front, self.r, temps)
-        assert_allclose(cov.in_kelvin_units(2e7),
-                        4 * K_B * 2e7 * 3.0 * np.ones_like(cov.diag))
+        assert np.all(cov.diag == 3.0)
 
     def test_total_reflection_leaves_load_noise(self):
         # dark front end: Gamma = 1 everywhere kills the antenna term
         modes, specs = table1_specs()
         front = build_frontend(modes, specs, subcarrier_grid(8, 0.02))
         front.gamma = np.ones_like(front.gamma)
-        front.trans = np.zeros_like(front.trans)
         temps = NoiseTemps(1.0, 2.0, 0.0)
         cov = noise_cov(front, self.r, temps)
         assert_allclose(cov.diag, 2.0)

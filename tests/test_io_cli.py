@@ -1,5 +1,6 @@
 """File formats, run configuration, result emission, and the CLI surface."""
 
+import hashlib
 import json
 import math
 import os
@@ -36,6 +37,11 @@ from ucadiv.io import (
 )
 from ucadiv.modes import ArraySweep, fit_modes
 from ucadiv.network import FrequencyGrid, default_grid
+
+# keys that changed no result, and the only values the hash saw of them:
+# bandwidth_hz was informational, and retune moved each mode's f0, which
+# the box-car budget, centred on the carrier, never reads
+DROPPED_KEYS = {"bandwidth_hz": 20000000.0, "retune": True}
 
 THREE_ROW_FILE = (
     "# ucadiv impedance sweep v1\n# N = 2\n# d = 0.25\n"
@@ -275,13 +281,11 @@ class TestRunConfig:
         run = config_from_dict({})
         sim = run.sim
         assert sim.subcarriers == 64
-        assert sim.bandwidth_hz == 20e6
         assert sim.relative_bandwidth == 0.02
         assert sim.snr_db == 10.0
         assert (sim.temps.t_antenna, sim.temps.t_forward,
                 sim.temps.t_reverse) == (1.0, 2.0, 0.0)
         assert sim.outage_p == 0.01
-        assert sim.retune_modes
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -311,7 +315,7 @@ class TestRunConfig:
             {"snr_db": 11.0},
             {"relative_bandwidth": 0.03},
             {"temp_reverse": 0.1},
-            {"retune": False},
+            {"coupling": False},
             {"spacings": [0.1]},
             {"n_taps": 4},
             {"input": "files"},
@@ -323,7 +327,8 @@ class TestRunConfig:
 
     # each pin is config_hash(config_from_dict(doc)) computed by the
     # hand-written key table, parser and to_dict that the schema derived
-    # from SimConfig's fields replaced; result files embed these hashes
+    # from SimConfig's fields replaced, back when the hashed document still
+    # held bandwidth_hz and retune; result files of that time embed them
     @pytest.mark.parametrize("doc,pinned", [
         ({}, "2138195298e0fb98"),
         ({"n_antennas": 16}, "a51e74655682c7df"),
@@ -338,7 +343,33 @@ class TestRunConfig:
         ({"workers": 2}, "2138195298e0fb98"),  # workers is never hashed
     ])
     def test_hash_pins(self, doc, pinned):
+        # today's hashed document is that earlier one less the dropped keys
+        earlier = {**config_from_dict(doc).to_dict(), **DROPPED_KEYS}
+        canon = json.dumps(earlier, sort_keys=True).encode()
+        assert hashlib.sha256(canon).hexdigest()[:16] == pinned
+
+    # the same documents hashed without the dropped keys
+    @pytest.mark.parametrize("doc,pinned", [
+        ({}, "c966990b52c1cd17"),
+        ({"n_antennas": 16}, "48e7d39b68404fc9"),
+        ({"input": "files", "impedance_files": [[0.25, "z.csv"]]},
+         "9dfc723b5d853fb6"),
+        ({"fixture_modes": [[0.25, [list(TABLE1_MODE1),
+                                    list(TABLE1_MODE2)]]]},
+         "4c52a3f3b4e16b1b"),
+        ({"temp_reverse": 0.7}, "75cb0f0f36b9f7cb"),
+        ({"n_taps": 2, "tap_powers": [0.75, 0.25]}, "ca55de297ca503cb"),
+        ({"spacings": [1, 2]}, "bfee2f5c32386a15"),
+        ({"workers": 2}, "c966990b52c1cd17"),
+    ])
+    def test_config_hash_pins(self, doc, pinned):
         assert config_hash(config_from_dict(doc)) == pinned
+
+    @pytest.mark.parametrize("key", sorted(DROPPED_KEYS))
+    def test_dropped_keys_refused(self, key):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({key: DROPPED_KEYS[key]})
+        assert key in str(err.value)
 
     def test_readme_key_table_is_the_schema(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -379,7 +410,6 @@ VALID_DOCS = st.fixed_dictionaries({}, optional={
     "n_antennas": st.integers(1, 16),
     "spacings": st.lists(_SPACING, max_size=3),
     "subcarriers": st.integers(8, 128),
-    "bandwidth_hz": st.floats(1.0, 1e9) | st.integers(1, 10**20),
     "relative_bandwidth": st.floats(0.001, 1.9),
     "snr_db": _REAL,
     "temp_antenna": _TEMP,
@@ -388,7 +418,6 @@ VALID_DOCS = st.fixed_dictionaries({}, optional={
     "realizations": st.integers(100, 10**6),
     "outage_p": st.floats(0.01, 0.49),
     "seed": st.integers(0, 2**63),
-    "retune": st.booleans(),
     "n_taps": st.integers(1, 8),
     "tap_powers": st.sampled_from([None, [1.0], [0.75, 0.25], [1, 0]]),
     "coupling": st.booleans(),
@@ -412,8 +441,8 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert isinstance(run, RunConfig)
-        # a bool is a number to isinstance, but only the flags take one
-        assert all(key in ("retune", "coupling")
+        # a bool is a number to isinstance, but only the flag takes one
+        assert all(key == "coupling"
                    for key, value in doc.items() if isinstance(value, bool))
 
     @settings(max_examples=300, deadline=None)
@@ -501,13 +530,13 @@ CLI_FLAGS = {
     "--n": ["-1", "0", "1", "3"],
     "--span": ["0.15", "0", "-1", "nan"],
     "--points": ["-1", "0", "1", "3", "12"],
-    "--bits": [], "--retune": [], "--no-retune": [], "-v": [], "--bogus": [],
+    "--bits": [], "-v": [], "--bogus": [],
 }
 
 
 _INPUT = ["--config", "--fixture", "--spacing"]
 _MONTE_CARLO = _INPUT + ["--workers", "--seed", "--realizations", "--bits",
-                         "--retune", "--no-retune", "-v"]
+                         "-v"]
 # each subcommand's own flags; the others are usage errors
 CLI_OWN_FLAGS = {
     "modes": _INPUT, "match": _INPUT,
@@ -613,6 +642,11 @@ class TestCli:
     def test_unknown_flag_exit_2(self, capsys):
         assert cli_main(["modes", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--retune", "--no-retune"])
+    def test_retune_flags_gone_exit_2(self, flag, tmp_path, capsys):
+        assert cli_main(["capacity", flag, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "capacity.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["modes", "--seed", "1"],
         ["match", "--bits"],
@@ -640,9 +674,9 @@ class TestCli:
         {"snr_db": 4000},  # would overflow snr_linear
         {"snr_db": 3080},  # would overflow the capacity products
         {"n_taps": 1, "tap_powers": [True]},
-        {"bandwidth_hz": -1e400},
-        {"bandwidth_hz": float("nan")},
-        {"bandwidth_hz": 0},
+        {"bandwidth_hz": 2e7},  # keys that no longer exist
+        {"retune": True},
+        {"retune": False},
         {"n_taps": 2, "tap_powers": [float("nan"), 1.0]},
         {"fixture_modes": [[0.25, [[118.76, 3.75, float("inf")]] * 2]]},
         {"workers": 0},
@@ -887,6 +921,42 @@ class TestCli:
         assert cli_main(args + ["--out", str(out_b)]) == 0
         for name in ("capacity.csv", "capacity.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_default_capacity_changes_only_hash_and_config(self, tmp_path):
+        # the earlier files are what `ucadiv capacity --out DIR` wrote at
+        # defaults while bandwidth_hz and retune were still config keys
+        earlier_hash, now_hash = "6a650cbca7233a22", "82a05aee9d20de20"
+        earlier_csv = (
+            "spacing,c_out_nats,ci_half_width,samples,seed,config\n"
+            "0.25,2.0988592828669201,0.033341292997960625,5000,0,"
+            f"{earlier_hash}\n"
+        )
+        earlier_json = "\n".join([
+            '{', '  "capacity_unit": "nats/s/Hz",', '  "config": {',
+            '    "bandwidth_hz": 20000000.0,', '    "coupling": true,',
+            '    "fixture_modes": [],', '    "impedance_files": [],',
+            '    "input": "fixture",', '    "n_antennas": 2,',
+            '    "n_taps": 8,', '    "outage_p": 0.01,',
+            '    "planewaves": 32,', '    "realizations": 5000,',
+            '    "relative_bandwidth": 0.02,', '    "retune": true,',
+            '    "seed": 0,', '    "snr_db": 10.0,', '    "spacings": [',
+            '      0.25', '    ],', '    "subcarriers": 64,',
+            '    "tap_powers": null,', '    "temp_antenna": 1.0,',
+            '    "temp_forward": 2.0,', '    "temp_reverse": 0.0', '  },',
+            f'  "config_hash": "{earlier_hash}",', '  "points": [', '    {',
+            '      "c_out": 2.09885928286692,',
+            '      "ci_half_width": 0.033341292997960625,',
+            '      "error": null,', '      "samples": 5000,',
+            '      "spacing": 0.25', '    }', '  ]', '}', '',
+        ])
+        assert cli_main(["capacity", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "capacity.csv").read_text() == (
+            earlier_csv.replace(earlier_hash, now_hash))
+        want = earlier_json.replace(earlier_hash, now_hash)
+        for line in ('    "bandwidth_hz": 20000000.0,\n',
+                     '    "retune": true,\n'):
+            want = want.replace(line, "")
+        assert (tmp_path / "capacity.json").read_text() == want
 
     def test_sweep_writes_results(self, tmp_path, capsys):
         assert cli_main([

@@ -128,6 +128,20 @@ class TestZSConversion:
         with pytest.raises(SingularSampleError):
             s_to_z(s)
 
+    def test_singular_sample_without_grid_names_no_frequency(self):
+        # with no grid there is no f/fc to report, only the sample index
+        z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+        z[1] = -np.eye(2)
+        s = np.zeros((4, 2, 2), dtype=complex)
+        s[1] = np.eye(2)  # I - S singular at sample 1
+        for convert, sweep in ((z_to_s, z), (s_to_z, s)):
+            with pytest.raises(SingularSampleError) as err:
+                convert(sweep)
+            assert err.value.sample_index == 1
+            assert err.value.frequency is None
+            assert "f/fc" not in str(err.value)
+            assert str(err.value).endswith("at sample 1")
+
 
 class TestCascade:
     def test_through_is_identity(self):
