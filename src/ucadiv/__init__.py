@@ -71,7 +71,6 @@ from .network import (
     default_grid,
     dft_beamformer,
     diagonalize_circulant,
-    s_to_z,
     through_network,
     z_to_s,
 )

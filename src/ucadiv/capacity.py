@@ -264,9 +264,9 @@ def _monte_carlo(config: SimConfig, points):
     indices = np.arange(config.realizations)
     if config.workers <= 1:
         return _simulate(config, points, indices)
-    chunks = np.array_split(indices, config.workers * 4)
     # the pool starts all its processes at once: no more than there are CPUs
     processes = min(config.workers, os.cpu_count() or 1)
+    chunks = np.array_split(indices, processes * 4)
     with ProcessPoolExecutor(max_workers=processes) as pool:
         parts = list(pool.map(_pool_run,
                               [(config, points, c) for c in chunks]))

@@ -35,34 +35,33 @@ R_ISOLATED = math.sqrt(TABLE1_MODE1[0] * TABLE1_MODE2[0])
 Q_ISOLATED = math.sqrt(TABLE1_MODE1[1] * TABLE1_MODE2[1])
 F0_ISOLATED = math.sqrt(TABLE1_MODE1[2] * TABLE1_MODE2[2])
 
+# Decay rate (per wavelength) of the pairwise coupling strength, and the
+# bound on each mode's coupling weight.
+COUPLING_DECAY = 12.0
+WEIGHT_CLAMP = 2.5
+
 
 @dataclass(frozen=True)
 class CouplingModel:
     """Per-mode parameter splits as a function of element spacing.
 
-    A pairwise coupling strength g(d) = exp(-decay (d - d_ref)) is summed
-    around the ring with DFT phase weights to give each mode a signed
-    coupling weight; mode parameters split geometrically in that weight,
+    A pairwise coupling strength g(d) = exp(-COUPLING_DECAY (d - d_ref)),
+    with d_ref = TABLE1_SPACING, is summed around the ring with DFT phase
+    weights to give each mode a signed coupling weight, clamped at
+    +-WEIGHT_CLAMP; mode parameters split geometrically in that weight,
     calibrated so the N = 2 array at d_ref reproduces the reference fixture.
     Splits are strong below d_ref (the narrow mode heads toward vanishing)
     and die off quickly above it, where spatial correlation dominates.
     """
-
-    decay: float = 12.0
-    clamp: float = 2.5
-    d_ref: float = TABLE1_SPACING
-
-    def pair_strength(self, dist):
-        return math.exp(-self.decay * (dist - self.d_ref))
 
     def mode_weights(self, n, d):
         """Signed coupling weight per DFT index, shape (N,)."""
         weights = np.zeros(n)
         for offset in range(1, n):
             dist = uca_pairwise_distance(n, d, offset)
-            g = self.pair_strength(dist)
+            g = math.exp(-COUPLING_DECAY * (dist - TABLE1_SPACING))
             weights += g * np.cos(2.0 * np.pi * np.arange(n) * offset / n)
-        return np.clip(weights, -self.clamp, self.clamp)
+        return np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP)
 
     def mode_set(self, n, d) -> EigenModeSet:
         """Distinct resonant modes of an N-element ring at spacing d."""
@@ -100,11 +99,8 @@ def table1_sweep(grid: FrequencyGrid = None) -> ArraySweep:
     return sweep_from_modes(table1_fixture(), grid, TABLE1_SPACING)
 
 
-def fixture_sweep(n, d, grid: FrequencyGrid = None,
-                  coupling: CouplingModel = None) -> ArraySweep:
+def fixture_sweep(n, d, grid: FrequencyGrid = None) -> ArraySweep:
     """Synthetic impedance sweep for an N-element ring at spacing d."""
     if grid is None:
         grid = default_grid()
-    if coupling is None:
-        coupling = CouplingModel()
-    return sweep_from_modes(coupling.mode_set(n, d), grid, d)
+    return sweep_from_modes(CouplingModel().mode_set(n, d), grid, d)

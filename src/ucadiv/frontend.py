@@ -58,12 +58,7 @@ class FrontEnd:
     1 - gamma**2.
     """
 
-    freqs: np.ndarray
     gamma: np.ndarray
-
-    @property
-    def n_ports(self):
-        return self.gamma.shape[1]
 
 
 def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
@@ -84,7 +79,7 @@ def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
     gamma = modes.expand([boxcar_profile(s, 1.0, freqs) for s in specs])
     if np.all(gamma >= 1.0):
         raise ModelError("sub-carrier grid lies outside every matched band")
-    return FrontEnd(freqs=freqs, gamma=gamma)
+    return FrontEnd(gamma=gamma)
 
 
 @dataclass
@@ -112,7 +107,7 @@ def noise_cov(front: FrontEnd, mode_resistances, temps: NoiseTemps,
     impedance).
     """
     r = np.asarray(mode_resistances, dtype=float)
-    if r.shape != (front.n_ports,):
+    if r.shape != front.gamma.shape[1:]:
         raise ValueError("need one resistance per DFT index")
     if np.any(r <= 0):
         raise ValueError("mode resistances must be positive")

@@ -78,7 +78,7 @@ class ResonantMode:
 
     def __post_init__(self):
         if self.r <= 0 or self.q <= 0 or self.f0 <= 0:
-            raise ValueError("R, Q and f0 must all be positive")
+            raise DataError("R, Q and f0 must all be positive")
 
     @property
     def inductance(self):
@@ -151,16 +151,16 @@ def eigen_impedances(sweep: ArraySweep):
     """Per-mode eigen-impedance traces, shape (F, N), ordered by DFT index.
 
     The traces are the DFT of the completed first row; degenerate equalities
-    (index m vs N-m) hold bitwise.  Raises if any in-band mode resistance is
-    non-positive.
+    (index m vs N-m) hold bitwise.  Raises if any mode resistance on the
+    grid is non-positive.
     """
     lam = network.diagonalize_circulant(sweep.full_row(), sweep.n)
-    re_band = lam[sweep.grid.band_mask()].real
-    if np.any(re_band <= 0):
-        bad = np.argwhere(re_band <= 0)[0]
+    re = lam.real
+    if np.any(re <= 0):
+        bad = np.argwhere(re <= 0)[0]
         raise NonPhysicalDataError(
             f"mode {bad[1]} has non-positive resistance inside the band "
-            f"(Re lambda = {re_band[bad[0], bad[1]]:.4g})"
+            f"(Re lambda = {re[bad[0], bad[1]]:.4g})"
         )
     return lam
 
@@ -389,7 +389,6 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
         s21=s12.copy(),  # reciprocal; a copy so the blocks stay independent
         s22=assemble(g),
         grid=sweep.grid,
-        z_ref=float(zr[0]) if np.all(zr == zr[0]) else 1.0,
     )
 
 

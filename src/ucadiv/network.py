@@ -24,14 +24,9 @@ _SLAB_BYTES = 2**19
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Shared frequency axis, relative to the carrier (f/fc).
-
-    ``band`` marks the signal band (f_lo, f_hi); both endpoints must lie
-    inside the sampled range.
-    """
+    """Shared frequency axis, relative to the carrier (f/fc)."""
 
     samples: np.ndarray
-    band: tuple = (None, None)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -44,25 +39,15 @@ class FrequencyGrid:
             raise ValueError("relative frequencies must be positive")
         if np.any(np.diff(samples) <= 0):
             raise ValueError("frequency samples must be strictly increasing")
-        lo, hi = self.band
-        if lo is None or hi is None:
-            object.__setattr__(self, "band", (samples[0], samples[-1]))
-            return
-        if not (samples[0] <= lo <= hi <= samples[-1]):
-            raise ValueError("band endpoints must lie within the sampled range")
 
     @property
     def size(self):
         return self.samples.size
 
-    def band_mask(self):
-        lo, hi = self.band
-        return (self.samples >= lo) & (self.samples <= hi)
 
-
-def default_grid(span=0.15, points=601, band=(None, None)):
+def default_grid(span=0.15, points=601):
     """Uniform grid 1-span .. 1+span; the default fit axis for fixtures."""
-    return FrequencyGrid(np.linspace(1.0 - span, 1.0 + span, points), band=band)
+    return FrequencyGrid(np.linspace(1.0 - span, 1.0 + span, points))
 
 
 def as_sweep(values):
@@ -82,7 +67,6 @@ class MultiportS:
     s21: np.ndarray
     s22: np.ndarray
     grid: FrequencyGrid
-    z_ref: float = 1.0
 
     def __post_init__(self):
         blocks = [self.s11, self.s12, self.s21, self.s22]
@@ -98,12 +82,6 @@ class MultiportS:
     @property
     def n_ports(self):
         return self.s11.shape[1]
-
-    def full(self):
-        """Assemble the (F, 2N, 2N) scattering matrices."""
-        top = np.concatenate([self.s11, self.s12], axis=2)
-        bottom = np.concatenate([self.s21, self.s22], axis=2)
-        return np.concatenate([top, bottom], axis=1)
 
 
 def through_network(n, grid):
@@ -156,31 +134,11 @@ def _guard(a, grid, what):
         raise SingularSampleError(f"singular {what}", k, f)
 
 
-def z_to_s(z, z_ref=1.0, grid=None):
-    """Impedance sweep to scattering sweep: (Z + z_ref I)^-1 (Z - z_ref I).
-
-    ``z_ref`` may be a scalar or a per-port vector of reference impedances.
-    """
+def z_to_s(z, grid=None):
+    """Impedance sweep to 1-ohm scattering sweep: (Z + I)^-1 (Z - I)."""
     z = as_sweep(z)
-    n = z.shape[1]
-    zr = np.asarray(z_ref, dtype=complex)
-    ref = np.diag(zr * np.ones(n)) if zr.ndim <= 1 else zr
-    return _solve_per_sample(z + ref, z - ref, grid, "(Z + z_ref I)")
-
-
-def s_to_z(s, z_ref=1.0, grid=None):
-    """Scattering sweep back to impedances: z_ref (I + S)(I - S)^-1."""
-    s = as_sweep(s)
-    n = s.shape[1]
-    eye = np.eye(n, dtype=complex)
-    # (I+S)(I-S)^-1 computed through the transposed system.
-    zt = _solve_per_sample(
-        np.transpose(eye - s, (0, 2, 1)),
-        np.transpose(eye + s, (0, 2, 1)),
-        grid,
-        "(I - S), total reflection",
-    )
-    return z_ref * np.transpose(zt, (0, 2, 1))
+    eye = np.eye(z.shape[1], dtype=complex)
+    return _solve_per_sample(z + eye, z - eye, grid, "(Z + z_ref I)")
 
 
 def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
@@ -219,7 +177,7 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         s12[k] = a.s12[k] @ xm[..., n:]
         s21[k] = m.s21[k] @ ya[..., :n]
         s22[k] = m.s22[k] + m.s21[k] @ ya[..., n:]
-    return MultiportS(s11, s12, s21, s22, a.grid, a.z_ref)
+    return MultiportS(s11, s12, s21, s22, a.grid)
 
 
 def dft_beamformer(n):

@@ -341,21 +341,26 @@ class TestRunMonteCarlo:
         assert abs(np.mean(c_coupled) - np.mean(c_iid)) < 0.05
 
     def test_pool_size_bounded_by_cpus(self, monkeypatch):
-        sizes = []
+        sizes, chunks = [], []
 
         class InProcessPool(capacity.ProcessPoolExecutor):
-            # records the size asked for; starts no process
+            # records the size asked for and the chunks mapped; starts no
+            # process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=1)
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, args):
+                chunks.append(len(args))
+                return map(fn, args)
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", InProcessPool)
         cfg = SimConfig(realizations=300, seed=5, workers=1000)
         got = run_monte_carlo(cfg, 0.25)
-        assert sizes == [min(1000, os.cpu_count() or 1)]
+        processes = min(1000, os.cpu_count() or 1)
+        assert sizes == [processes]
+        # 4 chunks per process started, not per worker asked for
+        assert chunks == [4 * processes]
         assert np.array_equal(got, run_monte_carlo(replace(cfg, workers=1),
                                                    0.25))
 
@@ -388,10 +393,12 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("coupling", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
-    def test_pool_equals_per_realization_path(self, n, coupling, workers):
-        # 4 chunks per worker, of 72-73 realizations for 2 workers and 48-49
-        # for 3: chunk starts fall inside blocks, and the larger chunks span
-        # two blocks
+    def test_pool_equals_per_realization_path(self, n, coupling, workers,
+                                              monkeypatch):
+        # 4 chunks per process, of 72-73 realizations for 2 processes and
+        # 48-49 for 3: chunk starts fall inside blocks, and the larger chunks
+        # span two blocks; enough CPUs are claimed to start one per worker
+        monkeypatch.setattr(capacity.os, "cpu_count", lambda: workers)
         m = 9 * _BLOCK + 5
         cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
                         seed=23, workers=workers)

@@ -819,20 +819,25 @@ class TestCli:
 
     def test_wrong_triple_count_fails_its_spacing_exit_3(self, tmp_path,
                                                          capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "n_antennas": 4, "spacings": [0.25, 0.5], "realizations": 150,
-            "fixture_modes": [[0.5, [list(TABLE1_MODE1),
-                                     list(TABLE1_MODE2)]]],
-        }))
-        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            "error: need 3 (R, Q, f0) triples for N=4, got 2\n")
-        rows = [r.split(",") for r in
-                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
-        assert float(rows[0][1]) > 0
-        assert rows[1][:3] == ["0.5", "error", "error"]
+        # a non-positive triple, too, fails only its own spacing
+        for n, triples, message in [
+            (4, [list(TABLE1_MODE1), list(TABLE1_MODE2)],
+             "need 3 (R, Q, f0) triples for N=4, got 2"),
+            (2, [[-1, 1, 1], [1, 1, 1]], "R, Q and f0 must all be positive"),
+        ]:
+            out = tmp_path / f"n{n}"
+            cfg = tmp_path / f"run{n}.json"
+            cfg.write_text(json.dumps({
+                "n_antennas": n, "spacings": [0.25, 0.5],
+                "realizations": 150, "fixture_modes": [[0.5, triples]],
+            }))
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+            assert rc == 3
+            assert capsys.readouterr().err == f"error: {message}\n"
+            rows = [r.split(",") for r in
+                    (out / "sweep.csv").read_text().splitlines()[1:]]
+            assert float(rows[0][1]) > 0
+            assert rows[1][:3] == ["0.5", "error", "error"]
 
     @pytest.mark.parametrize("command", ["modes", "match", "capacity"])
     @pytest.mark.parametrize("values", [[], ["0.25", "0.5"]])

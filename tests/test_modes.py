@@ -312,7 +312,7 @@ class TestExtendTo2nPort:
         s = extend_to_2n_port(sw)
         ok, worst = check_lossless(s, tol=1e-10)
         assert ok, f"losslessness deviation {worst}"
-        full = s.full()
+        full = np.block([[s.s11, s.s12], [s.s21, s.s22]])
         worst = np.max(np.abs(full - np.transpose(full, (0, 2, 1))))
         assert worst <= 1e-10, f"reciprocity deviation {worst}"
 

@@ -18,7 +18,6 @@ from ucadiv.network import (
     default_grid,
     dft_beamformer,
     diagonalize_circulant,
-    s_to_z,
     through_network,
     _slabs,
     _solve_per_sample,
@@ -28,6 +27,25 @@ from ucadiv.network import (
 
 def grid(n_samples=5):
     return FrequencyGrid(np.linspace(0.9, 1.1, n_samples))
+
+
+def s_to_z(s, z_ref=1.0, grid=None):
+    """Oracle inverse of ``z_to_s``: z_ref (I + S)(I - S)^-1.
+
+    Solved through the transposed system, behind the library's
+    singular-sample guard.
+    """
+    s = np.asarray(s, dtype=complex)
+    eye = np.eye(s.shape[1], dtype=complex)
+    zt = _solve_per_sample(np.transpose(eye - s, (0, 2, 1)),
+                           np.transpose(eye + s, (0, 2, 1)),
+                           grid, "(I - S), total reflection")
+    return z_ref * np.transpose(zt, (0, 2, 1))
+
+
+def full(s):
+    """The (F, 2N, 2N) scattering matrices of a MultiportS."""
+    return np.block([[s.s11, s.s12], [s.s21, s.s22]])
 
 
 def random_unitary(rng, n):
@@ -59,14 +77,6 @@ class TestFrequencyGrid:
             FrequencyGrid(np.array([0.9, 1.0, bad]))
         with pytest.raises(ValueError, match="finite"):
             FrequencyGrid(np.array([bad, 1.0, 1.1]))
-
-    def test_band_must_be_inside(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(np.array([0.9, 1.0, 1.1]), band=(0.5, 1.0))
-
-    def test_band_defaults_to_extent(self):
-        g = FrequencyGrid(np.array([0.9, 1.0, 1.1]))
-        assert g.band == (0.9, 1.1)
 
 
 class TestZSConversion:
@@ -184,13 +194,11 @@ class TestCascade:
 
         na, nm = rand_two_port(), rand_two_port()
         got = cascade(na, nm)
-        za = s_to_z(np.block([[na.s11, na.s12], [na.s21, na.s22]]))
-        zm = s_to_z(np.block([[nm.s11, nm.s12], [nm.s21, nm.s22]]))
+        za, zm, have = s_to_z(full(na)), s_to_z(full(nm)), full(got)
         for k in range(g.size):
             chained = from_abcd(to_abcd(za[k]) @ to_abcd(zm[k]))
             want = z_to_s(chained[None])[0]
-            have = np.block([[got.s11[k], got.s12[k]], [got.s21[k], got.s22[k]]])
-            assert_allclose(have, want, atol=1e-10)
+            assert_allclose(have[k], want, atol=1e-10)
 
     def test_associative(self):
         rng = np.random.default_rng(17)
@@ -427,8 +435,8 @@ class TestLosslessCheck:
         assert not ok and worst > 1.0
 
     def test_reciprocity_of_through(self):
-        full = through_network(2, grid()).full()
-        assert np.max(np.abs(full - np.transpose(full, (0, 2, 1)))) <= 1e-10
+        s = full(through_network(2, grid()))
+        assert np.max(np.abs(s - np.transpose(s, (0, 2, 1)))) <= 1e-10
 
 
 class TestSingularGuard:

@@ -1,17 +1,18 @@
 """The network chain's output bits, pinned by digest.
 
-``z_to_s``, ``s_to_z``, ``extend_to_2n_port``, ``cascade`` and
-``check_lossless`` are deterministic functions of the fixture sweep, so
-their outputs over a fixed grid hash to one value per array size.  A change
-to how the chain checks or solves its per-sample systems that keeps every
-output bit keeps that value; one that moves a single bit changes it.
+``z_to_s``, ``extend_to_2n_port``, ``cascade`` and ``check_lossless``
+are deterministic functions of the fixture sweep, so their outputs over a
+fixed grid hash to one value per array size.  A change to how the chain
+checks or solves its per-sample systems that keeps every output bit keeps
+that value; one that moves a single bit changes it.
 
 Each digest covers, for every default spacing: the ``z_to_s`` scattering
-sweep and its ``s_to_z`` round trip; the four blocks of the 2N-port
-completion; the four blocks of that completion cascaded with a through
-network and with a second completion (reference resistance 2 ohm); and the
-worst deviation ``check_lossless`` reports for both cascades.  The same
-digests hold whatever slab size ``cascade`` and ``check_lossless`` use.
+sweep and its round trip through the ``s_to_z`` oracle below; the four
+blocks of the 2N-port completion; the four blocks of that completion
+cascaded with a through network and with a second completion (reference
+resistance 2 ohm); and the worst deviation ``check_lossless`` reports for
+both cascades.  The same digests hold whatever slab size ``cascade`` and
+``check_lossless`` use.
 
 The digests were computed with the per-sample singular guard that ran a
 full ``np.linalg.cond`` over every sample, before the guard learned to clear
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 
 from ucadiv import (SimConfig, cascade, check_lossless, extend_to_2n_port,
-                    fixture_sweep, network, s_to_z, through_network, z_to_s)
+                    fixture_sweep, network, through_network, z_to_s)
 
 SPACINGS = SimConfig().spacings
 
@@ -40,6 +41,19 @@ DIGESTS = {
     8: "100b972a476065735bb5be8cb344792bd6413d29d76a7f86da91a10e693ef1fb",
     16: "f800d1af9e3899e6988bf36c1e7a243038f48371ee436a8d3313c6778b402cd4",
 }
+
+
+def s_to_z(s, z_ref=1.0, grid=None):
+    """Oracle inverse of ``z_to_s``: z_ref (I + S)(I - S)^-1.
+
+    The float operations of the conversion the digests were pinned with:
+    the transposed system, then a complex multiply by ``z_ref``.
+    """
+    eye = np.eye(s.shape[1], dtype=complex)
+    zt = network._solve_per_sample(np.transpose(eye - s, (0, 2, 1)),
+                                   np.transpose(eye + s, (0, 2, 1)),
+                                   grid, "(I - S), total reflection")
+    return z_ref * np.transpose(zt, (0, 2, 1))
 
 
 def chain_digest(n):
