@@ -164,11 +164,14 @@ def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
 def _noise_floor(sigma_norm):
     """``sigma_norm`` as an array, checked to be positive everywhere."""
     sigma_norm = np.asarray(sigma_norm)
-    if not np.all(sigma_norm > 0.0):  # NaN fails too
+    if np.all(sigma_norm > 0.0):
+        return sigma_norm
+    if np.all(sigma_norm >= 0.0):  # NaN fails
         raise NumericError(
-            "zero noise floor (no load noise behind a dark or matched mode)"
-        )
-    return sigma_norm
+            "zero noise floor (no load noise behind a dark or matched mode)")
+    raise NumericError(f"negative or NaN noise floor (minimum "
+                       f"{np.min(sigma_norm):.6g}; load noise enters as "
+                       f"(T_A - T_r) R (1 - |Gamma|^2))")
 
 
 def _mode_sum(power):
@@ -262,10 +265,10 @@ def _monte_carlo(config: SimConfig, points):
     if not points:
         return []
     indices = np.arange(config.realizations)
-    if config.workers <= 1:
-        return _simulate(config, points, indices)
     # the pool starts all its processes at once: no more than there are CPUs
     processes = min(config.workers, os.cpu_count() or 1)
+    if processes <= 1:
+        return _simulate(config, points, indices)
     chunks = np.array_split(indices, processes * 4)
     with ProcessPoolExecutor(max_workers=processes) as pool:
         parts = list(pool.map(_pool_run,

@@ -5,7 +5,8 @@ frequencies f/fc.  A "sweep" is a complex ndarray of shape (F, N, N): one
 N x N matrix per grid sample.  Scattering descriptions of 2N-port networks
 are held in N x N block form by :class:`MultiportS`.  ``cascade`` and
 ``check_lossless`` bound their temporaries to slabs of ``_SLAB_BYTES`` per
-array; their outputs stay F x N x N, with the bits of one whole-grid pass.
+array, but for ``cascade``'s whole-grid (I - S11m S22a); their outputs stay
+F x N x N, with the bits of one whole-grid pass.
 """
 
 from dataclasses import dataclass
@@ -85,10 +86,10 @@ class MultiportS:
 
 
 def through_network(n, grid):
-    """Ideal through-connection: S11 = S22 = 0, S12 = S21 = I."""
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (grid.size, n, n)).copy()
-    zero = np.zeros_like(eye)
-    return MultiportS(zero, eye.copy(), eye, zero.copy(), grid)
+    """Ideal through S11 = S22 = 0, S12 = S21 = I: read-only stride-0 views."""
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (grid.size, n, n))
+    zero = np.broadcast_to(np.zeros((n, n), dtype=complex), eye.shape)
+    return MultiportS(zero, eye, eye, zero, grid)
 
 
 def _slabs(size, n):
@@ -103,8 +104,10 @@ def _solve_per_sample(a, b, grid, what):
     return np.linalg.solve(a, b)
 
 
-def _guard(a, grid, what):
+def _guard(a, grid, what, offset=0):
     """Raise SingularSampleError at the first sample with cond > COND_LIMIT.
+
+    ``a`` starts at grid sample ``offset``; the error names the grid index.
 
     A sample is flagged exactly when ``np.linalg.cond(a[k]) > COND_LIMIT``,
     but the full SVD runs only on the samples a cheaper bound cannot clear.
@@ -129,7 +132,7 @@ def _guard(a, grid, what):
     unsure = np.flatnonzero(~(log_bound <= np.log(COND_LIMIT / 16.0)))
     bad = unsure[np.linalg.cond(a[unsure]) > COND_LIMIT]
     if bad.size:
-        k = int(bad[0])
+        k = offset + int(bad[0])
         f = None if grid is None else float(grid.samples[k])
         raise SingularSampleError(f"singular {what}", k, f)
 
@@ -151,8 +154,9 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         S21c = S21m (I - S22a S11m)^-1 S21a
         S22c = S22m + S21m (I - S22a S11m)^-1 S22a S12m
 
-    so the composite relates the outer wave vectors of the chain.  Both
-    inner matrices are checked first, then factored per slab for both sides.
+    so the composite relates the outer wave vectors of the chain.
+    (I - S11m S22a) is checked over the whole grid first; (I - S22a S11m) is
+    built and checked per slab, and both are factored once per slab.
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -164,14 +168,15 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
     eye = np.eye(n, dtype=complex)
     inner_m = eye - m.s11 @ a.s22
     _guard(inner_m, a.grid, "resonant inner term (I - S11m S22a)")
-    inner_a = eye - a.s22 @ m.s11
-    _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)")
     s11, s12, s21, s22 = (np.empty_like(inner_m) for _ in range(4))
     # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
     for k in _slabs(a.grid.size, 2 * n):
+        inner_a = eye - a.s22[k] @ m.s11[k]
+        _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)",
+               k.start)
         xm = np.linalg.solve(inner_m[k], np.concatenate(
             [m.s11[k], m.s12[k]], axis=2))
-        ya = np.linalg.solve(inner_a[k], np.concatenate(
+        ya = np.linalg.solve(inner_a, np.concatenate(
             [a.s21[k], a.s22[k] @ m.s12[k]], axis=2))
         s11[k] = a.s11[k] + a.s12[k] @ xm[..., :n] @ a.s21[k]
         s12[k] = a.s12[k] @ xm[..., n:]

@@ -137,6 +137,17 @@ class TestRealizationCapacity:
             realization_capacity(h, np.zeros((2, 2)), np.full((2, 2), np.nan),
                                  10.0)
 
+    def test_negative_or_nan_noise_floor_named_with_its_minimum(self):
+        h, gamma = np.ones((2, 2), dtype=complex), np.zeros((2, 2))
+        zero = r"^zero noise floor \("
+        with pytest.raises(NumericError, match=zero):
+            realization_capacity(h, gamma, [[1.0, 0.0], [0.5, 2.0]], 10.0)
+        negative = r"^negative or NaN noise floor \(minimum -0\.25; "
+        with pytest.raises(NumericError, match=negative):
+            realization_capacity(h, gamma, [[1.0, 0.0], [-0.25, 2.0]], 10.0)
+        with pytest.raises(NumericError, match=r"\(minimum nan; "):
+            realization_capacity(h, gamma, [[1.0, 0.0], [np.nan, 2.0]], 10.0)
+
     def test_block_equals_scalar_calls(self):
         rng = np.random.default_rng(5)
         shape = (3, 8, 2)
@@ -355,14 +366,28 @@ class TestRunMonteCarlo:
                 return map(fn, args)
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(capacity.os, "cpu_count", lambda: 3)
         cfg = SimConfig(realizations=300, seed=5, workers=1000)
         got = run_monte_carlo(cfg, 0.25)
-        processes = min(1000, os.cpu_count() or 1)
-        assert sizes == [processes]
+        assert sizes == [3]
         # 4 chunks per process started, not per worker asked for
-        assert chunks == [4 * processes]
+        assert chunks == [4 * 3]
         assert np.array_equal(got, run_monte_carlo(replace(cfg, workers=1),
                                                    0.25))
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_one_cpu_runs_serially(self, cpus, monkeypatch):
+        # with room for one process only, the samples come from this one
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one process")
+
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(capacity.os, "cpu_count", lambda: cpus)
+        cfg = SimConfig(realizations=300, seed=5, workers=4)
+        serial = replace(cfg, workers=1)
+        assert sweep(cfg).points == sweep(serial).points
+        assert np.array_equal(run_monte_carlo(cfg, 0.25),
+                              run_monte_carlo(serial, 0.25))
 
 
 def dark_mode_set():
@@ -464,6 +489,7 @@ class TestSharedDraws:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(capacity.os, "cpu_count", lambda: 2)
         curve = sweep(SimConfig(realizations=150, seed=37, workers=2))
         assert len(curve.points) == 5
         assert all(p.error is None for p in curve.points)

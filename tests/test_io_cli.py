@@ -773,6 +773,19 @@ class TestCli:
         assert "nan" not in table
         assert table.splitlines()[1].split(",")[1:3] == ["error", "error"]
 
+    def test_reverse_noise_above_antenna_noise_exit_5(self, tmp_path, capsys):
+        # (T_A - T_r) < 0 makes the floor negative; it was reported as zero
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25], "realizations": 200, "temp_reverse": 3.0,
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 5
+        out, err = capsys.readouterr()
+        assert err.startswith("numeric error: negative or NaN noise floor "
+                              "(minimum -")
+        assert "zero noise" not in out + err
+
     def test_unphysical_spacing_fails_its_point_exit_5(self, tmp_path,
                                                        capsys):
         # d = 1e308 gave NaN phases; the NaN R_h passed the PSD test, the

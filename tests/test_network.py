@@ -48,6 +48,12 @@ def full(s):
     return np.block([[s.s11, s.s12], [s.s21, s.s22]])
 
 
+def writable(s):
+    """``s`` with each block copied into its own writable array."""
+    return MultiportS(s.s11.copy(), s.s12.copy(), s.s21.copy(), s.s22.copy(),
+                      s.grid)
+
+
 def random_unitary(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)))
@@ -163,6 +169,19 @@ class TestCascade:
         for blk in ("s11", "s12", "s21", "s22"):
             assert_allclose(getattr(c, blk), getattr(a, blk), atol=1e-13)
 
+    def test_through_blocks_are_read_only_stride_0_views(self):
+        t = through_network(3, grid())
+        for blk in (t.s11, t.s12, t.s21, t.s22):
+            assert blk.shape == (5, 3, 3) and blk.strides[0] == 0
+            assert not blk.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                blk[0, 0, 0] = 1.0
+        # one n x n identity and one n x n zero serve every sample
+        assert np.shares_memory(t.s12, t.s21) and t.s12.base.nbytes == 16 * 9
+        assert np.shares_memory(t.s11, t.s22) and t.s11.base.nbytes == 16 * 9
+        assert np.array_equal(t.s12, np.broadcast_to(np.eye(3), (5, 3, 3)))
+        assert not np.any(t.s11)
+
     def test_lossless_composition_stays_unitary(self):
         rng = np.random.default_rng(11)
         g = grid()
@@ -221,7 +240,7 @@ class TestCascade:
         assert err.value.sample_index == 0
         # the same at sample 3 only: the error names that sample
         g = grid(5)
-        a, m = through_network(2, g), through_network(2, g)
+        a, m = (writable(through_network(2, g)) for _ in range(2))
         a.s22[3] = m.s11[3] = np.eye(2)
         with pytest.raises(SingularSampleError) as err:
             cascade(a, m)
@@ -283,7 +302,7 @@ class TestSlabs:
     def through_pair(self):
         g = default_grid()
         assert len(_slabs(g.size, 2 * self.N)) > 1
-        return through_network(self.N, g), through_network(self.N, g)
+        return tuple(writable(through_network(self.N, g)) for _ in range(2))
 
     def test_singular_sample_in_a_later_slab(self):
         a, m = self.through_pair()
@@ -315,8 +334,22 @@ class TestSlabs:
         assert err.value.sample_index == 500
         assert err.value.frequency == a.grid.samples[500]
 
+    def test_only_second_inner_term_singular_in_a_later_slab(self):
+        # the construction above at sample 500, inside a slab that starts
+        # at 480: the error names the sample on the whole grid
+        a, m = self.through_pair()
+        delta, x = 1e-10, 1e2
+        m.s11[500, :2, :2] = [[1, -x], [0, 1]]
+        a.s22[500, :2, :2] = np.diag([1 - delta, 0])
+        assert _slabs(a.grid.size, 2 * self.N)[15] == slice(480, 512)
+        with pytest.raises(SingularSampleError,
+                           match=r"\(I - S22a S11m\) at sample 500 ") as err:
+            cascade(a, m)
+        assert err.value.sample_index == 500
+        assert err.value.frequency == a.grid.samples[500]
+
     def test_nan_in_a_later_slab_fails_the_lossless_check(self):
-        s = through_network(self.N, default_grid())
+        s = writable(through_network(self.N, default_grid()))
         s.s11[500, 0, 0] = np.nan
         ok, worst = check_lossless(s)
         assert not ok and np.isnan(worst)
@@ -339,8 +372,10 @@ class TestSlabs:
                 tracemalloc.stop()
 
         chained, peak = peak_above_entry(cascade, ext, through)
+        # outputs, the whole-grid (I - S11m S22a) and one slab's temporaries
+        # (12.9 MiB); a whole-grid (I - S22a S11m) adds 2.3 MiB, and
         # whole-grid temporaries peaked at 18.8 MiB
-        assert peak <= 4 * ext.s11.nbytes + 7 * mib
+        assert peak <= 5 * ext.s11.nbytes + 2 * mib
         _, peak = peak_above_entry(check_lossless, chained)
         assert peak <= 4 * mib  # whole-grid temporaries peaked at 28.3 MiB
 
