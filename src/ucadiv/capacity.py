@@ -12,9 +12,6 @@ bit-for-bit regardless of how the work is partitioned.
 import math
 import numbers
 import os
-# kept at module level although serial runs never use it (~18 ms of import):
-# perfbench/tracer.py times the pool by replacing this binding
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,15 +262,25 @@ def _monte_carlo(config: SimConfig, points):
     if not points:
         return []
     indices = np.arange(config.realizations)
-    # the pool starts all its processes at once: no more than there are CPUs
-    processes = min(config.workers, os.cpu_count() or 1)
+    # the pool starts all its processes at once: no more than may run here
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    processes = min(config.workers, cpus)
     if processes <= 1:
         return _simulate(config, points, indices)
     chunks = np.array_split(indices, processes * 4)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    with __getattr__("ProcessPoolExecutor")(max_workers=processes) as pool:
         parts = list(pool.map(_pool_run,
                               [(config, points, c) for c in chunks]))
     return [np.concatenate(col) for col in zip(*parts)]
+
+
+def __getattr__(name):
+    # PEP 562: the pool loads on first use; a class bound here already stays
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return globals().setdefault(name, ProcessPoolExecutor)
 
 
 def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):

@@ -15,8 +15,6 @@ round-trip exactly; everything the writer did not produce is rejected with
 a line-numbered diagnostic.
 """
 
-import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -301,6 +299,7 @@ def _entries(doc, key, convert):
 
 
 def load_config(path) -> RunConfig:
+    import json  # here, not at import: `modes`, `match` and `fit` never use it
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -311,6 +310,8 @@ def load_config(path) -> RunConfig:
 
 def config_hash(config: RunConfig):
     """Stable short hash over the full configuration."""
+    import hashlib
+    import json
     canon = json.dumps(config.to_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -330,6 +331,7 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     Both files are reproducible byte-for-byte from the same configuration
     and seed; the JSON embeds the full configuration.
     """
+    import json
     os.makedirs(out_dir, exist_ok=True)
     h = config_hash(run_config)
     scale, unit = capacity_unit(to_bits)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -269,25 +270,26 @@ class TestOutage:
         assert half == 0.5 * (hi - lo)
 
 
-_SCIPY_LOADED = (
-    "import sys\n"
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-)
+# every loaded top-level package, on one line
+_LOADED = ("import sys\n"
+           "print(*sorted({m.split('.')[0] for m in sys.modules}))\n")
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["sweep", "--spacing", "0.25", "--realizations", "100"],
-    ["capacity", "--spacing", "0.25", "--realizations", "1000"],
-    ["modes", "--fixture", "table1"],
-    ["match", "--fixture", "table1"],
-    ["fit", "{tmp}/table1.csv"],
-    ["sweep", "--config", "{tmp}/files.json"],
+@pytest.mark.parametrize("argv,emits", [
+    (None, False),
+    (["sweep", "--spacing", "0.25", "--realizations", "100"], True),
+    (["capacity", "--spacing", "0.25", "--realizations", "1000"], True),
+    (["modes", "--fixture", "table1"], False),
+    (["match", "--fixture", "table1"], False),
+    (["fit", "{tmp}/table1.csv"], False),
+    (["sweep", "--config", "{tmp}/files.json"], True),
 ], ids=["import", "sweep", "capacity", "modes", "match", "fit", "sweep-files"])
-def test_import_and_cli_leave_scipy_unloaded(argv, tmp_path):
+def test_import_and_cli_leave_scipy_unloaded(argv, emits, tmp_path):
     # no runtime path loads scipy: not the import, the Monte-Carlo runs,
     # the fixture modes, the resonance fit, the quadrature check of
-    # `match` or a sweep over impedance files
+    # `match` or a sweep over impedance files; none of them starts a pool,
+    # so none loads one, and only the runs that hash and write json load
+    # hashlib and json
     write_impedance(table1_sweep(), tmp_path / "table1.csv")
     (tmp_path / "files.json").write_text(json.dumps({
         "spacings": [0.25], "realizations": 100, "input": "files",
@@ -307,10 +309,18 @@ def test_import_and_cli_leave_scipy_unloaded(argv, tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code + _SCIPY_LOADED],
+        [sys.executable, "-c", code + _LOADED],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    unused = {"scipy", "concurrent", "multiprocessing"}
+    assert not loaded & (unused if emits else unused | {"hashlib", "json"})
+
+
+def claim_cpus(monkeypatch, n):
+    """Let ``capacity`` see ``n`` CPUs that this process may run on."""
+    monkeypatch.setattr(capacity.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
 
 
 class TestRunMonteCarlo:
@@ -366,7 +376,7 @@ class TestRunMonteCarlo:
                 return map(fn, args)
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(capacity.os, "cpu_count", lambda: 3)
+        claim_cpus(monkeypatch, 3)
         cfg = SimConfig(realizations=300, seed=5, workers=1000)
         got = run_monte_carlo(cfg, 0.25)
         assert sizes == [3]
@@ -382,12 +392,58 @@ class TestRunMonteCarlo:
             raise AssertionError("a pool was started for one process")
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(capacity.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity call and no CPU count: one process
+            monkeypatch.delattr(capacity.os, "sched_getaffinity",
+                                raising=False)
+            monkeypatch.setattr(capacity.os, "cpu_count", lambda: None)
+        else:  # the machine has more CPUs than this process may run on
+            claim_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(capacity.os, "cpu_count", lambda: cpus + 1)
         cfg = SimConfig(realizations=300, seed=5, workers=4)
         serial = replace(cfg, workers=1)
         assert sweep(cfg).points == sweep(serial).points
         assert np.array_equal(run_monte_carlo(cfg, 0.25),
                               run_monte_carlo(serial, 0.25))
+
+
+class TestPoolSeam:
+    """``capacity.ProcessPoolExecutor``, which tests and tracers replace."""
+
+    def test_first_access_binds_the_standard_pool(self, monkeypatch):
+        monkeypatch.delitem(vars(capacity), "ProcessPoolExecutor",
+                            raising=False)
+        assert capacity.ProcessPoolExecutor is ProcessPoolExecutor
+        # a tracer finds the class by scanning the module's namespace
+        assert vars(capacity)["ProcessPoolExecutor"] is ProcessPoolExecutor
+
+    def test_run_uses_the_class_set_here(self, monkeypatch):
+        starts = []
+
+        class InProcessPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                starts.append(max_workers)
+                super().__init__(max_workers=1)
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        # set before the first access: the run must not replace it
+        monkeypatch.delitem(vars(capacity), "ProcessPoolExecutor",
+                            raising=False)
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", InProcessPool,
+                            raising=False)
+        claim_cpus(monkeypatch, 2)
+        cfg = SimConfig(realizations=300, seed=5, workers=2)
+        got = run_monte_carlo(cfg, 0.25)
+        assert starts == [2]
+        assert capacity.ProcessPoolExecutor is InProcessPool
+        assert np.array_equal(got, run_monte_carlo(replace(cfg, workers=1),
+                                                   0.25))
+
+    def test_other_names_stay_missing(self):
+        with pytest.raises(AttributeError, match=r"'ucadiv\.capacity' has no "
+                                                 r"attribute 'no_such_name'"):
+            capacity.no_such_name
 
 
 def dark_mode_set():
@@ -423,7 +479,7 @@ class TestBlockedKernel:
         # 4 chunks per process, of 72-73 realizations for 2 processes and
         # 48-49 for 3: chunk starts fall inside blocks, and the larger chunks
         # span two blocks; enough CPUs are claimed to start one per worker
-        monkeypatch.setattr(capacity.os, "cpu_count", lambda: workers)
+        claim_cpus(monkeypatch, workers)
         m = 9 * _BLOCK + 5
         cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
                         seed=23, workers=workers)
@@ -489,7 +545,7 @@ class TestSharedDraws:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(capacity.os, "cpu_count", lambda: 2)
+        claim_cpus(monkeypatch, 2)
         curve = sweep(SimConfig(realizations=150, seed=37, workers=2))
         assert len(curve.points) == 5
         assert all(p.error is None for p in curve.points)
