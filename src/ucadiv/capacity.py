@@ -122,16 +122,18 @@ class SpacingResult:
     c_out: float = math.nan
     ci_half_width: float = math.nan
     n_samples: int = 0
-    error: str = None
-    cause: UcadivError = None  # the exception behind ``error``
+    cause: UcadivError = None  # why the point failed, if it did
+
+    @property
+    def error(self):
+        return None if self.cause is None else str(self.cause)
 
 
 @dataclass
 class OutageCurve:
-    """Outage capacity versus adjacent-element spacing, plus run metadata."""
+    """Outage capacity versus adjacent-element spacing."""
 
     points: list
-    config: SimConfig
 
 
 def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
@@ -250,10 +252,8 @@ def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
     # perfect match and unit noise
     shape = (config.subcarriers, config.n_antennas)
     eye = np.eye(config.n_antennas, dtype=complex)
-    corr = channel.CorrelationModel(
-        n=config.n_antennas, d=float(d), k_prime=config.planewaves,
-        r_h=eye, sqrt_r_h=eye.copy(),
-    )
+    corr = channel.CorrelationModel(n=config.n_antennas, r_h=eye,
+                                    sqrt_r_h=eye.copy())
     return corr, np.zeros(shape), np.ones(shape)
 
 
@@ -355,8 +355,8 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     points = []
     for d, p in zip(config.spacings, inputs):
         if isinstance(p, UcadivError):
-            points.append(SpacingResult(float(d), error=str(p), cause=p))
+            points.append(SpacingResult(float(d), cause=p))
             continue
         c0, half = outage(next(samples), config.outage_p)
         points.append(SpacingResult(float(d), c0, half, config.realizations))
-    return OutageCurve(points=points, config=config)
+    return OutageCurve(points=points)

@@ -77,8 +77,6 @@ class CorrelationModel:
     """Plane-wave spatial correlation of an N-element ring at spacing d."""
 
     n: int
-    d: float
-    k_prime: int
     r_h: np.ndarray
     sqrt_r_h: np.ndarray
 
@@ -123,8 +121,7 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
     # roundoff-scale eigenvalues would turn into sqrt(eps) noise; zero them
     vals[vals < 1e-14 * max(vals.max(), 1.0)] = 0.0
     sqrt_r_h = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return CorrelationModel(n=n, d=float(d), k_prime=int(k_prime),
-                            r_h=r_h, sqrt_r_h=sqrt_r_h)
+    return CorrelationModel(n=n, r_h=r_h, sqrt_r_h=sqrt_r_h)
 
 
 def equal_power_profile(l):

@@ -75,17 +75,6 @@ def _load_run_config(args) -> io.RunConfig:
     return replace(run, sim=replace(run.sim, **given))
 
 
-def _warn_unresolved(sim):
-    """Say on stderr when the sample count resolves the quantile coarsely.
-
-    Only a run that succeeds warns: a failed one prints its error alone.
-    """
-    if not sim.quantile_well_resolved:
-        print(f"warning: {sim.realizations} samples resolve the "
-              f"{sim.outage_p:g} outage quantile coarsely; about "
-              f"{100.0 / sim.outage_p:.0f} are needed", file=sys.stderr)
-
-
 def _mode_set_for(args, run: io.RunConfig, d):
     """Resolve the mode set for one spacing from the configured input."""
     if getattr(args, "fixture", None) == "table1":
@@ -98,6 +87,8 @@ def _mode_set_for(args, run: io.RunConfig, d):
                 sweep = io.parse_impedance(path)
             except OSError as exc:
                 raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+            if abs(sweep.d - d) >= 1e-12:
+                raise DataError(f"{path} describes spacing {sweep.d}, not {d}")
             return fit_modes(sweep)
     for spacing, triples in run.fixture_modes:
         if abs(spacing - d) < 1e-12:
@@ -143,7 +134,8 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
     """Sweep the run's spacings, write ``stem``.csv/.json, print each point.
 
     A failed point prints its error; once the files are written, the first
-    failure is raised again, so it sets the exit code.
+    failure is raised again, so it sets the exit code.  Only a run that
+    succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
     mode_source = None
     if run.sim.coupling:
@@ -164,7 +156,10 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
     failed = [p.cause for p in curve.points if p.cause is not None]
     if failed:
         raise failed[0]
-    _warn_unresolved(run.sim)
+    if not run.sim.quantile_well_resolved:
+        print(f"warning: {run.sim.realizations} samples resolve the "
+              f"{run.sim.outage_p:g} outage quantile coarsely; about "
+              f"{100.0 / run.sim.outage_p:.0f} are needed", file=sys.stderr)
     return 0
 
 

@@ -28,24 +28,22 @@ GAMMA_USABLE = 1.0 / 3.0
 class MatchSpec:
     """Box-car matching budget for one mode at relative bandwidth W.
 
-    ``gamma0`` is the conservative (capacity lower-bound) in-band reflection;
-    ``gamma0_sq_upper``/``gamma0_sq_lower`` carry both closed-form bounds.
-    ``rhp_zero`` is the diagnostic right-half-plane zero alpha + j beta
-    (beta kept at 0; the conjugate pair is implied).
+    ``gamma0`` is the conservative (capacity lower-bound) in-band reflection
+    and ``gamma0_sq`` its square; ``gamma0_sq_upper`` is the optimistic
+    closed-form bound.  ``rhp_zero`` is the diagnostic right-half-plane zero
+    alpha + j beta (beta kept at 0; the conjugate pair is implied).
     """
 
     w: float
     gamma0: float
     gamma0_sq_upper: float
-    gamma0_sq_lower: float
+    gamma0_sq: float
     rhp_zero: complex
-    usable: bool
-    q: float
-    f0: float
 
     @property
-    def gamma0_sq(self):
-        return self.gamma0_sq_lower
+    def usable(self):
+        """VSWR <= 2 over the band: gamma0 <= 1/3."""
+        return self.gamma0 <= GAMMA_USABLE
 
     @property
     def transmissivity(self):
@@ -72,11 +70,8 @@ def fano_boxcar(mode: ResonantMode, w) -> MatchSpec:
         w=w,
         gamma0=gamma0,
         gamma0_sq_upper=g_sq_upper,
-        gamma0_sq_lower=g_sq_lower,
+        gamma0_sq=g_sq_lower,
         rhp_zero=complex(alpha, 0.0),
-        usable=gamma0 <= GAMMA_USABLE,
-        q=q,
-        f0=f0,
     )
 
 
@@ -189,10 +184,10 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     bands are bisected.  Q W below ~0.0084 underflows: NumericError.
     """
     q, f0, w = mode.q, mode.f0, spec.w
-    if spec.gamma0_sq_lower == 0.0:
+    if spec.gamma0_sq == 0.0:
         raise NumericError(f"box-car budget of the mode with Q = {q:.6g} at "
                            f"W = {w:.6g} underflows double precision")
-    g0 = -math.log(spec.gamma0_sq_lower)
+    g0 = -math.log(spec.gamma0_sq)
     alpha = spec.rhp_zero.real
 
     def logprof(fn):

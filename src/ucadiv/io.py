@@ -92,22 +92,21 @@ def parse_impedance(path) -> ArraySweep:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}", path) from None
 
+    if not raw or raw[0][:1] != "#" or raw[0][1:].strip() != FORMAT_TAG:
+        raise ParseError(f"the first line must be '# {FORMAT_TAG}'", path, 1)
     header, header_line = {}, {}
-    body_start = None
-    for i, line in enumerate(raw):
-        if line.startswith("#"):
-            text = line[1:].strip()
-            if "=" in text:
-                key, _, val = text.partition("=")
-                header[key.strip()] = val.strip()
-                header_line[key.strip()] = i + 1
-            elif i == 0 and text != FORMAT_TAG:
-                raise ParseError(f"unrecognized format tag {text!r}", path, 1)
-            continue
-        body_start = i
-        break
-    if body_start is None:
+    for lineno, line in enumerate(raw[1:], 2):
+        if not line.startswith("#"):
+            break
+        key, eq, val = (part.strip() for part in line[1:].partition("="))
+        if not eq or key not in ("N", "d", "funit"):
+            raise ParseError(f"unknown header line {line!r}", path, lineno)
+        if key in header:
+            raise ParseError(f"repeated header field {key!r}", path, lineno)
+        header[key], header_line[key] = val, lineno
+    else:
         raise ParseError("file has no column header", path)
+    body_start = lineno - 1
 
     try:
         n = int(header["N"])
@@ -341,7 +340,7 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
         values = "error,error,0" if p.error is not None else (
             f"{_fmt(p.c_out * scale)},{_fmt(p.ci_half_width * scale)},"
             f"{p.n_samples}")
-        rows.append(f"{_fmt(p.d)},{values},{curve.config.seed},{h}")
+        rows.append(f"{_fmt(p.d)},{values},{run_config.sim.seed},{h}")
     doc = {
         "config": run_config.to_dict(),
         "config_hash": h,
@@ -386,7 +385,7 @@ def emit_match_report(mode_set, specs, reports, out_path=None):
             "rhp_zero_alpha,usable,residual_a,residual_b,residual_b_bound"]
     for mode, spec, rep in zip(mode_set.modes, specs, reports):
         rows.append(
-            f"{mode.dft_index},{_fmt(spec.q)},{_fmt(spec.f0)},{_fmt(spec.w)},"
+            f"{mode.dft_index},{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(spec.w)},"
             f"{_fmt(spec.gamma0)},{_fmt(spec.gamma0_sq)},"
             f"{_fmt(spec.gamma0_sq_upper)},{_fmt(spec.rhp_zero.real)},"
             f"{int(spec.usable)},{_fmt(rep.residual_a)},"

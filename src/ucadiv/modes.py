@@ -17,18 +17,12 @@ from .errors import (DataError, FitFailureError, NonPhysicalDataError,
 from .network import FrequencyGrid, MultiportS, dft_beamformer
 
 
-def uca_radius(n, d):
-    """Circumradius of an N-element ring with adjacent separation d."""
-    if n < 2:
-        return 0.0
-    return d / (2.0 * math.sin(math.pi / n))
-
-
 def uca_pairwise_distance(n, d, offset):
     """Chord distance between elements ``offset`` steps apart on the ring."""
     if n < 2 or offset % n == 0:
         return 0.0
-    return 2.0 * uca_radius(n, d) * math.sin(math.pi * (offset % n) / n)
+    radius = d / (2.0 * math.sin(math.pi / n))  # the ring's circumradius
+    return 2.0 * radius * math.sin(math.pi * (offset % n) / n)
 
 
 @dataclass
@@ -154,7 +148,7 @@ def eigen_impedances(sweep: ArraySweep):
     (index m vs N-m) hold bitwise.  Raises if any mode resistance on the
     grid is non-positive.
     """
-    lam = network.diagonalize_circulant(sweep.full_row(), sweep.n)
+    lam = network.diagonalize_circulant(sweep.full_row())
     re = lam.real
     if np.any(re <= 0):
         bad = np.argwhere(re <= 0)[0]

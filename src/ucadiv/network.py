@@ -19,6 +19,11 @@ from .errors import ModelMismatchError, SingularSampleError
 # separates physical open/short limits from ordinary roundoff.
 COND_LIMIT = 1e12
 
+# Largest relative asymmetry row[k] - row[N - k] of a symmetric circulant,
+# and largest Frobenius deviation of S S^H from I of a lossless 2N-port.
+CIRCULANT_TOL = 1e-8
+LOSSLESS_TOL = 1e-10
+
 # Size of one slab of complex (2N x 2N) per-sample matrices.
 _SLAB_BYTES = 2**19
 
@@ -49,14 +54,6 @@ class FrequencyGrid:
 def default_grid(span=0.15, points=601):
     """Uniform grid 1-span .. 1+span; the default fit axis for fixtures."""
     return FrequencyGrid(np.linspace(1.0 - span, 1.0 + span, points))
-
-
-def as_sweep(values):
-    """Complex (F, N, N) sweep; any other shape is rejected."""
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"sweep must have shape (F, N, N), got {arr.shape}")
-    return arr
 
 
 @dataclass
@@ -98,12 +95,6 @@ def _slabs(size, n):
     return [slice(k, k + step) for k in range(0, size, step)]
 
 
-def _solve_per_sample(a, b, grid, what):
-    """Solve a[k] x = b[k] for every sample, flagging near-singular systems."""
-    _guard(a, grid, what)
-    return np.linalg.solve(a, b)
-
-
 def _guard(a, grid, what, offset=0):
     """Raise SingularSampleError at the first sample with cond > COND_LIMIT.
 
@@ -139,9 +130,13 @@ def _guard(a, grid, what, offset=0):
 
 def z_to_s(z, grid=None):
     """Impedance sweep to 1-ohm scattering sweep: (Z + I)^-1 (Z - I)."""
-    z = as_sweep(z)
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 3 or z.shape[1] != z.shape[2]:
+        raise ValueError(f"sweep must have shape (F, N, N), got {z.shape}")
     eye = np.eye(z.shape[1], dtype=complex)
-    return _solve_per_sample(z + eye, z - eye, grid, "(Z + z_ref I)")
+    z_plus = z + eye
+    _guard(z_plus, grid, "(Z + z_ref I)")
+    return np.linalg.solve(z_plus, z - eye)
 
 
 def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
@@ -219,7 +214,7 @@ def complete_symmetric_row(first_row, n):
     return first_row[:, idx]
 
 
-def diagonalize_circulant(row, n, tol=1e-8):
+def diagonalize_circulant(row):
     """Eigenvalue traces of a symmetric circulant, ordered by DFT index.
 
     ``row`` holds the full first row per sample (shape (F, N)).  Returns
@@ -227,11 +222,10 @@ def diagonalize_circulant(row, n, tol=1e-8):
     which is an algebraic identity for symmetric rows.
     """
     row = np.atleast_2d(np.asarray(row, dtype=complex))
-    if row.shape[1] != n:
-        raise ValueError(f"row length {row.shape[1]} does not match N={n}")
+    n = row.shape[1]
     scale = np.maximum(np.max(np.abs(row), axis=1, keepdims=True), 1.0)
     asym = np.abs(row[:, 1:] - row[:, :0:-1]) / scale
-    if asym.size and np.max(asym) > tol:
+    if asym.size and np.max(asym) > CIRCULANT_TOL:
         k = int(np.argmax(np.max(asym, axis=1)))
         raise ModelMismatchError(
             f"first row violates circulant symmetry (worst relative "
@@ -243,7 +237,7 @@ def diagonalize_circulant(row, n, tol=1e-8):
     return lam
 
 
-def check_lossless(s: MultiportS, tol=1e-10):
+def check_lossless(s: MultiportS):
     """Verify S S^H = I per sample; returns (passed, worst Frobenius deviation)."""
     eye = np.eye(2 * s.n_ports)
     dev = np.empty(s.grid.size)
@@ -253,4 +247,4 @@ def check_lossless(s: MultiportS, tol=1e-10):
         prod -= eye
         dev[k] = np.linalg.norm(prod, axis=(1, 2))
     worst = float(np.max(dev))  # np.max keeps a NaN, so the check fails
-    return worst <= tol, worst
+    return worst <= LOSSLESS_TOL, worst

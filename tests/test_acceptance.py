@@ -193,8 +193,8 @@ def test_criterion_05_network_algebra():
     # unitary cascades stay unitary within 1e-9
     for n in (1, 2, 3):
         comp = cascade(random_lossless(n), random_lossless(n))
-        ok, worst = check_lossless(comp, tol=1e-9)
-        assert ok, f"cascade unitarity deviation {worst:.3g}"
+        _, worst = check_lossless(comp)
+        assert worst <= 1e-9, f"cascade unitarity deviation {worst:.3g}"
 
     # conversion round trip within 1e-12
     z = 50.0 * np.eye(2) + rng.standard_normal((6, 2, 2)) \
@@ -215,7 +215,7 @@ def test_criterion_05_network_algebra():
         partial = rng.standard_normal((5, n // 2 + 1)) \
             + 1j * rng.standard_normal((5, n // 2 + 1))
         row = complete_symmetric_row(partial, n)
-        lam = diagonalize_circulant(row, n)
+        lam = diagonalize_circulant(row)
         q = dft_beamformer(n)
         rebuilt = np.einsum("ij,fj,jk->fik", q, lam, q.conj().T)
         want = circulant_from_row(row)

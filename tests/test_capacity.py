@@ -73,8 +73,7 @@ def kernel_inputs(config, d, mode_set=None):
     n, k = config.n_antennas, config.subcarriers
     if not config.coupling:
         eye = np.eye(n, dtype=complex)
-        corr = CorrelationModel(n=n, d=d, k_prime=config.planewaves,
-                                r_h=eye, sqrt_r_h=eye.copy())
+        corr = CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
         return corr, np.zeros((k, n)), np.ones((k, n))
     front, cov = _match_and_noise(
         config, mode_set or CouplingModel().mode_set(n, d)

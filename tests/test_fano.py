@@ -31,11 +31,11 @@ class TestFanoBoxcar:
             q = rng.uniform(0.2, 80)
             w = rng.uniform(1e-4, 1.9)
             spec = fano_boxcar(ResonantMode(r=50, q=q, f0=1.0), w)
-            assert 0.0 < spec.gamma0_sq_upper <= spec.gamma0_sq_lower < 1.0
+            assert 0.0 < spec.gamma0_sq_upper <= spec.gamma0_sq < 1.0
 
     def test_bounds_tighten_as_w_shrinks(self):
         qs = fano_boxcar(NARROW, 1e-5)
-        assert_allclose(qs.gamma0_sq_upper, qs.gamma0_sq_lower, rtol=1e-3)
+        assert_allclose(qs.gamma0_sq_upper, qs.gamma0_sq, rtol=1e-3)
 
     def test_usability_boundary_exact(self):
         q = 16.0

@@ -18,8 +18,8 @@ from ucadiv.modes import retune
 
 
 def perfect_spec(w=0.02):
-    return MatchSpec(w=w, gamma0=0.0, gamma0_sq_upper=0.0, gamma0_sq_lower=0.0,
-                     rhp_zero=0j, usable=True, q=1.0, f0=1.0)
+    return MatchSpec(w=w, gamma0=0.0, gamma0_sq_upper=0.0, gamma0_sq=0.0,
+                     rhp_zero=0j)
 
 
 def table1_specs(w=0.02):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ucadiv import capacity
-from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
+from ucadiv.capacity import OutageCurve, SpacingResult
 from ucadiv.cli import cli_main
 from ucadiv.errors import ConfigError, ParseError, UcadivError
 from ucadiv.fixtures import (
@@ -140,6 +140,13 @@ class TestImpedanceFiles:
         ("# d = 0.25", "# d = nan", 3),
         ("# d = 0.25", "# d = inf", 3),
         ("# d = 0.25", "# d = -1", 3),
+        # a header the writer never writes
+        pytest.param("# ucadiv impedance sweep v1\n", "", 1, id="no-tag"),
+        pytest.param("# d = 0.25\n", "# d = 0.25\n# d = 0.5\n", 4,
+                     id="repeated-key"),
+        pytest.param("# funit = relative\n",
+                     "# funit = relative\n# colour = blue\n", 5,
+                     id="unknown-key"),
     ])
     def test_non_finite_or_negative_value_names_line(self, tmp_path, old,
                                                      new, lineno):
@@ -921,7 +928,7 @@ class TestCli:
     def test_non_finite_result_writes_nothing(self, tmp_path):
         point = SpacingResult(d=0.25, c_out=math.inf, ci_half_width=0.0,
                               n_samples=150)
-        curve = OutageCurve(points=[point], config=SimConfig())
+        curve = OutageCurve(points=[point])
         with pytest.raises(ValueError, match="JSON"):
             emit_curve(curve, RunConfig(), tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -1088,6 +1095,28 @@ class TestCli:
                 (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert rows[0][1:3] == ["error", "error"]
         assert float(rows[1][1]) > 0
+
+    def test_files_of_another_spacing_fail_their_spacing_exit_3(self,
+                                                               tmp_path,
+                                                               capsys):
+        # the d = 0.25 file used to stand in for d = 0.5 with exit 0
+        path = tmp_path / "d025.csv"
+        write_impedance(table1_sweep(), path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25, 0.5], "realizations": 150, "input": "files",
+            "impedance_files": [[0.25, str(path)], [0.5, str(path)]],
+        }))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        message = f"{path} describes spacing 0.25, not 0.5"
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == f"d = 0.5: failed ({message})"
+        assert err == f"error: {message}\n"
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert float(rows[0][1]) > 0
+        assert rows[1][1:3] == ["error", "error"]
 
     def test_table1_fixture_with_another_n_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

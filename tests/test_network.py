@@ -19,8 +19,8 @@ from ucadiv.network import (
     dft_beamformer,
     diagonalize_circulant,
     through_network,
+    _guard,
     _slabs,
-    _solve_per_sample,
     z_to_s,
 )
 
@@ -37,9 +37,9 @@ def s_to_z(s, z_ref=1.0, grid=None):
     """
     s = np.asarray(s, dtype=complex)
     eye = np.eye(s.shape[1], dtype=complex)
-    zt = _solve_per_sample(np.transpose(eye - s, (0, 2, 1)),
-                           np.transpose(eye + s, (0, 2, 1)),
-                           grid, "(I - S), total reflection")
+    a = np.transpose(eye - s, (0, 2, 1))
+    _guard(a, grid, "(I - S), total reflection")
+    zt = np.linalg.solve(a, np.transpose(eye + s, (0, 2, 1)))
     return z_ref * np.transpose(zt, (0, 2, 1))
 
 
@@ -187,7 +187,7 @@ class TestCascade:
         g = grid()
         for n in (1, 2, 3):
             c = cascade(random_lossless(rng, n, g), random_lossless(rng, n, g))
-            ok, worst = check_lossless(c, tol=1e-10)
+            ok, worst = check_lossless(c)
             assert ok, f"unitarity deviation {worst}"
 
     def test_scalar_cascade_against_impedance_oracle(self):
@@ -413,7 +413,7 @@ class TestCirculant:
     def test_n2_eigenvalues(self):
         rng = np.random.default_rng(23)
         row = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        lam = diagonalize_circulant(row, 2)
+        lam = diagonalize_circulant(row)
         assert_allclose(lam[:, 0], row[:, 0] + row[:, 1], rtol=1e-14)
         assert_allclose(lam[:, 1], row[:, 0] - row[:, 1], rtol=1e-14)
 
@@ -424,7 +424,7 @@ class TestCirculant:
             for _ in range(3)
         )
         row = np.stack([z11, z12, z13, z12], axis=1)
-        lam = diagonalize_circulant(row, 4)
+        lam = diagonalize_circulant(row)
         assert_allclose(lam[:, 0], z11 + 2 * z12 + z13, rtol=1e-13)
         assert_allclose(lam[:, 1], z11 - z13, atol=1e-13)
         assert_allclose(lam[:, 2], z11 - 2 * z12 + z13, atol=1e-13)
@@ -433,7 +433,7 @@ class TestCirculant:
     def test_uncoupled_row(self):
         row = np.zeros((4, 3), dtype=complex)
         row[:, 0] = 5.0 + 1j
-        lam = diagonalize_circulant(row, 3)
+        lam = diagonalize_circulant(row)
         assert_allclose(lam, 5.0 + 1j)
 
     def test_reconstruction(self):
@@ -442,7 +442,7 @@ class TestCirculant:
             m = n // 2 + 1
             partial = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
             row = complete_symmetric_row(partial, n)
-            lam = diagonalize_circulant(row, n)
+            lam = diagonalize_circulant(row)
             q = dft_beamformer(n)
             rebuilt = np.einsum("ij,fj,jk->fik", q, lam, q.conj().T)
             want = circulant_from_row(row)
@@ -454,12 +454,12 @@ class TestCirculant:
         row[:, 1] = 2.0
         row[:, 3] = 5.0  # breaks row[1] == row[3]
         with pytest.raises(ModelMismatchError):
-            diagonalize_circulant(row, 4)
+            diagonalize_circulant(row)
 
 
 class TestLosslessCheck:
     def test_through_passes(self):
-        ok, worst = check_lossless(through_network(3, grid()), tol=1e-14)
+        ok, worst = check_lossless(through_network(3, grid()))
         assert ok and worst < 1e-14
 
     def test_absorber_fails(self):
@@ -515,7 +515,8 @@ class TestSingularGuard:
         b = np.ones_like(a)
         want = self.reference(a)
         try:
-            x = _solve_per_sample(a, b, g, "test system")
+            _guard(a, g, "test system")
+            x = np.linalg.solve(a, b)
         except SingularSampleError as exc:
             assert want[0] == "singular", (want, str(exc))
             k = want[1]

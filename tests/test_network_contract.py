@@ -50,9 +50,9 @@ def s_to_z(s, z_ref=1.0, grid=None):
     the transposed system, then a complex multiply by ``z_ref``.
     """
     eye = np.eye(s.shape[1], dtype=complex)
-    zt = network._solve_per_sample(np.transpose(eye - s, (0, 2, 1)),
-                                   np.transpose(eye + s, (0, 2, 1)),
-                                   grid, "(I - S), total reflection")
+    a = np.transpose(eye - s, (0, 2, 1))
+    network._guard(a, grid, "(I - S), total reflection")
+    zt = np.linalg.solve(a, np.transpose(eye + s, (0, 2, 1)))
     return z_ref * np.transpose(zt, (0, 2, 1))
 
 
