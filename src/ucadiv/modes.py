@@ -355,7 +355,7 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
 
     ``z_ref`` is a scalar (default the 1-ohm system reference, in which case
     S22a equals z_to_s of the impedance matrices) or a per-mode vector of
-    reference resistances.
+    finite, positive reference resistances.  S21 is S12, made read-only.
     """
     lam = eigen_impedances(sweep)
     zr = np.asarray(z_ref, dtype=float)
@@ -363,8 +363,8 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
         zr = np.full(sweep.n, float(zr))
     elif zr.shape != (sweep.n,):
         raise ValueError("per-mode z_ref must have one entry per DFT index")
-    if np.any(zr <= 0):
-        raise ValueError("reference resistances must be positive")
+    if not np.all(np.isfinite(zr) & (zr > 0)):
+        raise ValueError("reference resistances must be finite and positive")
 
     g = (lam - zr) / (lam + zr)
     t = np.sqrt(np.clip(1.0 - np.abs(g) ** 2, 0.0, None))
@@ -377,10 +377,11 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
         return np.einsum("fij,jk->fik", np.einsum("ij,fj->fij", q, diag), qh)
 
     s12 = assemble(t.astype(complex))
+    s12.flags.writeable = False  # reciprocal: one array is S12 and S21
     return MultiportS(
         s11=assemble(-np.conj(g)),
         s12=s12,
-        s21=s12.copy(),  # reciprocal; a copy so the blocks stay independent
+        s21=s12,
         s22=assemble(g),
         grid=sweep.grid,
     )

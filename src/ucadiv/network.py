@@ -5,8 +5,7 @@ frequencies f/fc.  A "sweep" is a complex ndarray of shape (F, N, N): one
 N x N matrix per grid sample.  Scattering descriptions of 2N-port networks
 are held in N x N block form by :class:`MultiportS`.  ``cascade`` and
 ``check_lossless`` bound their temporaries to slabs of ``_SLAB_BYTES`` per
-array, but for ``cascade``'s whole-grid (I - S11m S22a); their outputs stay
-F x N x N, with the bits of one whole-grid pass.
+array; their outputs stay F x N x N, with the bits of one whole-grid pass.
 """
 
 from dataclasses import dataclass
@@ -58,7 +57,10 @@ def default_grid(span=0.15, points=601):
 
 @dataclass
 class MultiportS:
-    """2N-port scattering description in N x N block form per frequency sample."""
+    """2N-port scattering description in N x N block form per frequency sample.
+
+    Blocks may be shared read-only arrays; copy a block to write into it.
+    """
 
     s11: np.ndarray
     s12: np.ndarray
@@ -133,6 +135,8 @@ def z_to_s(z, grid=None):
     z = np.asarray(z, dtype=complex)
     if z.ndim != 3 or z.shape[1] != z.shape[2]:
         raise ValueError(f"sweep must have shape (F, N, N), got {z.shape}")
+    if grid is not None and grid.size != z.shape[0]:
+        raise ValueError("sweep sample count does not match the grid")
     eye = np.eye(z.shape[1], dtype=complex)
     z_plus = z + eye
     _guard(z_plus, grid, "(Z + z_ref I)")
@@ -150,8 +154,9 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         S22c = S22m + S21m (I - S22a S11m)^-1 S22a S12m
 
     so the composite relates the outer wave vectors of the chain.
-    (I - S11m S22a) is checked over the whole grid first; (I - S22a S11m) is
-    built and checked per slab, and both are factored once per slab.
+    A first pass builds and checks (I - S11m S22a) slab by slab, so its
+    singular samples are named before any of (I - S22a S11m); the solve pass
+    builds both per slab again, checks (I - S22a S11m) and factors each once.
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -161,15 +166,18 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         raise ValueError("cascade requires a shared frequency grid")
     n = a.n_ports
     eye = np.eye(n, dtype=complex)
-    inner_m = eye - m.s11 @ a.s22
-    _guard(inner_m, a.grid, "resonant inner term (I - S11m S22a)")
-    s11, s12, s21, s22 = (np.empty_like(inner_m) for _ in range(4))
+    slabs = _slabs(a.grid.size, 2 * n)
+    for k in slabs:
+        _guard(eye - m.s11[k] @ a.s22[k], a.grid,
+               "resonant inner term (I - S11m S22a)", k.start)
+    s11, s12, s21, s22 = (np.empty((a.grid.size, n, n), dtype=complex)
+                          for _ in range(4))
     # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
-    for k in _slabs(a.grid.size, 2 * n):
+    for k in slabs:
         inner_a = eye - a.s22[k] @ m.s11[k]
         _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)",
                k.start)
-        xm = np.linalg.solve(inner_m[k], np.concatenate(
+        xm = np.linalg.solve(eye - m.s11[k] @ a.s22[k], np.concatenate(
             [m.s11[k], m.s12[k]], axis=2))
         ya = np.linalg.solve(inner_a, np.concatenate(
             [a.s21[k], a.s22[k] @ m.s12[k]], axis=2))

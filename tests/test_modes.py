@@ -279,8 +279,17 @@ class TestExtendTo2nPort:
         want = np.einsum("ij,fj,jk->fik", q, t.astype(complex), q.conj().T)
         assert np.array_equal(s.s12, want)
         assert np.array_equal(s.s21, want)
-        # callers may write into one block without touching the other
-        assert not np.shares_memory(s.s12, s.s21)
+        # reciprocal: one read-only array serves both blocks
+        assert s.s21 is s.s12
+        assert not s.s12.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.s21[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("z_ref", [np.nan, np.inf, [1.0, np.nan]])
+    def test_rejects_non_finite_reference(self, z_ref):
+        with pytest.raises(ValueError, match="finite and positive"):
+            extend_to_2n_port(table1_sweep(default_grid(points=21)),
+                              z_ref=z_ref)
 
     def test_uncoupled_unit_resistive_array(self):
         g = default_grid(points=21)

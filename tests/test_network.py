@@ -139,6 +139,15 @@ class TestZSConversion:
         assert err.value.sample_index == 1
         assert err.value.frequency == grid(4).samples[1]
 
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_grid_of_another_length_rejected(self, singular):
+        # a 601-sample sweep on a 21-point grid; Z + I singular at sample 500
+        z = np.broadcast_to(np.eye(2, dtype=complex), (601, 2, 2)).copy()
+        if singular:
+            z[500] = -np.eye(2)
+        with pytest.raises(ValueError, match="does not match the grid"):
+            z_to_s(z, grid=default_grid(points=21))
+
     def test_total_reflection_error(self):
         s = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
         with pytest.raises(SingularSampleError):
@@ -358,8 +367,7 @@ class TestSlabs:
         from ucadiv.fixtures import fixture_sweep
         from ucadiv.modes import extend_to_2n_port
 
-        ext = extend_to_2n_port(fixture_sweep(self.N, 0.25))
-        through = through_network(self.N, ext.grid)
+        sweep = fixture_sweep(self.N, 0.25)
         mib = 2**20
 
         def peak_above_entry(fn, *args):
@@ -371,11 +379,14 @@ class TestSlabs:
             finally:
                 tracemalloc.stop()
 
+        ext, peak = peak_above_entry(extend_to_2n_port, sweep)
+        # three blocks (S21 is S12) and one assembly temporary: 9.8 MiB
+        assert peak <= 4 * ext.s11.nbytes + mib
+        through = through_network(self.N, ext.grid)
         chained, peak = peak_above_entry(cascade, ext, through)
-        # outputs, the whole-grid (I - S11m S22a) and one slab's temporaries
-        # (12.9 MiB); a whole-grid (I - S22a S11m) adds 2.3 MiB, and
-        # whole-grid temporaries peaked at 18.8 MiB
-        assert peak <= 5 * ext.s11.nbytes + 2 * mib
+        # outputs and one slab's temporaries, both inner terms per slab:
+        # 10.7 MiB
+        assert peak <= 4 * ext.s11.nbytes + 2 * mib
         _, peak = peak_above_entry(check_lossless, chained)
         assert peak <= 4 * mib  # whole-grid temporaries peaked at 28.3 MiB
 
