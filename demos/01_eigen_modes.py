@@ -22,6 +22,7 @@ from ucadiv import (
     vswr,
     mode_reflection,
 )
+from ucadiv.modes import distinct_dft_indices
 
 # --- a two-element array, quarter-wavelength apart -------------------------
 
@@ -40,9 +41,9 @@ modes = fit_modes(sweep)
 print("\nfitted resonance parameters:")
 print(f"{'mode':>4} {'R (ohm)':>10} {'Q':>8} {'f0/fc':>8} "
       f"{'usable band (VSWR<=2)':>24}")
-for m in modes.modes:
+for k, m in enumerate(modes.modes):
     lo, hi = usable_bandwidth(m)
-    print(f"{m.dft_index:>4} {m.r:10.2f} {m.q:8.2f} {m.f0:8.4f} "
+    print(f"{k:>4} {m.r:10.2f} {m.q:8.2f} {m.f0:8.4f} "
           f"   [{lo:.4f}, {hi:.4f}]  width {hi - lo:.4f}")
 
 print("\nCoupling splits one antenna design into a broadband mode and a")
@@ -54,14 +55,14 @@ print("\npower transmissivity |T'|^2 per mode:")
 freqs = np.linspace(0.9, 1.1, 9)
 header = "  ".join(f"{f:6.3f}" for f in freqs)
 print(f"{'f/fc':>6}: {header}")
-for m in modes.modes:
+for k, m in enumerate(modes.modes):
     row = "  ".join(f"{eigen_mode_response(m, f):6.3f}" for f in freqs)
-    print(f"mode{m.dft_index:>2}: {row}")
+    print(f"mode{k:>2}: {row}")
 
 f_probe = 1.0
-for m in modes.modes:
+for k, m in enumerate(modes.modes):
     g = abs(mode_reflection(m, f_probe))
-    print(f"mode {m.dft_index} at the carrier: |Gamma'| = {g:.3f}, "
+    print(f"mode {k} at the carrier: |Gamma'| = {g:.3f}, "
           f"VSWR = {vswr(g):.2f}")
 
 # --- the array as a lossless 2N-port ------------------------------------------
@@ -81,8 +82,8 @@ print("\nlarger rings collapse symmetric DFT indices onto shared modes:")
 for n in (3, 4):
     ms = fit_modes(fixture_sweep(n, 0.25))
     desc = ", ".join(
-        f"index {m.dft_index} x{m.multiplicity} (Q={m.q:.1f})"
-        for m in ms.modes
+        f"index {k} x{mult} (Q={m.q:.1f})"
+        for (k, mult), m in zip(distinct_dft_indices(n), ms.modes)
     )
     print(f"  N={n}: {len(ms.modes)} distinct modes: {desc}")
 

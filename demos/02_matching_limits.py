@@ -20,9 +20,9 @@ modes = table1_fixture()
 print("box-car matching budget at W = 2%:")
 print(f"{'mode':>4} {'Q':>6} {'gamma0^2':>12} {'gamma0':>10} "
       f"{'in-band |T|^2':>14} {'VSWR':>7} {'usable':>7}")
-for m in modes.modes:
+for k, m in enumerate(modes.modes):
     spec = fano_boxcar(m, 0.02)
-    print(f"{m.dft_index:>4} {m.q:6.2f} {spec.gamma0_sq:12.3e} "
+    print(f"{k:>4} {m.q:6.2f} {spec.gamma0_sq:12.3e} "
           f"{spec.gamma0:10.3e} {spec.transmissivity:14.9f} "
           f"{vswr(spec.gamma0):7.3f} {str(spec.usable):>7}")
 
@@ -52,10 +52,10 @@ print(f"\nusability boundary for Q = 16: gamma0 hits 1/3 (VSWR = 2) at "
 # --- constraint residuals ----------------------------------------------------
 
 print("\nintegral-constraint residuals (quadrature against the budget):")
-for m in modes.modes:
+for k, m in enumerate(modes.modes):
     spec = fano_boxcar(m, 0.02)
     rep = fano_integral_check(spec, m)
-    print(f"  mode {m.dft_index}: (a) residual {rep.residual_a:+.2e}   "
+    print(f"  mode {k}: (a) residual {rep.residual_a:+.2e}   "
           f"(b) residual {rep.residual_b:+.2e} "
           f"(bound {rep.residual_b_bound:.2e})   ok = {rep.ok}")
 print("\nThe first constraint is exact by construction of the matching")

@@ -39,8 +39,8 @@ with tempfile.TemporaryDirectory(prefix="ucadiv_demo_") as workdir:
     back = parse_impedance(path)
     modes = fit_modes(back)
     print("\nre-fitted modes from the file:")
-    for m in modes.modes:
-        print(f"  mode {m.dft_index}: R = {m.r:.2f} ohm, Q = {m.q:.3f}, "
+    for k, m in enumerate(modes.modes):
+        print(f"  mode {k}: R = {m.r:.2f} ohm, Q = {m.q:.3f}, "
               f"f0 = {m.f0:.4f} fc")
 
     # --- a reproducible run from a config file -----------------------------

@@ -70,7 +70,6 @@ from .network import (
     check_lossless,
     default_grid,
     dft_beamformer,
-    diagonalize_circulant,
     through_network,
     z_to_s,
 )

@@ -182,8 +182,8 @@ def cmd_sweep(args):
 def cmd_fit(args):
     mode_set = fit_modes(io.parse_impedance(args.path))
     sys.stdout.write(io.emit_mode_report(mode_set, _out_path(args, "fit.csv")))
-    for m in mode_set.modes:
-        print(f"mode {m.dft_index}: rms fit residual {m.fit_residual:.3g} ohm",
+    for m, mode in enumerate(mode_set.modes):
+        print(f"mode {m}: rms fit residual {mode.fit_residual:.3g} ohm",
               file=sys.stderr)
     return 0
 

@@ -37,10 +37,6 @@ class NonPhysicalDataError(ModelError):
     """Passivity violated: non-positive mode resistance inside the band."""
 
 
-class ModelMismatchError(ModelError):
-    """Data inconsistent with the symmetric-circulant array structure."""
-
-
 class NoResonanceError(ModelError):
     """Reactance has no zero crossing inside the fit band."""
 

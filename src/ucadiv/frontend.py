@@ -103,8 +103,8 @@ def noise_cov(front: FrontEnd, mode_resistances, temps: NoiseTemps,
     """Eigen-basis noise covariance Sigma_nk / (4 kB B T0) per sub-carrier.
 
     ``mode_resistances`` is the length-N diagonal of Re(Lambda_A) (fitted
-    per-mode resistances, multiplicity-expanded, in units of the reference
-    impedance).
+    per-mode resistances placed on all N DFT indices by
+    ``EigenModeSet.expand``, in units of the reference impedance).
     """
     r = np.asarray(mode_resistances, dtype=float)
     if r.shape != front.gamma.shape[1:]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacity import OutageCurve, SimConfig
 from .errors import ConfigError, ParseError
-from .modes import ArraySweep, usable_bandwidth
+from .modes import ArraySweep, distinct_dft_indices, usable_bandwidth
 from .network import FrequencyGrid
 
 FORMAT_TAG = "ucadiv impedance sweep v1"
@@ -54,12 +54,10 @@ def _write_lines(path, lines):
 def write_impedance(sweep: ArraySweep, path):
     """Write an ArraySweep to the CSV sweep format.
 
-    A sweep the parser would refuse (no element, a non-finite or negative
-    spacing, fewer than two samples, a non-finite value) raises
-    ``ValueError`` before the file is opened.
+    A sweep the parser would refuse (a non-finite or negative spacing,
+    fewer than two samples, a non-finite value) raises ``ValueError``
+    before the file is opened.
     """
-    if sweep.n < 1:
-        raise ValueError(f"element count must be >= 1, got {sweep.n}")
     if not (math.isfinite(sweep.d) and sweep.d >= 0):
         raise ValueError(f"spacing must be finite and >= 0, got {sweep.d}")
     if sweep.grid.size < 2:
@@ -369,10 +367,11 @@ def emit_mode_report(mode_set, out_path=None):
     """Delimited mode table: index, multiplicity, R, Q, f0, L, C, band."""
     rows = ["dft_index,multiplicity,r_ohm,q,f0,l_per_fc,c_per_fc,"
             "band_lo,band_hi,band_width"]
-    for mode in mode_set.modes:
+    for (m, mult), mode in zip(distinct_dft_indices(mode_set.n),
+                               mode_set.modes):
         lo, hi = usable_bandwidth(mode)
         rows.append(
-            f"{mode.dft_index},{mode.multiplicity},{_fmt(mode.r)},"
+            f"{m},{mult},{_fmt(mode.r)},"
             f"{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(mode.inductance)},"
             f"{_fmt(mode.capacitance)},{_fmt(lo)},{_fmt(hi)},{_fmt(hi - lo)}"
         )
@@ -383,9 +382,10 @@ def emit_match_report(mode_set, specs, reports, out_path=None):
     """Delimited matching-budget table per distinct mode."""
     rows = ["dft_index,q,f0,w,gamma0,gamma0_sq,gamma0_sq_upper,"
             "rhp_zero_alpha,usable,residual_a,residual_b,residual_b_bound"]
-    for mode, spec, rep in zip(mode_set.modes, specs, reports):
+    for m, (mode, spec, rep) in enumerate(zip(mode_set.modes, specs,
+                                              reports)):
         rows.append(
-            f"{mode.dft_index},{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(spec.w)},"
+            f"{m},{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(spec.w)},"
             f"{_fmt(spec.gamma0)},{_fmt(spec.gamma0_sq)},"
             f"{_fmt(spec.gamma0_sq_upper)},{_fmt(spec.rhp_zero.real)},"
             f"{int(spec.usable)},{_fmt(rep.residual_a)},"

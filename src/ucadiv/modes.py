@@ -11,10 +11,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import network
 from .errors import (DataError, FitFailureError, NonPhysicalDataError,
                      NoResonanceError)
 from .network import FrequencyGrid, MultiportS, dft_beamformer
+
+
+def _ring_index(n):
+    """The ring's symmetry: DFT index k and N - k share row entry and mode."""
+    k = np.arange(n)
+    return np.minimum(k, n - k)
 
 
 def uca_pairwise_distance(n, d, offset):
@@ -30,8 +35,8 @@ class ArraySweep:
     """Swept first-row impedances of an N-element uniform circular array.
 
     ``first_row`` has shape (F, M) with M = N//2 + 1 independent entries
-    z11..z1M per sample; the symmetric-circulant completion supplies the
-    rest.  Spacing d is the adjacent separation in carrier wavelengths.
+    z11..z1M per sample; the ring's symmetry row[k] = row[N - k] supplies
+    the rest.  Spacing d is the adjacent separation in carrier wavelengths.
     """
 
     n: int
@@ -40,6 +45,8 @@ class ArraySweep:
     first_row: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"element count must be >= 1, got {self.n}")
         self.first_row = np.asarray(self.first_row, dtype=complex)
         m = self.n // 2 + 1
         if self.first_row.shape != (self.grid.size, m):
@@ -49,10 +56,12 @@ class ArraySweep:
             )
 
     def full_row(self):
-        return network.complete_symmetric_row(self.first_row, self.n)
+        return np.take(self.first_row, _ring_index(self.n), axis=-1)
 
     def impedance_matrices(self):
-        return network.circulant_from_row(self.full_row())
+        """Circulant Z[f, j, k] = full_row[f, (k - j) mod N]."""
+        k = np.arange(self.n)
+        return self.full_row()[:, (k - k[:, None]) % self.n]
 
 
 @dataclass(frozen=True)
@@ -60,19 +69,16 @@ class ResonantMode:
     """Series-RLC description of one eigen-impedance.
 
     lambda(f) = R [1 + j Q (f/f0 - f0/f)] with f relative to the carrier.
-    Degenerate DFT indices share one mode with multiplicity > 1.
     """
 
     r: float
     q: float
     f0: float
-    dft_index: int = 0
-    multiplicity: int = 1
     fit_residual: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 0 or self.q <= 0 or self.f0 <= 0:
-            raise DataError("R, Q and f0 must all be positive")
+        if not all(0 < v < math.inf for v in (self.r, self.q, self.f0)):
+            raise DataError("R, Q and f0 must all be finite and positive")
 
     @property
     def inductance(self):
@@ -91,64 +97,50 @@ class ResonantMode:
 
 @dataclass(frozen=True)
 class EigenModeSet:
-    """Distinct resonant modes covering all N DFT indices of an array."""
+    """Distinct resonant modes covering all N DFT indices of an array.
+
+    ``modes[m]`` is the mode of DFT index m (and N - m), in
+    ``distinct_dft_indices`` order.
+    """
 
     n: int
     modes: tuple
 
     def __post_init__(self):
-        owner = {}  # DFT index -> position of the mode owning it
-        for j, mode in enumerate(self.modes):
-            m, mult = mode.dft_index, mode.multiplicity
-            # a mode owns index m, and N - m too if its multiplicity is 2
-            for i in (m, self.n - m)[:mult] if mult in (1, 2) else (-1,):
-                if not 0 <= i < self.n or i in owner:
-                    raise ValueError(f"mode {j} (DFT index {m}, multiplicity "
-                                     f"{mult}) does not fit N={self.n}")
-                owner[i] = j
-        if len(owner) != self.n:
-            raise ValueError(f"the modes own {len(owner)} of N={self.n} "
-                             "DFT indices")
-        object.__setattr__(self, "_owner", [owner[i] for i in range(self.n)])
+        if self.n < 1 or len(self.modes) != self.n // 2 + 1:
+            raise ValueError(f"need N >= 1 and N//2 + 1 modes, got N={self.n} "
+                             f"and {len(self.modes)} modes")
 
     @classmethod
     def from_params(cls, n, params):
         """Modes from (R, Q, f0) triples, in ``distinct_dft_indices`` order."""
-        indices = distinct_dft_indices(n)
-        if len(params) != len(indices):
-            raise DataError(f"need {len(indices)} (R, Q, f0) triples for "
+        if len(params) != n // 2 + 1:
+            raise DataError(f"need {n // 2 + 1} (R, Q, f0) triples for "
                             f"N={n}, got {len(params)}")
-        return cls(n=n, modes=tuple(
-            ResonantMode(r=r, q=q, f0=f0, dft_index=m, multiplicity=mult)
-            for (r, q, f0), (m, mult) in zip(params, indices)
-        ))
+        return cls(n, tuple(ResonantMode(*p) for p in params))
 
     def expand(self, values):
         """Per-mode scalars or equal-shape arrays on a new last axis of N.
 
-        Entry i of that axis is the value of the mode owning DFT index i; a
-        mode of multiplicity 2 owns indices m and N - m.
+        Entry k of that axis is the value of mode min(k, N - k).
         """
-        return np.take(np.stack(values, axis=-1), self._owner, axis=-1)
+        return np.take(np.stack(values, axis=-1), _ring_index(self.n), axis=-1)
 
 
 def distinct_dft_indices(n):
     """Representative DFT indices and multiplicities: pairs (m, N-m) merge."""
-    out = []
-    for m in range(n // 2 + 1):
-        mult = 1 if (m == 0 or 2 * m == n) else 2
-        out.append((m, mult))
-    return out
+    return [(m, 1 if m == 0 or 2 * m == n else 2) for m in range(n // 2 + 1)]
 
 
 def eigen_impedances(sweep: ArraySweep):
     """Per-mode eigen-impedance traces, shape (F, N), ordered by DFT index.
 
-    The traces are the DFT of the completed first row; degenerate equalities
-    (index m vs N-m) hold bitwise.  Raises if any mode resistance on the
-    grid is non-positive.
+    The traces are the DFT of the completed first row, read at min(k, N - k)
+    so that degenerate equalities (index m vs N-m) hold bitwise.  Raises if
+    any mode resistance on the grid is non-positive.
     """
-    lam = network.diagonalize_circulant(sweep.full_row())
+    lam = np.take(np.fft.fft(sweep.full_row(), axis=1), _ring_index(sweep.n),
+                  axis=-1)
     re = lam.real
     if np.any(re <= 0):
         bad = np.argwhere(re <= 0)[0]
@@ -223,7 +215,7 @@ def _golden_min(fun, xa, xb, xc, xtol):
     return x1 if f1 < f2 else x2
 
 
-def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
+def fit_rlc(trace, grid: FrequencyGrid):
     """Fit a series-RLC resonance to one eigen-impedance trace.
 
     R is fixed to the band-average resistance; f0 is then refined from the
@@ -273,20 +265,14 @@ def fit_rlc(trace, grid: FrequencyGrid, dft_index=0, multiplicity=1):
     q, sq = profile(f0)
     if q <= 0:
         raise FitFailureError(f"fitted quality factor is non-positive ({q:.4g})")
-    return ResonantMode(
-        r=r, q=q, f0=f0, dft_index=dft_index, multiplicity=multiplicity,
-        fit_residual=math.sqrt(sq / f.size),
-    )
+    return ResonantMode(r, q, f0, fit_residual=math.sqrt(sq / f.size))
 
 
 def fit_modes(sweep: ArraySweep) -> EigenModeSet:
     """Eigen-decompose an array sweep and fit every distinct mode."""
     lam = eigen_impedances(sweep)
-    modes = tuple(
-        fit_rlc(lam[:, m], sweep.grid, dft_index=m, multiplicity=mult)
-        for m, mult in distinct_dft_indices(sweep.n)
-    )
-    return EigenModeSet(n=sweep.n, modes=modes)
+    return EigenModeSet(sweep.n, tuple(
+        fit_rlc(lam[:, m], sweep.grid) for m in range(sweep.n // 2 + 1)))
 
 
 def mode_reflection(mode: ResonantMode, f):
@@ -391,8 +377,8 @@ def sweep_from_modes(modes: EigenModeSet, grid: FrequencyGrid, d) -> ArraySweep:
     """Synthesise an ArraySweep whose eigen-impedances are the given modes.
 
     Inverts the DFT relation: the first row per sample is the inverse DFT of
-    the multiplicity-expanded eigenvalue vector, so eigen-decomposing the
-    result recovers the mode traces exactly.
+    the eigenvalue vector ``expand`` places on all N indices, so
+    eigen-decomposing the result recovers the mode traces exactly.
     """
     lam = modes.expand([m.impedance(grid.samples) for m in modes.modes])
     row = np.fft.ifft(lam, axis=1)

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelMismatchError, SingularSampleError
+from .errors import SingularSampleError
 
 # Condition estimate above which a per-sample solve is treated as singular;
 # separates physical open/short limits from ordinary roundoff.
 COND_LIMIT = 1e12
 
-# Largest relative asymmetry row[k] - row[N - k] of a symmetric circulant,
-# and largest Frobenius deviation of S S^H from I of a lossless 2N-port.
-CIRCULANT_TOL = 1e-8
+# Largest Frobenius deviation of S S^H from I of a lossless 2N-port.
 LOSSLESS_TOL = 1e-10
 
 # Size of one slab of complex (2N x 2N) per-sample matrices.
@@ -199,50 +197,6 @@ def dft_beamformer(n):
     idx = np.arange(n)
     alpha = np.exp(-2j * np.pi / n)
     return alpha ** np.outer(idx, idx) / np.sqrt(n)
-
-
-def circulant_from_row(row):
-    """Build the circulant matrix C[j, k] = row[(k - j) mod N] per sample."""
-    row = np.atleast_2d(np.asarray(row, dtype=complex))
-    n = row.shape[1]
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return row[:, (k - j) % n]
-
-
-def complete_symmetric_row(first_row, n):
-    """Expand the independent entries z11..z1M (M = N//2 + 1) to a full row.
-
-    The symmetric-circulant structure fixes row[k] = row[N - k].
-    """
-    first_row = np.atleast_2d(np.asarray(first_row, dtype=complex))
-    m = n // 2 + 1
-    if first_row.shape[1] != m:
-        raise ValueError(f"expected {m} independent row entries for N={n}")
-    idx = np.minimum(np.arange(n), n - np.arange(n))
-    return first_row[:, idx]
-
-
-def diagonalize_circulant(row):
-    """Eigenvalue traces of a symmetric circulant, ordered by DFT index.
-
-    ``row`` holds the full first row per sample (shape (F, N)).  Returns
-    shape (F, N); degenerate pairs (index m and N-m) are made bitwise equal,
-    which is an algebraic identity for symmetric rows.
-    """
-    row = np.atleast_2d(np.asarray(row, dtype=complex))
-    n = row.shape[1]
-    scale = np.maximum(np.max(np.abs(row), axis=1, keepdims=True), 1.0)
-    asym = np.abs(row[:, 1:] - row[:, :0:-1]) / scale
-    if asym.size and np.max(asym) > CIRCULANT_TOL:
-        k = int(np.argmax(np.max(asym, axis=1)))
-        raise ModelMismatchError(
-            f"first row violates circulant symmetry (worst relative "
-            f"deviation {np.max(asym):.3g} at sample {k})"
-        )
-    lam = np.fft.fft(row, axis=1)
-    for m in range(1, (n - 1) // 2 + 1):
-        lam[:, n - m] = lam[:, m]
-    return lam
 
 
 def check_lossless(s: MultiportS):

@@ -33,6 +33,7 @@ from ucadiv.fano import fano_boxcar, fano_integral_check
 from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
 from ucadiv.frontend import NoiseTemps, build_frontend, n0_normalize, noise_cov, subcarrier_grid
 from ucadiv.modes import (
+    ArraySweep,
     ResonantMode,
     eigen_impedances,
     eigen_mode_response,
@@ -45,11 +46,8 @@ from ucadiv.network import (
     MultiportS,
     cascade,
     check_lossless,
-    circulant_from_row,
-    complete_symmetric_row,
     default_grid,
     dft_beamformer,
-    diagonalize_circulant,
     through_network,
     z_to_s,
 )
@@ -210,15 +208,19 @@ def test_criterion_05_network_algebra():
         q = dft_beamformer(n)
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) < 1e-13
 
-    # circulant reconstruction within 1e-10
+    # circulant reconstruction within 1e-10; Re z11 = 50 + N(0, 1) keeps
+    # every mode resistive, as eigen_impedances requires
     for n in (2, 3, 4, 8):
         partial = rng.standard_normal((5, n // 2 + 1)) \
             + 1j * rng.standard_normal((5, n // 2 + 1))
-        row = complete_symmetric_row(partial, n)
-        lam = diagonalize_circulant(row)
+        partial[:, 0] += 50.0
+        sweep = ArraySweep(n, 0.25, FrequencyGrid(np.linspace(0.9, 1.1, 5)),
+                           partial)
+        lam = eigen_impedances(sweep)
+        assert np.all(lam[:, n - 1] == lam[:, 1])  # bitwise degeneracy
         q = dft_beamformer(n)
         rebuilt = np.einsum("ij,fj,jk->fik", q, lam, q.conj().T)
-        want = circulant_from_row(row)
+        want = sweep.impedance_matrices()
         err = np.max(np.abs(rebuilt - want)) / np.max(np.abs(want))
         assert err < 1e-10, f"circulant reconstruction error {err:.3g}"
 
@@ -241,15 +243,9 @@ def test_criterion_06_noise_degeneracies():
     assert_allclose(cov.diag, 3.3 * np.ones_like(cov.diag), rtol=1e-14)
 
     # uncoupled baseline: Sigma / N0 = I within 1e-12
-    from dataclasses import replace
-
     iso = retune(ucadiv.isolated_mode(), 1.0)
     spec = fano_boxcar(iso, 0.02)
-    uncoupled = ucadiv.EigenModeSet(
-        n=2,
-        modes=(replace(iso, dft_index=0, multiplicity=1),
-               replace(iso, dft_index=1, multiplicity=1)),
-    )
+    uncoupled = ucadiv.EigenModeSet(n=2, modes=(iso, iso))
     front = build_frontend(uncoupled, [spec, spec], subcarrier_grid(64, 0.02))
     n0 = n0_normalize(NoiseTemps(), iso.r, spec.gamma0)
     cov = noise_cov(front, np.array([iso.r, iso.r]), NoiseTemps(), n0=n0)
@@ -330,10 +326,10 @@ def test_criterion_10_degenerate_modes():
     model = CouplingModel()
     m3 = model.mode_set(3, 0.25)
     assert len(m3.modes) == 2
-    assert sum(m.multiplicity for m in m3.modes) == 3
+    assert np.bincount(m3.expand([0, 1])).tolist() == [1, 2]
     m4 = model.mode_set(4, 0.25)
     assert len(m4.modes) == 3
-    assert sum(m.multiplicity for m in m4.modes) == 4
+    assert np.bincount(m4.expand([0, 1, 2])).tolist() == [1, 2, 1]
 
     # degeneracies are algebraic identities of the DFT
     lam3 = eigen_impedances(ucadiv.fixture_sweep(3, 0.25))

@@ -584,7 +584,7 @@ class TestSweep:
 
         modes = CouplingModel().mode_set(4, 0.25)
         assert len(modes.modes) == 3
-        assert sorted(m.multiplicity for m in modes.modes) == [1, 1, 2]
+        assert sorted(np.bincount(modes.expand([0, 1, 2]))) == [1, 1, 2]
         cfg = SimConfig(n_antennas=4, realizations=150, seed=2,
                         spacings=(0.25,))
         curve = sweep(cfg)

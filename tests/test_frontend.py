@@ -58,8 +58,8 @@ class TestBuildFrontend:
         modes, specs = table1_specs()
         freqs = subcarrier_grid(64, 0.02)
         front = build_frontend(modes, specs, freqs)
-        for mode, spec in zip(modes.modes, specs):
-            got = 1.0 - front.gamma[:, mode.dft_index] ** 2
+        for m, spec in enumerate(specs):
+            got = 1.0 - front.gamma[:, m] ** 2
             assert_allclose(got, 1.0 - spec.gamma0_sq, rtol=1e-12)
 
     def test_grid_outside_all_bands_rejected(self):
@@ -166,15 +166,8 @@ class TestN0Normalize:
         iso = retune(isolated_mode(), 1.0)
         spec = fano_boxcar(iso, 0.02)
         from ucadiv.modes import EigenModeSet
-        from dataclasses import replace
 
-        modes = EigenModeSet(
-            n=2,
-            modes=(
-                replace(iso, dft_index=0, multiplicity=1),
-                replace(iso, dft_index=1, multiplicity=1),
-            ),
-        )
+        modes = EigenModeSet(n=2, modes=(iso, iso))
         front = build_frontend(modes, [spec, spec], subcarrier_grid(64, 0.02))
         n0 = n0_normalize(NoiseTemps(), iso.r, spec.gamma0)
         cov = noise_cov(front, np.array([iso.r, iso.r]), NoiseTemps(), n0=n0)

@@ -251,14 +251,12 @@ class TestImpedanceFileBytes:
             write_impedance(sweep, path)
         assert not path.exists()
 
-    def test_refuses_no_element(self, tmp_path):
+    def test_refuses_no_element(self):
+        # ArraySweep itself refuses, so no such sweep reaches the writer
         g = default_grid(points=5)
-        sweep = ArraySweep(n=0, d=0.25, grid=g,
-                           first_row=np.ones((g.size, 1), dtype=complex))
-        path = tmp_path / "z.csv"
         with pytest.raises(ValueError, match="element count"):
-            write_impedance(sweep, path)
-        assert not path.exists()
+            ArraySweep(n=0, d=0.25, grid=g,
+                       first_row=np.ones((g.size, 1), dtype=complex))
 
     def test_refuses_a_single_sample(self, tmp_path):
         sweep = table1_sweep(FrequencyGrid(np.array([1.0])))
@@ -748,8 +746,8 @@ class TestCli:
         assert "residual" not in out
         modes = fit_modes(parse_impedance(path)).modes
         assert err.splitlines() == [
-            f"mode {m.dft_index}: rms fit residual {m.fit_residual:.3g} ohm"
-            for m in modes
+            f"mode {m}: rms fit residual {mode.fit_residual:.3g} ohm"
+            for m, mode in enumerate(modes)
         ]
 
     def test_coarse_quantile_warns_on_stderr(self, tmp_path, capsys):
@@ -843,7 +841,8 @@ class TestCli:
         for n, triples, message in [
             (4, [list(TABLE1_MODE1), list(TABLE1_MODE2)],
              "need 3 (R, Q, f0) triples for N=4, got 2"),
-            (2, [[-1, 1, 1], [1, 1, 1]], "R, Q and f0 must all be positive"),
+            (2, [[-1, 1, 1], [1, 1, 1]],
+             "R, Q and f0 must all be finite and positive"),
         ]:
             out = tmp_path / f"n{n}"
             cfg = tmp_path / f"run{n}.json"

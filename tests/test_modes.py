@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 from ucadiv.errors import DataError, NonPhysicalDataError, NoResonanceError
-from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
+from ucadiv.fixtures import (CouplingModel, isolated_mode, table1_fixture,
+                             table1_sweep)
 from ucadiv.modes import (
     ArraySweep,
     EigenModeSet,
@@ -29,14 +30,20 @@ TABLE1 = [(118.76, 3.75, 1.0425), (28.31, 16.0, 0.9675)]
 
 
 def rlc_sweep(n, mode_params, d=0.25, grid=None):
-    modes = []
-    from ucadiv.modes import distinct_dft_indices
-
-    for (r, q, f0), (m, mult) in zip(mode_params, distinct_dft_indices(n)):
-        modes.append(ResonantMode(r=r, q=q, f0=f0, dft_index=m,
-                                  multiplicity=mult))
-    return sweep_from_modes(EigenModeSet(n=n, modes=tuple(modes)),
+    return sweep_from_modes(EigenModeSet.from_params(n, mode_params),
                             grid or default_grid(), d)
+
+
+class TestArraySweep:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_element(self, n):
+        # else eigen_impedances, fit_modes and extend_to_2n_port fail later
+        # in numpy's reductions over a zero-size row
+        g = default_grid(points=5)
+        with pytest.raises(ValueError, match=f"^element count must be >= 1, "
+                                             f"got {n}$"):
+            ArraySweep(n=n, d=0.25, grid=g,
+                       first_row=np.ones((g.size, 1), dtype=complex))
 
 
 class TestEigenImpedances:
@@ -247,6 +254,23 @@ class TestUsableBandwidth:
             assert_allclose(vswr(g), 2.0, rtol=1e-8)
 
 
+class TestResonantMode:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["r", "q", "f0"])
+    def test_rejects_non_finite_or_non_positive(self, field, bad):
+        # NaN compares False with 0, so a bare "<= 0" check lets it through
+        params = {"r": 50.0, "q": 4.0, "f0": 1.0, field: bad}
+        with pytest.raises(DataError, match="finite and positive"):
+            ResonantMode(**params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_replace_runs_the_same_check(self, bad):
+        with pytest.raises(DataError):
+            retune(ResonantMode(*TABLE1[0]), bad)
+        with pytest.raises(DataError):
+            isolated_mode(f0=bad)
+
+
 class TestRetune:
     def test_fixed_point(self):
         m = ResonantMode(*TABLE1[0])
@@ -391,10 +415,10 @@ def placed_per_index(mode_set, values):
     """Per-mode values placed index by index on a new last axis of N."""
     out = np.empty(np.shape(values[0]) + (mode_set.n,),
                    dtype=np.result_type(*values))
-    for mode, v in zip(mode_set.modes, values):
-        out[..., mode.dft_index] = v
-        if mode.multiplicity > 1:
-            out[..., mode_set.n - mode.dft_index] = v
+    for (m, mult), v in zip(distinct_dft_indices(mode_set.n), values):
+        out[..., m] = v
+        if mult > 1:
+            out[..., mode_set.n - m] = v
     return out
 
 
@@ -416,14 +440,12 @@ class TestEigenModeSet:
     def test_from_params_follows_distinct_indices(self, n):
         params = [(1.0 + j, 2.0 + j, 1.0) for j in range(n // 2 + 1)]
         modes = EigenModeSet.from_params(n, params).modes
-        assert [(m.dft_index, m.multiplicity) for m in modes] == \
-            distinct_dft_indices(n)
+        assert len(modes) == len(distinct_dft_indices(n))
         assert [(m.r, m.q, m.f0) for m in modes] == params
 
     def test_from_params_table1(self):
         assert EigenModeSet.from_params(2, TABLE1) == EigenModeSet(2, (
-            ResonantMode(*TABLE1[0], dft_index=0, multiplicity=1),
-            ResonantMode(*TABLE1[1], dft_index=1, multiplicity=1),
+            ResonantMode(*TABLE1[0]), ResonantMode(*TABLE1[1]),
         ))
 
     def test_from_params_wrong_count(self):
@@ -432,24 +454,16 @@ class TestEigenModeSet:
             EigenModeSet.from_params(4, TABLE1)
 
     @pytest.mark.parametrize("n,layout", [
-        (2, [(0, 1), (0, 1)]),  # index 0 twice, index 1 never
-        (3, [(0, 2), (1, 1)]),  # index 0 has no partner index 3
-        (4, [(0, 1), (2, 2), (1, 1)]),  # index 2 is its own partner
-        (3, [(0, 3)]),  # no multiplicity above 2
-        (3, [(0, 1), (1, 1)]),  # index 2 unowned
+        (2, [10.0]),  # index 1 has no mode
+        (3, [10.0, 20.0, 30.0]),  # a third mode for two distinct indices
+        (4, [10.0, 20.0]),  # index 2 has no mode
+        (3, [10.0]),
+        (3, []),
+        (0, [10.0]),  # no element
+        (4, [10.0, 20.0, 30.0, 20.0]),  # N - m is not a mode of its own
     ])
     def test_layout_must_own_each_index_once(self, n, layout):
-        # expand used to read unset owner entries: [2., 0.], garbage
-        # indices or a bare IndexError
-        modes = tuple(ResonantMode(1.0, 2.0, 1.0, dft_index=m,
-                                   multiplicity=mult) for m, mult in layout)
+        # modes are in distinct_dft_indices order, so only N//2 + 1 fit
+        modes = tuple(ResonantMode(r, 2.0, 1.0) for r in layout)
         with pytest.raises(ValueError, match=f"N={n}"):
             EigenModeSet(n, modes)
-
-    def test_hand_built_layout_of_single_modes(self):
-        mode_set = EigenModeSet(3, tuple(
-            ResonantMode(r, 2.0, 1.0, dft_index=m, multiplicity=1)
-            for m, r in [(2, 30.0), (0, 10.0), (1, 20.0)]
-        ))
-        assert mode_set.expand([30.0, 10.0, 20.0]).tolist() == [10.0, 20.0,
-                                                                30.0]

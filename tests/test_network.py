@@ -1,4 +1,9 @@
-"""Multiport network algebra: conversions, cascade, DFT diagonalization."""
+"""Multiport network algebra: conversions, cascade, DFT diagonalization.
+
+The ring's circulant layout lives on ``modes.ArraySweep`` and
+``EigenModeSet.expand``; ``TestRingIndexBits`` pins it to the helpers it
+replaced, copied here as an oracle.
+"""
 
 import tracemalloc
 
@@ -6,18 +11,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ucadiv.errors import ModelMismatchError, SingularSampleError
+from ucadiv.errors import SingularSampleError
+from ucadiv.fixtures import CouplingModel, fixture_sweep
+from ucadiv.modes import ArraySweep, distinct_dft_indices, eigen_impedances
 from ucadiv.network import (
     COND_LIMIT,
     FrequencyGrid,
     MultiportS,
     cascade,
     check_lossless,
-    circulant_from_row,
-    complete_symmetric_row,
     default_grid,
     dft_beamformer,
-    diagonalize_circulant,
     through_network,
     _guard,
     _slabs,
@@ -420,52 +424,107 @@ class TestBeamformer:
             dft_beamformer(0)
 
 
+def random_sweep(rng, n, samples, offset=0.0):
+    """Random first rows; ``offset`` on Re z11 keeps every mode resistive."""
+    m = n // 2 + 1
+    row = rng.standard_normal((samples, m)) \
+        + 1j * rng.standard_normal((samples, m))
+    row[:, 0] += offset
+    return ArraySweep(n=n, d=0.25, grid=FrequencyGrid(
+        np.linspace(0.9, 1.1, samples)), first_row=row)
+
+
 class TestCirculant:
     def test_n2_eigenvalues(self):
-        rng = np.random.default_rng(23)
-        row = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        lam = diagonalize_circulant(row)
+        sw = random_sweep(np.random.default_rng(23), 2, 5, offset=10.0)
+        row = sw.full_row()
+        lam = eigen_impedances(sw)
         assert_allclose(lam[:, 0], row[:, 0] + row[:, 1], rtol=1e-14)
         assert_allclose(lam[:, 1], row[:, 0] - row[:, 1], rtol=1e-14)
 
     def test_n4_closed_forms(self):
-        rng = np.random.default_rng(29)
-        z11, z12, z13 = (
-            rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            for _ in range(3)
-        )
-        row = np.stack([z11, z12, z13, z12], axis=1)
-        lam = diagonalize_circulant(row)
+        sw = random_sweep(np.random.default_rng(29), 4, 5, offset=10.0)
+        z11, z12, z13 = sw.first_row.T
+        assert np.array_equal(sw.full_row(),
+                              np.stack([z11, z12, z13, z12], axis=1))
+        lam = eigen_impedances(sw)
         assert_allclose(lam[:, 0], z11 + 2 * z12 + z13, rtol=1e-13)
         assert_allclose(lam[:, 1], z11 - z13, atol=1e-13)
         assert_allclose(lam[:, 2], z11 - 2 * z12 + z13, atol=1e-13)
         assert np.array_equal(lam[:, 3], lam[:, 1])  # bitwise degeneracy
 
     def test_uncoupled_row(self):
-        row = np.zeros((4, 3), dtype=complex)
+        row = np.zeros((4, 2), dtype=complex)
         row[:, 0] = 5.0 + 1j
-        lam = diagonalize_circulant(row)
-        assert_allclose(lam, 5.0 + 1j)
+        sw = ArraySweep(n=3, d=0.25, grid=FrequencyGrid(
+            np.linspace(0.9, 1.1, 4)), first_row=row)
+        assert_allclose(eigen_impedances(sw), 5.0 + 1j)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(31)
         for n in (2, 3, 4, 5):
-            m = n // 2 + 1
-            partial = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
-            row = complete_symmetric_row(partial, n)
-            lam = diagonalize_circulant(row)
+            sw = random_sweep(rng, n, 4, offset=10.0)
+            lam = eigen_impedances(sw)
             q = dft_beamformer(n)
             rebuilt = np.einsum("ij,fj,jk->fik", q, lam, q.conj().T)
-            want = circulant_from_row(row)
+            want = sw.impedance_matrices()
             err = np.abs(rebuilt - want) / np.maximum(np.abs(want), 1.0)
             assert err.max() < 1e-10
 
-    def test_symmetry_violation_rejected(self):
-        row = np.ones((3, 4), dtype=complex)
-        row[:, 1] = 2.0
-        row[:, 3] = 5.0  # breaks row[1] == row[3]
-        with pytest.raises(ModelMismatchError):
-            diagonalize_circulant(row)
+
+def parent_complete_symmetric_row(first_row, n):
+    """Oracle: the former ``network.complete_symmetric_row``."""
+    first_row = np.atleast_2d(np.asarray(first_row, dtype=complex))
+    idx = np.minimum(np.arange(n), n - np.arange(n))
+    return first_row[:, idx]
+
+
+def parent_circulant_from_row(row):
+    """Oracle: the former ``network.circulant_from_row``."""
+    row = np.atleast_2d(np.asarray(row, dtype=complex))
+    n = row.shape[1]
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return row[:, (k - j) % n]
+
+
+def parent_diagonalize_circulant(row):
+    """Oracle: the former ``network.diagonalize_circulant`` (FFT + pair copy)."""
+    row = np.atleast_2d(np.asarray(row, dtype=complex))
+    n = row.shape[1]
+    lam = np.fft.fft(row, axis=1)
+    for m in range(1, (n - 1) // 2 + 1):
+        lam[:, n - m] = lam[:, m]
+    return lam
+
+
+def parent_expand(n, values):
+    """Oracle: the former owner-map ``EigenModeSet.expand``."""
+    owner = {}
+    for j, (m, mult) in enumerate(distinct_dft_indices(n)):
+        for i in (m, n - m)[:mult]:
+            owner[i] = j
+    return np.take(np.stack(values, axis=-1), [owner[i] for i in range(n)],
+                   axis=-1)
+
+
+class TestRingIndexBits:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_equals_former_circulant_helpers(self, n):
+        rng = np.random.default_rng(100 + n)
+        for sw in (random_sweep(rng, n, 7, offset=50.0),
+                   fixture_sweep(n, 0.25, default_grid(points=31))):
+            row = parent_complete_symmetric_row(sw.first_row, n)
+            assert np.array_equal(sw.full_row(), row)
+            assert np.array_equal(sw.impedance_matrices(),
+                                  parent_circulant_from_row(row))
+            assert np.array_equal(eigen_impedances(sw),
+                                  parent_diagonalize_circulant(row))
+        mode_set = CouplingModel().mode_set(n, 0.25)
+        arrays = [rng.standard_normal((3, 5)) for _ in mode_set.modes]
+        assert np.array_equal(mode_set.expand(arrays), parent_expand(n, arrays))
+        scalars = [m.r for m in mode_set.modes]
+        assert np.array_equal(mode_set.expand(scalars),
+                              parent_expand(n, scalars))
 
 
 class TestLosslessCheck:

@@ -20,7 +20,6 @@ from ucadiv.modes import (
     ArraySweep,
     EigenModeSet,
     ResonantMode,
-    distinct_dft_indices,
     eigen_impedances,
     fit_modes,
 )
@@ -29,7 +28,7 @@ SPACINGS = SimConfig().spacings
 FIXTURES = [(n, d) for n in (1, 2, 3, 4, 5, 8, 16, 17) for d in SPACINGS]
 
 
-def scipy_fit_rlc(trace, grid, dft_index=0, multiplicity=1):
+def scipy_fit_rlc(trace, grid):
     """The resonance fit as written against scipy.optimize.minimize_scalar."""
     f = grid.samples
     re, im = trace.real, trace.imag
@@ -62,16 +61,13 @@ def scipy_fit_rlc(trace, grid, dft_index=0, multiplicity=1):
             residual, bracket=bracket, method="golden", options={"xtol": 1e-13},
         ).x)
     q, sq = profile(f0)
-    return ResonantMode(r=r, q=q, f0=f0, dft_index=dft_index,
-                        multiplicity=multiplicity,
-                        fit_residual=math.sqrt(sq / f.size))
+    return ResonantMode(r=r, q=q, f0=f0, fit_residual=math.sqrt(sq / f.size))
 
 
 def scipy_fit_modes(sweep):
     lam = eigen_impedances(sweep)
     return EigenModeSet(n=sweep.n, modes=tuple(
-        scipy_fit_rlc(lam[:, m], sweep.grid, m, mult)
-        for m, mult in distinct_dft_indices(sweep.n)
+        scipy_fit_rlc(lam[:, m], sweep.grid) for m in range(sweep.n // 2 + 1)
     ))
 
 
