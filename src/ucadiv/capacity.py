@@ -12,7 +12,7 @@ bit-for-bit regardless of how the work is partitioned.
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class SimConfig:
     Every mode's box-car band is centred on the carrier, and its Fano
     budget depends on Q and ``relative_bandwidth`` alone, not on f0.
     ``realizations`` defaults to a desk-scale 5000; quantile confidence is
-    meaningful from about 100/outage_p samples upward.
+    meaningful from about 100/outage_p samples upward.  The ``temp_*``
+    fields are the ``NoiseTemps`` ratios, read together as ``temps``.
     """
 
     n_antennas: int = 2
@@ -53,7 +54,9 @@ class SimConfig:
     subcarriers: int = 64
     relative_bandwidth: float = 0.02
     snr_db: float = 10.0
-    temps: NoiseTemps = field(default_factory=NoiseTemps)
+    temp_antenna: float = NoiseTemps.t_antenna
+    temp_forward: float = NoiseTemps.t_forward
+    temp_reverse: float = NoiseTemps.t_reverse
     realizations: int = 5000
     outage_p: float = 0.01
     seed: int = 0
@@ -64,6 +67,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        self.temps  # a bad temperature is named before any other value
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
         for d in self.spacings:
@@ -100,6 +104,11 @@ class SimConfig:
                     and abs(p.sum() - 1.0) <= 1e-9):
                 raise ValueError("tap_powers must be finite, >= 0 and sum "
                                  f"to 1, got {list(self.tap_powers)}")
+
+    @property
+    def temps(self):
+        return NoiseTemps(self.temp_antenna, self.temp_forward,
+                          self.temp_reverse)
 
     @property
     def snr_linear(self):

@@ -4,8 +4,10 @@ Open-circuit path gains follow the Kronecker model: each delay tap is
 R_h^(1/2) w with w standard complex Gaussian, where the receive correlation
 R_h comes from a discrete ring of equal-gain plane waves.  Sub-carrier
 channel vectors are the DFT of the taps; the spatial DFT Q^H moves them to
-the eigen-basis.  Every step after the draw accepts leading batch axes, so
-blocks of realizations go through it at once.
+the eigen-basis.  Every step after the draw accepts leading batch axes.
+The Monte-Carlo kernel in ``capacity`` draws its blocks with
+``draw_tap_blocks`` but does the later steps itself, in antenna-major
+lanes, with the same bits as these per-step functions.
 """
 
 import math
@@ -90,27 +92,24 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
     """
     if n < 1:
         raise ValueError("need at least one antenna")
-    if d < 0:
+    if not d >= 0:  # NaN fails too
         raise ValueError("spacing must be nonnegative")
     if k_prime < 2 * n:
         raise ValueError(f"plane-wave count {k_prime} undersamples N={n}")
-    phi = 2.0 * np.pi * np.arange(k_prime) / k_prime
-    gain_sq = 1.0 / k_prime
     chords = [uca_pairwise_distance(n, d, k) for k in range(n)]
-    idx = np.arange(n)
-    dist = np.array(chords)[np.abs(idx[:, None] - idx)]
-    # a spacing too large for a finite phase gives NaN, not a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        r_h = gain_sq * np.exp(
-            1j * 2.0 * np.pi * dist[..., None] * np.cos(phi)
-        ).sum(axis=-1)
-    if not np.all(np.isfinite(r_h)):
-        raise NumericError(f"correlation matrix is not finite at spacing {d}")
     # from 2 pi d_max = 2**33 rad (d_max ~ 1.37e9 wavelengths) on, adjacent
-    # floats lie over 1e-6 rad apart and the phases are rounding noise
+    # floats lie over 1e-6 rad apart and the phases are rounding noise; an
+    # infinite chord has an infinite ulp, so every phase that passes is finite
     if math.ulp(2.0 * math.pi * max(chords)) > 1e-6:
         raise NumericError(f"spacing {d} is too large for the phases of "
                            "the correlation matrix to be resolved")
+    phi = 2.0 * np.pi * np.arange(k_prime) / k_prime
+    gain_sq = 1.0 / k_prime
+    idx = np.arange(n)
+    dist = np.array(chords)[np.abs(idx[:, None] - idx)]
+    r_h = gain_sq * np.exp(
+        1j * 2.0 * np.pi * dist[..., None] * np.cos(phi)
+    ).sum(axis=-1)
     r_h = 0.5 * (r_h + r_h.conj().T)  # kill roundoff asymmetry
 
     vals, vecs = np.linalg.eigh(r_h)

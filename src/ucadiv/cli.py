@@ -23,7 +23,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import fano, fixtures, io
-from .errors import DataError, ModelError, NumericError, UcadivError
+from .errors import DataError, ModelError, NumericError
 from .modes import EigenModeSet, fit_modes
 from .network import default_grid
 
@@ -46,9 +46,11 @@ def _add_input(p, spacings=1):
                    metavar="D", help="element spacing in wavelengths")
 
 
-def _add_out(p):
-    p.add_argument("--out", help="output directory "
-                   f"(default ${io.OUTDIR_ENV} or '.')")
+def _add_out(p, table=False):
+    """``--out``: a subcommand that prints a ``table`` writes it only there."""
+    p.add_argument("--out", help="also write the table into this directory"
+                   if table else f"output directory (default ${io.OUTDIR_ENV} "
+                   "or '.')")
 
 
 def _add_monte_carlo(p):
@@ -214,12 +216,12 @@ def build_parser():
 
     p = sub.add_parser("modes", help="eigen-impedance fit report")
     _add_input(p)
-    _add_out(p)
+    _add_out(p, table=True)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("match", help="box-car matching budget per mode")
     _add_input(p)
-    _add_out(p)
+    _add_out(p, table=True)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("capacity", help="single-spacing outage capacity")
@@ -236,7 +238,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="series-RLC fit of an impedance file")
     p.add_argument("path")
-    _add_out(p)
+    _add_out(p, table=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("fixture", help="emit a synthetic impedance file")
@@ -268,11 +270,6 @@ def cli_main(argv=None):
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except UcadivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
 
 
 def main():

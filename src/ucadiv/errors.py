@@ -2,7 +2,7 @@
 
 
 class UcadivError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class; every error is a DataError, ModelError or NumericError."""
 
 
 class DataError(UcadivError):

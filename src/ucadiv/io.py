@@ -17,8 +17,7 @@ a line-numbered diagnostic.
 
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
-from functools import reduce
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -169,31 +168,16 @@ def parse_impedance(path) -> ArraySweep:
 
 
 # ---------------------------------------------------------------------------
-# run configuration: each leaf field of SimConfig (NoiseTemps flattened) is
-# a config key, a to_dict entry and a hashed value
+# run configuration: each field of SimConfig is a config key, a to_dict
+# entry and a hashed value
 
-# fields whose config key is not the field name
-_RENAMES = {"t_antenna": "temp_antenna", "t_forward": "temp_forward",
-            "t_reverse": "temp_reverse"}
 # parsed and validated, but never emitted or hashed: it changes no result
 _UNHASHED = {"workers"}
-
-
-def _leaves(cls, path=()):
-    """(config key, attribute path, field) per leaf field, in field order."""
-    for f in fields(cls):
-        if is_dataclass(f.type):
-            yield from _leaves(f.type, path + (f.name,))
-        else:
-            yield _RENAMES.get(f.name, f.name), path + (f.name,), f
-
-
-_SIM_LEAVES = tuple(_leaves(SimConfig))
 # JSON types per key: a float takes any number, a tuple a list, and a field
 # that defaults to None also null
 _CONFIG_KEYS = {
-    key: {float: (int, float), tuple: (list,)}.get(f.type, (f.type,))
-    + ((type(None),) if f.default is None else ()) for key, _, f in _SIM_LEAVES
+    f.name: {float: (int, float), tuple: (list,)}.get(f.type, (f.type,))
+    + ((type(None),) if f.default is None else ()) for f in fields(SimConfig)
 }
 _CONFIG_KEYS.update(input=(str,), impedance_files=(list,),
                     fixture_modes=(list,))
@@ -215,8 +199,8 @@ class RunConfig:
 
     def to_dict(self):
         """The hashed configuration; ``json`` writes its tuples as lists."""
-        sim = {key: reduce(getattr, path, self.sim)
-               for key, path, _ in _SIM_LEAVES if key not in _UNHASHED}
+        sim = {f.name: getattr(self.sim, f.name) for f in fields(SimConfig)
+               if f.name not in _UNHASHED}
         return {**sim, "input": self.input_mode,
                 "impedance_files": self.impedance_files,
                 "fixture_modes": self.fixture_modes}
@@ -240,29 +224,22 @@ def config_from_dict(doc) -> RunConfig:
     if input_mode not in ("fixture", "files"):
         raise ConfigError(f"input mode must be 'fixture' or 'files', got "
                           f"{input_mode!r}")
+    given = {}  # an absent key keeps the field's default
     try:
-        sim = _build(SimConfig, doc)
+        for f in fields(SimConfig):
+            if f.name not in doc:
+                continue
+            if f.type is tuple:
+                _entries(doc, f.name, _number)  # checked, kept as written
+            value = doc[f.name]  # an int for a float field is hashed as float
+            given[f.name] = None if value is None else f.type(value)
+        sim = SimConfig(**given)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(sim=sim, input_mode=input_mode,
                      impedance_files=_entries(doc, "impedance_files", _pair),
                      fixture_modes=_entries(doc, "fixture_modes",
                                             lambda e: _pair(e, _triples)))
-
-
-def _build(cls, doc):
-    """``cls`` from the document; an absent key keeps the field's default."""
-    given = {}
-    for f in fields(cls):
-        key = _RENAMES.get(f.name, f.name)
-        if is_dataclass(f.type):
-            given[f.name] = _build(f.type, doc)
-        elif key in doc:
-            if f.type is tuple:
-                _entries(doc, key, _number)  # checked, kept as written
-            value = doc[key]  # an int for a float field is hashed as float
-            given[f.name] = None if value is None else f.type(value)
-    return cls(**given)
 
 
 def _number(value):

@@ -39,7 +39,6 @@ from ucadiv.channel import (
 )
 from ucadiv.errors import ModelError, NumericError
 from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
-from ucadiv.frontend import NoiseTemps
 from ucadiv.io import write_impedance
 from ucadiv.network import dft_beamformer
 
@@ -498,7 +497,8 @@ class TestBlockedKernel:
             raise AssertionError("taps drawn for a spacing that cannot run")
 
         monkeypatch.setattr(capacity.channel, "draw_tap_blocks", no_draws)
-        cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200)
+        cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
+                        realizations=200)
         with pytest.raises(NumericError, match=r"^zero noise floor \("):
             run_monte_carlo(cfg, 0.25, mode_set=dark_mode_set())
         [point] = sweep(replace(cfg, spacings=(0.25,)),
@@ -525,8 +525,9 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_spacing_leaves_others_alone(self, workers):
-        cfg = SimConfig(temps=NoiseTemps(1.0, 0.0, 0.0), realizations=200,
-                        spacings=(0.1, 0.25, 0.5), seed=31, workers=workers)
+        cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
+                        realizations=200, spacings=(0.1, 0.25, 0.5), seed=31,
+                        workers=workers)
         curve = sweep(cfg, mode_source=lambda d: (dark_mode_set()
                                                   if d == 0.25 else None))
         bad = curve.points[1]
@@ -611,6 +612,19 @@ class TestSimConfig:
     def test_snr_outside_range_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR must lie within"):
             SimConfig(snr_db=snr_db)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"subcarriers": 4}, "sub-carrier count must be >= tap count"),
+        ({"n_taps": 65}, "sub-carrier count must be >= tap count"),
+        ({"relative_bandwidth": 0.0}, r"relative bandwidth must lie in \("),
+        ({"relative_bandwidth": 2.0}, r"relative bandwidth must lie in \("),
+        ({"relative_bandwidth": float("nan")}, "relative bandwidth"),
+        # a bad temperature is named before every other check
+        ({"temp_forward": -1.0, "n_antennas": 0}, "noise temperatures"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + message):
+            SimConfig(**kwargs)
 
     def test_realization_count_fits_one_index_word(self):
         assert SimConfig(realizations=2**32).realizations == 2**32

@@ -81,6 +81,18 @@ class TestSpatialCorrelation:
         with pytest.raises(ValueError):
             spatial_correlation(4, 0.5, k_prime=6)
 
+    @pytest.mark.parametrize("n,d,k_prime,error,message", [
+        (0, 0.25, 32, ValueError, "need at least one antenna"),
+        (2, -0.1, 32, ValueError, "spacing must be nonnegative"),
+        (2, np.nan, 32, ValueError, "spacing must be nonnegative"),
+        # chord times cos(phi) summed over 7 azimuths is no Gram matrix
+        (3, 2.5, 7, ModelError,
+         r"correlation matrix is not PSD \(min eigenvalue -0.363\)"),
+    ])
+    def test_rejects_bad_arguments(self, n, d, k_prime, error, message):
+        with pytest.raises(error, match="^" + message):
+            spatial_correlation(n, d, k_prime)
+
     def test_unresolved_phases_rejected(self):
         # from 2 pi d = 2**33 rad on, adjacent phases lie over 1e-6 rad apart
         bound = 2.0**33 / (2.0 * np.pi)
@@ -133,6 +145,10 @@ class TestDrawTaps:
         with pytest.raises(ValueError):
             draw_taps(model, 3, np.array([0.5, 0.5, 0.5]),
                       realization_rng(0, 0))
+        with pytest.raises(ValueError, match="^profile length must equal"):
+            draw_taps(model, 3, equal_power_profile(2), realization_rng(0, 0))
+        with pytest.raises(ValueError, match="^need at least one tap$"):
+            equal_power_profile(0)
 
 
 def seed_sequence_key(seed, index):

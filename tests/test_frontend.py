@@ -67,6 +67,12 @@ class TestBuildFrontend:
         with pytest.raises(ModelError):
             build_frontend(modes, specs, np.array([0.5, 0.6]))
 
+    def test_one_spec_per_distinct_mode(self):
+        modes, specs = table1_specs()
+        with pytest.raises(ModelError, match=r"^need one match spec per "
+                                             r"distinct mode \(2\), got 1$"):
+            build_frontend(modes, specs[:1], subcarrier_grid(8, 0.02))
+
     def test_multiplicity_expansion(self):
         from ucadiv.fixtures import CouplingModel
 
@@ -83,6 +89,16 @@ class TestNoiseCov:
         modes, specs = table1_specs()
         self.front = build_frontend(modes, specs, subcarrier_grid(8, 0.02))
         self.r = modes.expand([m.r for m in modes.modes]).real
+
+    @pytest.mark.parametrize("r,message", [
+        ([118.76], "need one resistance per DFT index"),
+        ([[118.76, 28.31]], "need one resistance per DFT index"),
+        ([118.76, 0.0], "mode resistances must be positive"),
+        ([118.76, -28.31], "mode resistances must be positive"),
+    ])
+    def test_bad_resistances_rejected(self, r, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            noise_cov(self.front, r, NoiseTemps())
 
     def test_amplifier_only(self):
         temps = NoiseTemps(t_antenna=0.0, t_forward=3.0, t_reverse=0.0)

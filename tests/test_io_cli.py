@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ucadiv import capacity
+from ucadiv import capacity, errors
 from ucadiv.capacity import OutageCurve, SpacingResult
 from ucadiv.cli import cli_main
 from ucadiv.errors import ConfigError, ParseError, UcadivError
@@ -155,6 +155,22 @@ class TestImpedanceFiles:
         with pytest.raises(ParseError) as err:
             parse_impedance(path)
         assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize("old,new,message", [
+        (THREE_ROW_FILE[THREE_ROW_FILE.index("f,"):], "",
+         "file has no column header"),
+        ("1.0,72,1,21,0.5\n1.1,75,28,22,6\n", "",
+         "need at least two data rows"),
+        ("# N = 2", "# N = 0", "element count must be >= 1, got 0"),
+    ])
+    def test_whole_file_faults_name_no_line(self, tmp_path, old, new,
+                                            message):
+        path = tmp_path / "bad.csv"
+        path.write_text(THREE_ROW_FILE.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            parse_impedance(path)
+        assert err.value.lineno is None
+        assert str(err.value) == f"{path}: {message}"
 
     def test_not_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -300,10 +316,16 @@ class TestRunConfig:
     def test_bad_types_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"subcarriers": "sixty-four"})
+        with pytest.raises(ConfigError, match="^configuration document "
+                                              "must be an object$"):
+            config_from_dict([{"seed": 1}])
 
     def test_schema_violations_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"outage_p": 0.7})
+        with pytest.raises(ConfigError, match="^input mode must be 'fixture' "
+                                              "or 'files', got 'file'$"):
+            config_from_dict({"input": "file"})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.json"
@@ -311,6 +333,14 @@ class TestRunConfig:
         run = load_config(path)
         assert run.sim.seed == 42
         assert run.sim.realizations == 500
+
+    def test_json_syntax_error_names_its_line(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{\n  "seed": 42,\n}\n')  # a trailing comma
+        with pytest.raises(ParseError) as err:
+            load_config(path)
+        assert err.value.lineno == 3
+        assert str(err.value).startswith(f"{path}:3: Expecting property name")
 
     def test_hash_sensitivity(self):
         base = config_hash(config_from_dict({}))
@@ -638,8 +668,27 @@ class TestCli:
         assert os.path.exists(produced)
         assert cli_main(["fit", produced]) == 0
 
-    def test_sweep_empty_spacings_is_usage_error(self, capsys):
+    def test_sweep_empty_spacings_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["sweep", "--spacing"]) == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spacings": []}))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "usage: sweep requires at least one spacing\n")
+        assert not out.exists()
+
+    def test_every_error_has_an_exit_code(self):
+        # cli_main maps these three categories to exits 3, 4 and 5; it has
+        # no branch for any other UcadivError
+        categories = (errors.DataError, errors.ModelError,
+                      errors.NumericError)
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, UcadivError)]
+        assert len(classes) > len(categories) + 1
+        assert [c for c in classes
+                if not issubclass(c, categories)] == [UcadivError]
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert cli_main(["frobnicate"]) == 2
@@ -690,6 +739,8 @@ class TestCli:
          "tap_powers": [1.5, -0.5, 0, 0, 0, 0, 0, 0]},
         {"tap_powers": [0.5, 0.6]},
         {"seed": -1},
+        {"n_taps": 0},
+        {"planewaves": 2, "n_antennas": 4},
     ])
     def test_bad_config_exit_3(self, doc, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -795,14 +846,13 @@ class TestCli:
                                                        capsys):
         # d = 1e308 gave NaN phases; the NaN R_h passed the PSD test, the
         # JSON writer refused the NaN curve (exit 3) and the good point was
-        # lost with it
+        # lost with it.  Its infinite phase is refused before any is taken.
         rc = cli_main(["sweep", "--spacing", "0.25", "1e308",
                        "--realizations", "200", "--out", str(tmp_path)])
         assert rc == 5
         out, err = capsys.readouterr()
         assert "Warning" not in err
-        assert err.startswith("numeric error: correlation matrix is not "
-                              "finite")
+        assert err.startswith("numeric error: spacing 1e+308 is too large")
         assert out.splitlines()[1].startswith("d = 1e+308: failed (")
         rows = [r.split(",") for r in
                 (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
@@ -932,6 +982,16 @@ class TestCli:
             emit_curve(curve, RunConfig(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_fit_of_two_samples_exit_3(self, tmp_path, capsys):
+        # write_impedance takes two samples; the RLC fit needs three
+        assert cli_main(["fixture", "--points", "2",
+                         "--out", str(tmp_path)]) == 0
+        path = capsys.readouterr().out.strip()
+        assert cli_main(["fit", path, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: fit band must contain at least three samples\n")
+        assert not (tmp_path / "fit.csv").exists()
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not an impedance file\n")
@@ -1009,6 +1069,12 @@ class TestCli:
         assert cli_main(["capacity", "--seed", "1", "--realizations", "150",
                          "--spacing", "0.5"]) == 0
         assert (tmp_path / "capacity.csv").exists()
+        # modes and match print their table, and write it only into --out
+        monkeypatch.chdir(tmp_path)
+        for command in ("modes", "match"):
+            assert cli_main([command, "--fixture", "table1"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["capacity.csv",
+                                                "capacity.json"]
 
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -45,6 +45,14 @@ class TestArraySweep:
             ArraySweep(n=n, d=0.25, grid=g,
                        first_row=np.ones((g.size, 1), dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 3), (4, 2), (5, 2, 1)])
+    def test_rejects_first_row_of_wrong_shape(self, shape):
+        # N = 2 on 5 samples takes (5, 2)
+        with pytest.raises(ValueError, match=r"^first_row must have shape "
+                                             r"\(5, 2\), got "):
+            ArraySweep(n=2, d=0.25, grid=default_grid(points=5),
+                       first_row=np.ones(shape, dtype=complex))
+
 
 class TestEigenImpedances:
     def test_n2_sum_difference(self):
@@ -112,6 +120,18 @@ class TestFitRlc:
                             rtol=1e-12)
             assert_allclose(np.sqrt(m.inductance / m.capacitance) / m.r, q,
                             rtol=1e-12)
+
+    @pytest.mark.parametrize("points,resistance,error,message", [
+        (2, 50.0, ValueError, "fit band must contain at least three"),
+        (101, 0.0, NonPhysicalDataError, "resistance must stay positive"),
+        (101, -5.0, NonPhysicalDataError, "resistance must stay positive"),
+    ])
+    def test_unfittable_trace_rejected(self, points, resistance, error,
+                                       message):
+        g = default_grid(points=points)
+        trace = ResonantMode(r=50.0, q=8.0, f0=1.0).impedance(g.samples)
+        with pytest.raises(error, match="^" + message):
+            fit_rlc(trace - 50.0 + resistance, g)
 
     def test_no_resonance_error(self):
         g = default_grid(points=101)
@@ -214,6 +234,12 @@ class TestVswr:
         g = np.linspace(0, 0.99, 50)
         assert np.all(np.diff(vswr(g)) > 0)
 
+    @pytest.mark.parametrize("g", [-0.1, [0.5, -1e-300]])
+    def test_rejects_negative_magnitude(self, g):
+        with pytest.raises(ValueError, match="^reflection magnitude must be "
+                                             "nonnegative$"):
+            vswr(g)
+
 
 class TestUsableBandwidth:
     def test_width_closed_form(self):
@@ -272,6 +298,12 @@ class TestResonantMode:
 
 
 class TestRetune:
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    def test_rejects_non_positive_target(self, target):
+        with pytest.raises(ValueError, match="^target frequency must be "
+                                             "positive$"):
+            retune(ResonantMode(*TABLE1[0]), target)
+
     def test_fixed_point(self):
         m = ResonantMode(*TABLE1[0])
         assert retune(m, m.f0) == m
@@ -312,6 +344,14 @@ class TestExtendTo2nPort:
     @pytest.mark.parametrize("z_ref", [np.nan, np.inf, [1.0, np.nan]])
     def test_rejects_non_finite_reference(self, z_ref):
         with pytest.raises(ValueError, match="finite and positive"):
+            extend_to_2n_port(table1_sweep(default_grid(points=21)),
+                              z_ref=z_ref)
+
+    @pytest.mark.parametrize("z_ref", [[1.0], [1.0, 1.0, 1.0],
+                                       [[1.0, 1.0]]])
+    def test_rejects_reference_of_wrong_length(self, z_ref):
+        with pytest.raises(ValueError, match="^per-mode z_ref must have one "
+                                             "entry per DFT index$"):
             extend_to_2n_port(table1_sweep(default_grid(points=21)),
                               z_ref=z_ref)
 

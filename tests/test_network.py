@@ -81,6 +81,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([-0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("samples", [[], [[0.9, 1.0], [1.1, 1.2]]])
+    def test_rejects_empty_or_not_one_axis(self, samples):
+        with pytest.raises(ValueError, match="^frequency grid needs at least "
+                                             "one sample$"):
+            FrequencyGrid(np.array(samples))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -152,6 +158,12 @@ class TestZSConversion:
         with pytest.raises(ValueError, match="does not match the grid"):
             z_to_s(z, grid=default_grid(points=21))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 3), (3, 2, 2, 1)])
+    def test_non_square_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^sweep must have shape "
+                                             r"\(F, N, N\), got "):
+            z_to_s(np.ones(shape))
+
     def test_total_reflection_error(self):
         s = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
         with pytest.raises(SingularSampleError):
@@ -194,6 +206,27 @@ class TestCascade:
         assert np.shares_memory(t.s11, t.s22) and t.s11.base.nbytes == 16 * 9
         assert np.array_equal(t.s12, np.broadcast_to(np.eye(3), (5, 3, 3)))
         assert not np.any(t.s11)
+
+    def test_mismatched_networks_rejected(self):
+        two = through_network(2, default_grid(points=5))
+        with pytest.raises(ValueError, match="^cascade requires equal inner "
+                                             "port counts$"):
+            cascade(two, through_network(3, default_grid(points=5)))
+        for grid in (default_grid(points=6), default_grid(span=0.1, points=5)):
+            with pytest.raises(ValueError, match="^cascade requires a shared "
+                                                 "frequency grid$"):
+                cascade(two, through_network(2, grid))
+
+    @pytest.mark.parametrize("shapes,message", [
+        ([(5, 2, 2)] * 3 + [(5, 3, 3)], "all four blocks must share one shape"),
+        ([(5, 2, 3)] * 4, r"blocks must have shape \(F, N, N\)"),
+        ([(5, 2)] * 4, r"blocks must have shape \(F, N, N\)"),
+        ([(4, 2, 2)] * 4, "block sample count does not match the grid"),
+    ])
+    def test_multiport_shape_checks(self, shapes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiportS(*(np.zeros(s, dtype=complex) for s in shapes),
+                       default_grid(points=5))
 
     def test_lossless_composition_stays_unitary(self):
         rng = np.random.default_rng(11)
