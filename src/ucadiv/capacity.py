@@ -87,6 +87,11 @@ class SimConfig:
             raise ValueError(
                 "too few realizations to resolve the outage quantile"
             )
+        if self.n_taps < 1:
+            raise ValueError(f"n_taps must be >= 1, got {self.n_taps}")
+        if self.coupling and self.planewaves < 2 * self.n_antennas:
+            raise ValueError(f"planewaves must be >= 2 * n_antennas = "
+                             f"{2 * self.n_antennas}, got {self.planewaves}")
         if self.subcarriers < self.n_taps:
             raise ValueError("sub-carrier count must be >= tap count")
         if not 0.0 < self.relative_bandwidth < 2.0:
@@ -292,15 +297,15 @@ def __getattr__(name):
     return globals().setdefault(name, ProcessPoolExecutor)
 
 
-def run_monte_carlo(config: SimConfig, d, mode_set: EigenModeSet = None):
+def run_monte_carlo(config: SimConfig, d):
     """Capacity samples (length ``realizations``) for one spacing.
 
     Pipeline per block of realizations: draw white taps -> correlate ->
     sub-carrier DFT -> eigen-basis -> capacity.  Deterministic under (seed, d) and
-    invariant to the worker count.  ``mode_set`` overrides the synthetic
-    coupling model (e.g. modes fitted from an ingested impedance sweep).
+    invariant to the worker count.  The modes are the synthetic coupling
+    model's; ``sweep(mode_source=)`` runs fitted or pinned ones.
     """
-    return _monte_carlo(config, [_kernel_inputs(config, d, mode_set)])[0]
+    return _monte_carlo(config, [_kernel_inputs(config, d)])[0]
 
 
 def _binom_ppf(q, m, p):

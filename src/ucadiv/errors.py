@@ -25,24 +25,8 @@ class ParseError(DataError):
         super().__init__(message)
 
 
-class ConfigError(DataError):
-    """Invalid run configuration (unknown keys, schema violations)."""
-
-
 class ModelError(UcadivError):
     """Input violates a modeling assumption (exit code 4)."""
-
-
-class NonPhysicalDataError(ModelError):
-    """Passivity violated: non-positive mode resistance inside the band."""
-
-
-class NoResonanceError(ModelError):
-    """Reactance has no zero crossing inside the fit band."""
-
-
-class FitFailureError(ModelError):
-    """Resonance fit produced a non-physical parameter set."""
 
 
 class NumericError(UcadivError):

@@ -162,7 +162,6 @@ class FanoResidualReport:
     residual_a: float
     residual_b: float
     residual_b_bound: float
-    quadrature_error: float
 
     @property
     def ok(self):
@@ -187,7 +186,6 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     if spec.gamma0_sq == 0.0:
         raise NumericError(f"box-car budget of the mode with Q = {q:.6g} at "
                            f"W = {w:.6g} underflows double precision")
-    g0 = -math.log(spec.gamma0_sq)
     alpha = spec.rhp_zero.real
 
     def logprof(fn):
@@ -195,20 +193,13 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
         return -2.0 * np.log(mag)
 
     lo, hi = 1.0 - w / 2.0, 1.0 + w / 2.0
-    int_a, err_a = _quad(logprof, lo, hi)
-    int_b, err_b = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
+    int_a, _ = _quad(logprof, lo, hi)
+    int_b, _ = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
 
-    closed_a = w * g0
-    closed_b = w * g0 / (1.0 - w * w / 4.0)
-    quad_err = max(abs(int_a - closed_a), abs(int_b - closed_b), err_a, err_b)
-
-    residual_a = int_a - (2.0 * math.pi / q - 2.0 * alpha / f0)
-    # |z_r|^2 = f0^2 per the conjugate-pair choice
-    residual_b = int_b - (2.0 * math.pi / q - 2.0 * alpha / f0)
-    bound = math.pi * w * w / (2.0 * q)
+    # |z_r|^2 = f0^2 per the conjugate-pair choice: (b) has (a)'s right side
+    budget = 2.0 * math.pi / q - 2.0 * alpha / f0
     return FanoResidualReport(
-        residual_a=float(residual_a),
-        residual_b=float(residual_b),
-        residual_b_bound=bound,
-        quadrature_error=float(quad_err),
+        residual_a=float(int_a - budget),
+        residual_b=float(int_b - budget),
+        residual_b_bound=math.pi * w * w / (2.0 * q),
     )

@@ -54,15 +54,6 @@ class CouplingModel:
     and die off quickly above it, where spatial correlation dominates.
     """
 
-    def mode_weights(self, n, d):
-        """Signed coupling weight per DFT index, shape (N,)."""
-        weights = np.zeros(n)
-        for offset in range(1, n):
-            dist = uca_pairwise_distance(n, d, offset)
-            g = math.exp(-COUPLING_DECAY * (dist - TABLE1_SPACING))
-            weights += g * np.cos(2.0 * np.pi * np.arange(n) * offset / n)
-        return np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP)
-
     def mode_set(self, n, d) -> EigenModeSet:
         """Distinct resonant modes of an N-element ring at spacing d."""
         if n < 1:
@@ -72,7 +63,13 @@ class CouplingModel:
         a_r = math.log(TABLE1_MODE1[0] / R_ISOLATED)
         a_q = math.log(TABLE1_MODE2[1] / Q_ISOLATED)
         a_f = math.log(TABLE1_MODE1[2] / F0_ISOLATED)
-        weights = self.mode_weights(n, d)[:n // 2 + 1]  # distinct modes
+        # signed coupling weight per DFT index, kept for the distinct modes
+        weights = np.zeros(n)
+        for offset in range(1, n):
+            dist = uca_pairwise_distance(n, d, offset)
+            g = math.exp(-COUPLING_DECAY * (dist - TABLE1_SPACING))
+            weights += g * np.cos(2.0 * np.pi * np.arange(n) * offset / n)
+        weights = np.clip(weights[:n // 2 + 1], -WEIGHT_CLAMP, WEIGHT_CLAMP)
         return EigenModeSet.from_params(n, [
             (R_ISOLATED * math.exp(a_r * c), Q_ISOLATED * math.exp(-a_q * c),
              F0_ISOLATED * math.exp(a_f * c)) for c in weights

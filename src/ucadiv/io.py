@@ -11,8 +11,8 @@ Impedance sweep files are plain CSV with a commented header::
 
 One row per frequency sample (strictly increasing f/fc), Re/Im pairs for
 the M = N//2 + 1 independent first-row impedances.  The writer and parser
-round-trip exactly; everything the writer did not produce is rejected with
-a line-numbered diagnostic.
+round-trip exactly; blank body lines are skipped, and everything else the
+writer did not produce is rejected with a line-numbered diagnostic.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .capacity import OutageCurve, SimConfig
-from .errors import ConfigError, ParseError
+from .errors import DataError, ParseError
 from .modes import ArraySweep, distinct_dft_indices, usable_bandwidth
 from .network import FrequencyGrid
 
@@ -209,21 +209,21 @@ class RunConfig:
 def config_from_dict(doc) -> RunConfig:
     """Validate a flat key/value document; unknown keys are rejected."""
     if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be an object")
+        raise DataError("configuration document must be an object")
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+        raise DataError(f"unknown configuration keys: {sorted(unknown)}")
     for key, types in _CONFIG_KEYS.items():  # schema order names the key
         value = doc.get(key)
         # bool is an int to isinstance, but true is no antenna count
         if key in doc and (not isinstance(value, types) or
                            isinstance(value, bool) and bool not in types):
-            raise ConfigError(f"key {key!r} has wrong type "
-                              f"{type(value).__name__}")
+            raise DataError(f"key {key!r} has wrong type "
+                            f"{type(value).__name__}")
     input_mode = doc.get("input", "fixture")
     if input_mode not in ("fixture", "files"):
-        raise ConfigError(f"input mode must be 'fixture' or 'files', got "
-                          f"{input_mode!r}")
+        raise DataError(f"input mode must be 'fixture' or 'files', got "
+                        f"{input_mode!r}")
     given = {}  # an absent key keeps the field's default
     try:
         for f in fields(SimConfig):
@@ -235,7 +235,7 @@ def config_from_dict(doc) -> RunConfig:
             given[f.name] = None if value is None else f.type(value)
         sim = SimConfig(**given)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise DataError(str(exc)) from None
     return RunConfig(sim=sim, input_mode=input_mode,
                      impedance_files=_entries(doc, "impedance_files", _pair),
                      fixture_modes=_entries(doc, "fixture_modes",
@@ -269,7 +269,7 @@ def _entries(doc, key, convert):
     try:
         return tuple(convert(entry) for entry in doc.get(key) or ())
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
+        raise DataError(f"key {key!r}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DataError, FitFailureError, NonPhysicalDataError,
-                     NoResonanceError)
+from .errors import DataError, ModelError
 from .network import FrequencyGrid, MultiportS, dft_beamformer
 
 
@@ -144,7 +143,7 @@ def eigen_impedances(sweep: ArraySweep):
     re = lam.real
     if np.any(re <= 0):
         bad = np.argwhere(re <= 0)[0]
-        raise NonPhysicalDataError(
+        raise ModelError(
             f"mode {bad[1]} has non-positive resistance inside the band "
             f"(Re lambda = {re[bad[0], bad[1]]:.4g})"
         )
@@ -231,13 +230,13 @@ def fit_rlc(trace, grid: FrequencyGrid):
     re, im = trace.real, trace.imag
 
     if np.any(re <= 0):
-        raise NonPhysicalDataError("resistance must stay positive in the fit band")
+        raise ModelError("resistance must stay positive in the fit band")
     r = float(np.mean(re))
 
     sign = np.sign(im)
     crossings = np.nonzero(np.diff(sign) != 0)[0]
     if crossings.size == 0:
-        raise NoResonanceError("reactance does not cross zero in the fit band")
+        raise ModelError("reactance does not cross zero in the fit band")
     k = crossings[0]
     # linear interpolation seed for the resonant frequency
     f0_seed = f[k] - im[k] * (f[k + 1] - f[k]) / (im[k + 1] - im[k])
@@ -264,7 +263,7 @@ def fit_rlc(trace, grid: FrequencyGrid):
         f0 = _golden_min(residual, x - step, x, x + step, 1e-13)
     q, sq = profile(f0)
     if q <= 0:
-        raise FitFailureError(f"fitted quality factor is non-positive ({q:.4g})")
+        raise ModelError(f"fitted quality factor is non-positive ({q:.4g})")
     return ResonantMode(r, q, f0, fit_residual=math.sqrt(sq / f.size))
 
 

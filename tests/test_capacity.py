@@ -499,11 +499,10 @@ class TestBlockedKernel:
         monkeypatch.setattr(capacity.channel, "draw_tap_blocks", no_draws)
         cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
                         realizations=200)
-        with pytest.raises(NumericError, match=r"^zero noise floor \("):
-            run_monte_carlo(cfg, 0.25, mode_set=dark_mode_set())
         [point] = sweep(replace(cfg, spacings=(0.25,)),
                         mode_source=lambda d: dark_mode_set()).points
         assert isinstance(point.cause, NumericError)
+        assert point.error.startswith("zero noise floor (")
 
 
 class TestSharedDraws:
@@ -621,6 +620,10 @@ class TestSimConfig:
         ({"relative_bandwidth": float("nan")}, "relative bandwidth"),
         # a bad temperature is named before every other check
         ({"temp_forward": -1.0, "n_antennas": 0}, "noise temperatures"),
+        # refused when built, not later by the channel
+        ({"n_taps": 0}, "n_taps must be >= 1, got 0$"),
+        ({"planewaves": 7, "n_antennas": 4},
+         r"planewaves must be >= 2 \* n_antennas = 8, got 7$"),
     ])
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + message):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ucadiv.fano import (
+    _quad,
     boundary_bandwidth,
     boxcar_profile,
     fano_boxcar,
@@ -105,9 +106,18 @@ class TestIntegralCheck:
                 assert_allclose(rep.residual_b_bound, bound, rtol=1e-14)
 
     def test_quadrature_agrees_with_closed_form(self):
+        # a box-car's band integrals: W G0 and W G0 / (1 - W^2/4)
         spec = fano_boxcar(NARROW, 0.02)
-        rep = fano_integral_check(spec, NARROW)
-        assert rep.quadrature_error < 1e-10
+        w, g0 = spec.w, -math.log(spec.gamma0_sq)
+
+        def logprof(fn):
+            return -2.0 * np.log(boxcar_profile(spec, 1.0, fn))
+
+        lo, hi = 1.0 - w / 2.0, 1.0 + w / 2.0
+        int_a, err_a = _quad(logprof, lo, hi)
+        int_b, err_b = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
+        assert max(abs(int_a - w * g0), err_a) < 1e-10
+        assert max(abs(int_b - w * g0 / (1.0 - w * w / 4.0)), err_b) < 1e-10
 
     def test_budget_identity(self):
         # W (-log gamma0^2) + 2 alpha / f0 = 2 pi / Q

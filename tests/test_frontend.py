@@ -152,8 +152,10 @@ class TestNoiseCov:
 
 class TestN0Normalize:
     def test_perfect_match_baseline(self):
-        n0 = n0_normalize(NoiseTemps(), 1.0, 0.0)
-        assert_allclose(n0, 3.0)
+        # at a matched reference the reverse noise T_r |Gamma|^2 vanishes
+        for temps, re_z, want in [(NoiseTemps(), 1.0, 3.0),
+                                  (NoiseTemps(1.0, 2.0, 0.7), 50.0, 52.0)]:
+            assert_allclose(n0_normalize(temps, re_z, 0.0), want)
 
     def test_decoupled_antenna(self):
         n0 = n0_normalize(NoiseTemps(1.0, 2.0, 0.7), 50.0, 1.0)

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from ucadiv import capacity, errors
 from ucadiv.capacity import OutageCurve, SpacingResult
 from ucadiv.cli import cli_main
-from ucadiv.errors import ConfigError, ParseError, UcadivError
+from ucadiv.errors import DataError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
     TABLE1_MODE2,
@@ -249,6 +249,14 @@ class TestImpedanceFileBytes:
         assert back.first_row.tobytes() == sweep.first_row.tobytes()
         assert back.grid.samples.tobytes() == sweep.grid.samples.tobytes()
         assert str(back.d) == str(sweep.d)
+        # a blank line between rows is skipped, and nothing else changes
+        lines = path.read_text().splitlines(keepends=True)
+        gap = tmp_path / "gap.csv"
+        gap.write_text("".join(lines[:-1] + ["\n"] + lines[-1:]))
+        again = parse_impedance(gap)
+        assert again.first_row.tobytes() == back.first_row.tobytes()
+        assert again.grid.samples.tobytes() == back.grid.samples.tobytes()
+        assert (again.n, again.d) == (back.n, back.d)
 
     @pytest.mark.parametrize("d,bad,match", [
         (float("nan"), None, "spacing"),
@@ -309,22 +317,22 @@ class TestRunConfig:
         assert sim.outage_p == 0.01
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DataError) as err:
             config_from_dict({"subcarirers": 64})
         assert "subcarirers" in str(err.value)
 
     def test_bad_types_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             config_from_dict({"subcarriers": "sixty-four"})
-        with pytest.raises(ConfigError, match="^configuration document "
-                                              "must be an object$"):
+        with pytest.raises(DataError, match="^configuration document "
+                                            "must be an object$"):
             config_from_dict([{"seed": 1}])
 
     def test_schema_violations_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             config_from_dict({"outage_p": 0.7})
-        with pytest.raises(ConfigError, match="^input mode must be 'fixture' "
-                                              "or 'files', got 'file'$"):
+        with pytest.raises(DataError, match="^input mode must be 'fixture' "
+                                            "or 'files', got 'file'$"):
             config_from_dict({"input": "file"})
 
     def test_load_from_file(self, tmp_path):
@@ -402,7 +410,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key", sorted(DROPPED_KEYS))
     def test_dropped_keys_refused(self, key):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DataError) as err:
             config_from_dict({key: DROPPED_KEYS[key]})
         assert key in str(err.value)
 
@@ -473,7 +481,7 @@ class TestConfigFuzz:
     def test_only_config_error_escapes(self, doc):
         try:
             run = config_from_dict(doc)
-        except ConfigError:
+        except DataError:
             return
         assert isinstance(run, RunConfig)
         # a bool is a number to isinstance, but only the flag takes one
@@ -486,7 +494,7 @@ class TestConfigFuzz:
         # the "config" of a result json re-runs the same configuration
         try:
             run = config_from_dict(doc)
-        except ConfigError:  # e.g. too few realizations for outage_p
+        except DataError:  # e.g. too few realizations for outage_p
             return
         back = config_from_dict(json.loads(json.dumps(run.to_dict())))
         assert back == replace(run, sim=replace(run.sim, workers=1))
@@ -981,6 +989,45 @@ class TestCli:
         with pytest.raises(ValueError, match="JSON"):
             emit_curve(curve, RunConfig(), tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_fit_without_resonance_exit_4(self, tmp_path, capsys):
+        # a reactance that never crosses zero is a model error, not bad data
+        grid = default_grid(points=101)
+        row = np.zeros((grid.size, 2), dtype=complex)
+        row[:, 0] = 50.0 + 30.0j
+        path = tmp_path / "flat.csv"
+        write_impedance(ArraySweep(n=2, d=0.25, grid=grid, first_row=row),
+                        path)
+        assert cli_main(["fit", str(path), "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr() == (
+            "", "model error: reactance does not cross zero in the fit "
+                "band\n")
+        assert not (tmp_path / "fit.csv").exists()
+
+    def test_indefinite_correlation_fails_its_point_exit_4(self, tmp_path,
+                                                            capsys):
+        # at N = 3 and 7 plane waves, R_h at d = 2.5 is not PSD
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_antennas": 3, "spacings": [0.25, 2.5],
+                                   "planewaves": 7, "realizations": 150}))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "model error: correlation matrix is not PSD (min eigenvalue "
+            "-0.363)\n")
+        rows = [r.split(",")[:4] for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][0] == "0.25" and rows[0][3] == "150"
+        assert rows[1] == ["2.5", "error", "error", "0"]
+
+    def test_planewaves_unchecked_without_coupling_exit_0(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"coupling": False, "planewaves": 2,
+                                   "n_antennas": 4, "spacings": [0.25],
+                                   "realizations": 150}))
+        assert cli_main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
 
     def test_fit_of_two_samples_exit_3(self, tmp_path, capsys):
         # write_impedance takes two samples; the RLC fit needs three

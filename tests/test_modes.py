@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import optimize
 
-from ucadiv.errors import DataError, NonPhysicalDataError, NoResonanceError
+from ucadiv.errors import DataError, ModelError
 from ucadiv.fixtures import (CouplingModel, isolated_mode, table1_fixture,
                              table1_sweep)
 from ucadiv.modes import (
@@ -87,7 +87,8 @@ class TestEigenImpedances:
         row[:, 0] = 1.0   # self resistance 1
         row[:, 1] = 2.0   # mutual 2 -> difference mode resistance -1
         sw = ArraySweep(n=2, d=0.1, grid=g, first_row=row)
-        with pytest.raises(NonPhysicalDataError):
+        with pytest.raises(ModelError, match="^mode 1 has non-positive "
+                                             "resistance inside the band"):
             eigen_impedances(sw)
 
 
@@ -123,8 +124,8 @@ class TestFitRlc:
 
     @pytest.mark.parametrize("points,resistance,error,message", [
         (2, 50.0, ValueError, "fit band must contain at least three"),
-        (101, 0.0, NonPhysicalDataError, "resistance must stay positive"),
-        (101, -5.0, NonPhysicalDataError, "resistance must stay positive"),
+        (101, 0.0, ModelError, "resistance must stay positive"),
+        (101, -5.0, ModelError, "resistance must stay positive"),
     ])
     def test_unfittable_trace_rejected(self, points, resistance, error,
                                        message):
@@ -136,16 +137,16 @@ class TestFitRlc:
     def test_no_resonance_error(self):
         g = default_grid(points=101)
         trace = np.full(g.size, 50.0 + 30.0j)
-        with pytest.raises(NoResonanceError):
+        with pytest.raises(ModelError, match="^reactance does not cross "
+                                             "zero in the fit band$"):
             fit_rlc(trace, g)
 
     def test_antiresonant_trace_fails_fit(self):
         # reactance falling through zero fits only with negative Q
-        from ucadiv.errors import FitFailureError
-
         g = default_grid(points=101)
         trace = np.conj(ResonantMode(r=60.0, q=8.0, f0=1.0).impedance(g.samples))
-        with pytest.raises(FitFailureError):
+        with pytest.raises(ModelError, match="^fitted quality factor is "
+                                             "non-positive"):
             fit_rlc(trace, g)
 
     def test_scale_consistency(self):
