@@ -12,7 +12,8 @@ bit-for-bit regardless of how the work is partitioned.
 import math
 import numbers
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +31,10 @@ from .modes import EigenModeSet
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
-# while peak memory stays independent of the realization count.
-_BLOCK = 64
+# while peak memory stays independent of the realization count.  One N = 16
+# default sweep took 432/426/419/413/411 ms at B = 64/96/128/160/192, for
+# 40.8/42.2/44.0/45.3/47.0 MB peak RSS (with the workspace of _simulate).
+_BLOCK = 128
 
 # |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
 # realization_capacity, while 10**30 leaves them a wide margin
@@ -145,9 +148,14 @@ class SpacingResult:
 
 @dataclass
 class OutageCurve:
-    """Outage capacity versus adjacent-element spacing."""
+    """Outage capacity versus adjacent-element spacing.
+
+    ``monte_carlo_s`` is the wall time of the draws and the kernel, which
+    ``-v`` reports; no result file holds it.
+    """
 
     points: list
+    monte_carlo_s: float = field(default=0.0, compare=False)
 
 
 def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
@@ -224,20 +232,32 @@ def _simulate(config: SimConfig, points, indices):
     correlation and the eigen-basis product are one BLAS call each and
     nothing is transposed.  The channel stays the left operand of the
     eigen-basis product: swapped, BLAS sums some N in another order.
+
+    The FFT and the eigen-basis product write into one workspace per call,
+    sized for the largest block; a partial tail block uses its leading
+    part.  Allocated per block instead, those two arrays are large enough
+    that glibc may hand them back to the kernel and fault them in again:
+    depending on what ran before, a sweep then took up to ~1.5x as long
+    with 12k-16k minor page faults (repeated N = 2 sweeps at B = 128).
     """
     n, l, k = config.n_antennas, config.n_taps, config.subcarriers
     q_conj, sqrt_p = dft_beamformer(n).conj(), np.sqrt(config.profile)
     out = [np.empty(len(indices)) for _ in points]
+    size = min(_BLOCK, len(indices)) * k * n
+    h_buf, e_buf = np.empty(size, complex), np.empty(size, complex)
     start = 0
     for w in channel.draw_tap_blocks(n, l, config.seed, indices, _BLOCK):
         b = len(w)
+        # contiguous leading slices: (N, B*K) sub-carrier lanes, (B*K, N)
+        h = h_buf[:b * k * n].reshape(n, b * k)
+        e = e_buf[:b * k * n].reshape(b * k, n)
         for samples, (corr, gamma, sigma_norm) in zip(out, points):
             lanes = (corr.sqrt_r_h @ w.reshape(-1, n).T).reshape(n, b, l)
             lanes *= sqrt_p
-            h = np.fft.fft(lanes, n=k, axis=-1).reshape(n, -1)
+            np.fft.fft(lanes, n=k, axis=-1, out=h.reshape(n, b, k))
+            np.matmul(h.T, q_conj, out=e)
             samples[start:start + b] = realization_capacity(
-                (h.T @ q_conj).reshape(b, k, n), gamma, sigma_norm,
-                config.snr_linear,
+                e.reshape(b, k, n), gamma, sigma_norm, config.snr_linear,
             )
         start += b
     return out
@@ -363,9 +383,11 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
             inputs.append(_kernel_inputs(config, d, mode_set))
         except UcadivError as exc:
             inputs.append(exc)
+    start = time.perf_counter()
     samples = iter(_monte_carlo(
         config, [p for p in inputs if not isinstance(p, UcadivError)]
     ))
+    elapsed = time.perf_counter() - start
     points = []
     for d, p in zip(config.spacings, inputs):
         if isinstance(p, UcadivError):
@@ -373,4 +395,4 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
             continue
         c0, half = outage(next(samples), config.outage_p)
         points.append(SpacingResult(float(d), c0, half, config.realizations))
-    return OutageCurve(points=points)
+    return OutageCurve(points=points, monte_carlo_s=elapsed)

@@ -155,6 +155,11 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
                   f"+/- {p.ci_half_width * scale:.6f} {unit}/s/Hz{note}")
     if args.verbose:
         print(f"wrote {table} and {doc}")
+        ran = sum(p.cause is None for p in curve.points)
+        if ran:  # timings go to stderr only: stdout and files keep their bytes
+            m, t = run.sim.realizations, curve.monte_carlo_s
+            print(f"monte carlo: {t:.3f} s for {m} realizations x {ran} "
+                  f"spacings, {m / t:.0f} realizations/s", file=sys.stderr)
     failed = [p.cause for p in curve.points if p.cause is not None]
     if failed:
         raise failed[0]

@@ -17,6 +17,7 @@ writer did not produce is rejected with a line-numbered diagnostic.
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -27,6 +28,9 @@ from .modes import ArraySweep, distinct_dft_indices, usable_bandwidth
 from .network import FrequencyGrid
 
 FORMAT_TAG = "ucadiv impedance sweep v1"
+# a number as the writer formats it ("{:.17g}" of a finite float, or an
+# int): float() and int() would also take "7_0", " 72 ", "+1" and "nan"
+_NUMBER = r"-?[0-9]++(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
 OUTDIR_ENV = "UCADIV_OUTDIR"
 
 
@@ -105,13 +109,18 @@ def parse_impedance(path) -> ArraySweep:
         raise ParseError("file has no column header", path)
     body_start = lineno - 1
 
+    for key in ("N", "d"):
+        if key not in header:
+            raise ParseError(f"missing header field {key!r}", path)
+        if not re.fullmatch(_NUMBER, header[key]):
+            raise ParseError(f"bad header value {key} = {header[key]!r}",
+                             path, header_line[key])
     try:
         n = int(header["N"])
-        d = float(header["d"])
-    except KeyError as exc:
-        raise ParseError(f"missing header field {exc}", path) from None
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}", path) from None
+    except ValueError:
+        raise ParseError(f"element count must be an integer, got "
+                         f"{header['N']}", path, header_line["N"]) from None
+    d = float(header["d"])
     if n < 1:
         raise ParseError(f"element count must be >= 1, got {n}", path)
     if not (math.isfinite(d) and d >= 0):
@@ -130,38 +139,39 @@ def parse_impedance(path) -> ArraySweep:
             f"{len(columns)}", path, body_start + 1,
         )
 
-    rows = []
-    prev_f = None
-    for lineno0 in range(body_start + 1, len(raw)):
-        line = raw[lineno0].strip()
-        if not line:
-            continue
-        parts = line.split(",")
+    row_re = re.compile(_NUMBER + f"(?:,{_NUMBER}){{{n_cols - 1}}}")
+    lines, linenos, miss = [], [], None
+    for lineno, line in enumerate(raw[body_start + 1:], body_start + 2):
+        if row_re.fullmatch(line):  # one match per row
+            lines.append(line)
+            linenos.append(lineno)
+        elif line.strip():  # named below, after a fault in an earlier row
+            miss = lineno
+            break
+    # one correctly rounded conversion, with no Python object per field
+    table = np.fromstring(",".join(lines), sep=",").reshape(-1, n_cols)
+    f = table[:, 0]
+    finite = np.isfinite(table).all(axis=1)  # a literal beyond float range
+    ok = finite & (f > 0)
+    ok[1:] &= f[1:] > f[:-1]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not finite[i]:
+            raise ParseError("non-finite value", path, linenos[i])
+        if f[i] <= 0:
+            raise ParseError(f"non-positive frequency {float(f[i])}", path,
+                             linenos[i])
+        raise ParseError(f"non-monotone frequency {float(f[i])} (previous "
+                         f"{float(f[i - 1])})", path, linenos[i])
+    if miss is not None:
+        parts = raw[miss - 1].split(",")
         if len(parts) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} values, got {len(parts)}",
-                path, lineno0 + 1,
-            )
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(str(exc), path, lineno0 + 1) from None
-        if not all(map(math.isfinite, vals)):
-            raise ParseError("non-finite value", path, lineno0 + 1)
-        f = vals[0]
-        if f <= 0:
-            raise ParseError(f"non-positive frequency {f}", path, lineno0 + 1)
-        if prev_f is not None and f <= prev_f:
-            raise ParseError(
-                f"non-monotone frequency {f} (previous {prev_f})",
-                path, lineno0 + 1,
-            )
-        prev_f = f
-        rows.append(vals)
-
-    if len(rows) < 2:
+            raise ParseError(f"expected {n_cols} values, got {len(parts)}",
+                             path, miss)
+        bad = next(p for p in parts if not re.fullmatch(_NUMBER, p))
+        raise ParseError(f"not a number: {bad!r}", path, miss)
+    if len(table) < 2:
         raise ParseError("need at least two data rows", path)
-    table = np.array(rows)
     grid = FrequencyGrid(table[:, 0].copy())
     return ArraySweep(n=n, d=d, grid=grid,
                       first_row=np.ascontiguousarray(table[:, 1:]).view(complex))

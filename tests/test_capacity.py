@@ -450,9 +450,10 @@ def dark_mode_set():
     return replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
 
 
-# realization counts around the block size; 3 is the fewest SimConfig
-# accepts (p < 0.5 needs p M >= 1)
-BLOCK_COUNTS = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+# realization counts around half a block, a block and two blocks; 3 is the
+# fewest SimConfig accepts (p < 0.5 needs p M >= 1)
+BLOCK_COUNTS = [3, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK - 1,
+                _BLOCK, _BLOCK + 1, _BLOCK + 3, 2 * _BLOCK + 3]
 # antenna counts that expose a reordered sum: swapped eigen-basis operands
 # change bits at 2, 3, 5, 9 and 17, a mode sum over a strided axis at 9,
 # 16 and 17 (numpy's 8-way pairwise sum); N = 17 needs 34 plane waves
@@ -474,15 +475,30 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_pool_equals_per_realization_path(self, n, coupling, workers,
                                               monkeypatch):
-        # 4 chunks per process, of 72-73 realizations for 2 processes and
-        # 48-49 for 3: chunk starts fall inside blocks, and the larger chunks
-        # span two blocks; enough CPUs are claimed to start one per worker
+        # 4 chunks per process, at _BLOCK = 128 of 144-145 realizations for
+        # 2 processes and 96-97 for 3: chunk starts fall inside blocks, and
+        # the larger chunks span two blocks, the smaller fit in one; enough
+        # CPUs are claimed to start one per worker
         claim_cpus(monkeypatch, workers)
         m = 9 * _BLOCK + 5
         cfg = SimConfig(n_antennas=n, coupling=coupling, realizations=m,
                         seed=23, workers=workers)
         got = run_monte_carlo(cfg, 0.1)
         assert np.array_equal(got, per_realization_samples(cfg, 0.1, range(m)))
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_bits_do_not_depend_on_the_block(self, n, monkeypatch):
+        # 261 realizations end in a partial block at every size but 1, and
+        # the two spacings share each block's draws and workspace
+        m, spacings = 261, (0.1, 0.5)
+        cfg = SimConfig(n_antennas=n, realizations=m, seed=37)
+        points = [kernel_inputs(cfg, d) for d in spacings]
+        want = [per_realization_samples(cfg, d, range(m)).tobytes()
+                for d in spacings]
+        for block in [1, 7, 64, 128, 200]:
+            monkeypatch.setattr(capacity, "_BLOCK", block)
+            got = _simulate(cfg, points, np.arange(m))
+            assert [s.tobytes() for s in got] == want, f"_BLOCK = {block}"
 
     @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
     def test_single_realization_chunk(self, index):

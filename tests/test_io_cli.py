@@ -147,6 +147,12 @@ class TestImpedanceFiles:
         pytest.param("# funit = relative\n",
                      "# funit = relative\n# colour = blue\n", 5,
                      id="unknown-key"),
+        # header numbers float() and int() take but the writer never writes
+        ("# N = 2", "# N = 0_2", 2),
+        ("# N = 2", "# N = +2", 2),
+        ("# N = 2", "# N = 2.5", 2),
+        ("# d = 0.25", "# d = 0_25", 3),
+        ("# d = 0.25", "# d = 0x1p-2", 3),
     ])
     def test_non_finite_or_negative_value_names_line(self, tmp_path, old,
                                                      new, lineno):
@@ -155,6 +161,56 @@ class TestImpedanceFiles:
         with pytest.raises(ParseError) as err:
             parse_impedance(path)
         assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize("rows,lineno,field", [
+        # float() reads both rows as Z = 70 - 30j and 72 + 1j
+        pytest.param("0.9,7_0,-30,20,-5\n 1.0 , 72 ,1,21,0.5\n", 5, "7_0",
+                     id="underscore"),
+        pytest.param("0.9,70,-30,20,-5\n 1.0 , 72 ,1,21,0.5\n", 6, " 1.0 ",
+                     id="spaced-row"),
+        pytest.param("0.9,70,-30,20,-5\n1.0, 72 ,1,21,0.5\n", 6, " 72 ",
+                     id="spaced-field"),
+        pytest.param("0.9,70,-30,20,-5\n1.0,72,1,21,+0.5\n", 6, "+0.5",
+                     id="plus-sign"),
+    ])
+    def test_numbers_the_writer_never_writes(self, tmp_path, rows, lineno,
+                                             field):
+        path = tmp_path / "bad.csv"
+        path.write_text("# ucadiv impedance sweep v1\n# N = 2\n# d = 0.25\n"
+                        "f,re_z11,im_z11,re_z12,im_z12\n" + rows
+                        + "1.1,75,28,22,6\n")
+        with pytest.raises(ParseError) as err:
+            parse_impedance(path)
+        assert err.value.lineno == lineno
+        assert str(err.value).endswith(f"not a number: {field!r}")
+
+    @pytest.mark.parametrize("rows,lineno,message", [
+        ("1.0,72,1,21,0.5\n0.9,70,-30,20,-5\n1.1,7_0,28,22,6\n", 6,
+         "non-monotone frequency 0.9 (previous 1.0)"),
+        ("1.0,72,1,21,0.5\n0.9,70,-30,20,-5\n1.1,75,28\n", 6,
+         "non-monotone frequency 0.9 (previous 1.0)"),
+        ("0.9,7_0,-30,20,-5\n0.8,70,-30,20,-5\n", 5, "not a number: '7_0'"),
+        ("0.9,70,-30,20,1e+400\n-1.0,7_0,-30,20,-5\n", 5,
+         "non-finite value"),
+        ("-0.9,70,-30,20,-5\n", 5, "non-positive frequency -0.9"),
+    ])
+    def test_first_faulty_line_is_named(self, tmp_path, rows, lineno,
+                                        message):
+        path = tmp_path / "bad.csv"
+        path.write_text("# ucadiv impedance sweep v1\n# N = 2\n# d = 0.25\n"
+                        "f,re_z11,im_z11,re_z12,im_z12\n" + rows)
+        with pytest.raises(ParseError) as err:
+            parse_impedance(path)
+        assert err.value.lineno == lineno
+        assert str(err.value).endswith(message)
+
+    def test_writer_numbers_parse_back(self, tmp_path):
+        # every shape "{:.17g}" gives: integral, signed zero, both exponents
+        path = tmp_path / "ok.csv"
+        path.write_text(THREE_ROW_FILE.replace(
+            "1.0,72,1,21,0.5", "1.0,7.2e+01,-0,2.1000000000000001e-05,5e+20"))
+        assert parse_impedance(path).first_row[1].tolist() == [
+            72 - 0j, 2.1000000000000001e-05 + 5e+20j]
 
     @pytest.mark.parametrize("old,new,message", [
         (THREE_ROW_FILE[THREE_ROW_FILE.index("f,"):], "",
@@ -1052,6 +1108,29 @@ class TestCli:
         assert cli_main(args + ["--out", str(out_b)]) == 0
         for name in ("capacity.csv", "capacity.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("argv,stem,ran", [
+        (["capacity", "--spacing", "0.25"], "capacity", 1),
+        (["sweep", "--spacing", "0.1", "0.5"], "sweep", 2),
+    ])
+    def test_verbose_timing_goes_to_stderr_only(self, tmp_path, capsys, argv,
+                                                stem, ran):
+        args = argv + ["--seed", "7", "--realizations", "200"]
+        assert cli_main(args + ["--out", str(tmp_path / "quiet")]) == 0
+        quiet = capsys.readouterr()
+        assert cli_main(args + ["-v", "--out", str(tmp_path / "loud")]) == 0
+        loud = capsys.readouterr()
+        for name in (f"{stem}.csv", f"{stem}.json"):
+            assert ((tmp_path / "quiet" / name).read_bytes()
+                    == (tmp_path / "loud" / name).read_bytes())
+        # stdout gains only the file names; the timing line is on stderr
+        assert loud.out.startswith(quiet.out)
+        assert loud.out[len(quiet.out):].startswith("wrote ")
+        assert "realizations/s" not in loud.out
+        timing = loud.err.replace(quiet.err, "")
+        assert re.fullmatch(rf"monte carlo: \d+\.\d{{3}} s for 200 "
+                            rf"realizations x {ran} spacings, \d+ "
+                            rf"realizations/s\n", timing)
 
     def test_default_capacity_changes_only_hash_and_config(self, tmp_path):
         # the earlier files are what `ucadiv capacity --out DIR` wrote at
