@@ -450,10 +450,12 @@ def dark_mode_set():
     return replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
 
 
-# realization counts around half a block, a block and two blocks; 3 is the
-# fewest SimConfig accepts (p < 0.5 needs p M >= 1)
-BLOCK_COUNTS = [3, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK - 1,
-                _BLOCK, _BLOCK + 1, _BLOCK + 3, 2 * _BLOCK + 3]
+# realization counts around one and two blocks; 3 is the fewest SimConfig
+# accepts (p < 0.5 needs p M >= 1).  63-65 and 131 sat around the earlier
+# 64-realization block; they add no block shape the others miss, and stay
+# so that their parametrized cases keep their names
+BLOCK_COUNTS = sorted({3, 63, 64, 65, 131,
+                       _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3})
 # antenna counts that expose a reordered sum: swapped eigen-basis operands
 # change bits at 2, 3, 5, 9 and 17, a mode sum over a strided axis at 9,
 # 16 and 17 (numpy's 8-way pairwise sum); N = 17 needs 34 plane waves
