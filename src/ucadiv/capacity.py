@@ -32,8 +32,9 @@ from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
 # while peak memory stays independent of the realization count.  One N = 16
-# default sweep took 432/426/419/413/411 ms at B = 64/96/128/160/192, for
-# 40.8/42.2/44.0/45.3/47.0 MB peak RSS (with the workspace of _simulate).
+# default sweep took 432/426/419/413/411 ms at B = 64/96/128/160/192.  Its
+# peak RSS reads 41.0/42.6/44.5/46.1/47.8 MB with the lanes and |h|^2 in
+# the workspace of _simulate, 41.5/43.4/45.6/47.7/49.7 MB without.
 _BLOCK = 128
 
 # |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
@@ -158,21 +159,24 @@ class OutageCurve:
     monte_carlo_s: float = field(default=0.0, compare=False)
 
 
-def realization_capacity(h_hat, gamma, sigma_norm, snr_linear):
+def realization_capacity(h_hat, gamma, sigma_norm, snr_linear, *,
+                         scratch=None):
     """Capacity (nats/s/Hz) of one realization, or of each one in a block.
 
     ``h_hat``: (K, N) effective eigen-basis channels, or (..., K, N) for a
     block; ``gamma``: (K, N) diagonal reflection magnitudes; ``sigma_norm``:
     (K, N) noise diagonal already normalized by N0 (so snr enters exactly
-    once).  Returns a float for one realization, else an array over the
-    leading axes.
+    once).  ``scratch``, a C-contiguous float array of ``h_hat``'s shape
+    that shares no memory with it, takes |h|^2 instead of a new array.
+    Returns a float for one realization, else an array over the leading
+    axes.
     """
     h_hat = np.asarray(h_hat)
     weight = 1.0 - np.asarray(gamma) ** 2
     sigma_norm = _noise_floor(sigma_norm)
     # |h|^2 w / sigma in that order on one C-ordered temporary: numpy sums a
     # contiguous axis pairwise, a strided one sequentially (other bits)
-    power = np.abs(h_hat, order="C")
+    power = np.abs(h_hat, order="C", out=scratch)
     np.square(power, out=power)
     power *= weight
     power /= sigma_norm
@@ -201,7 +205,11 @@ def _mode_sum(power):
     numpy's pairwise sum adds fewer than 8 terms one after another, left to
     right, so adding whole mode slices in index order gives the same bits
     at a fraction of the per-row cost.  From 8 terms on it keeps 8 partial
-    sums, which no slice order reproduces (nor beats in speed).
+    sums.  For 8 <= N <= 128 a slice order reproduces those too: r =
+    p[..., :8] + p[..., 8:16] (then each later group of 8 added in turn),
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
+    order.  At N = 16 that was bit-equal on a (128, 64, 16) block but not
+    faster (178.9 us against 180.0 us), so ``sum`` stays.
     """
     if power.shape[-1] >= 8:
         return power.sum(axis=-1)
@@ -233,12 +241,18 @@ def _simulate(config: SimConfig, points, indices):
     nothing is transposed.  The channel stays the left operand of the
     eigen-basis product: swapped, BLAS sums some N in another order.
 
-    The FFT and the eigen-basis product write into one workspace per call,
-    sized for the largest block; a partial tail block uses its leading
-    part.  Allocated per block instead, those two arrays are large enough
-    that glibc may hand them back to the kernel and fault them in again:
-    depending on what ran before, a sweep then took up to ~1.5x as long
-    with 12k-16k minor page faults (repeated N = 2 sweeps at B = 128).
+    Each block's large arrays live in one workspace per call, two buffers
+    sized for the largest block; a partial tail block uses their leading
+    parts.  ``e_buf`` takes the correlated lanes, dead once the FFT has
+    read them (N L <= K N: ``SimConfig`` enforces K >= L), then the
+    eigen-basis channels.  ``h_buf`` takes the FFT output, dead once the
+    eigen-basis product has read it, then, as floats, the |h|^2 of
+    ``realization_capacity``.  Allocated per block instead, those arrays
+    are large enough that glibc may hand them back to the kernel and fault
+    them in again: depending on what ran before, a sweep then took up to
+    ~1.5x as long with 12k-16k minor page faults (repeated N = 2 sweeps at
+    B = 128).  With the lanes and |h|^2 in the workspace too, a default
+    N = 16 sweep's tracemalloc peak is 5.21 MiB, not 6.28.
     """
     n, l, k = config.n_antennas, config.n_taps, config.subcarriers
     q_conj, sqrt_p = dft_beamformer(n).conj(), np.sqrt(config.profile)
@@ -251,13 +265,17 @@ def _simulate(config: SimConfig, points, indices):
         # contiguous leading slices: (N, B*K) sub-carrier lanes, (B*K, N)
         h = h_buf[:b * k * n].reshape(n, b * k)
         e = e_buf[:b * k * n].reshape(b * k, n)
+        lanes = e_buf[:b * l * n].reshape(n, b, l)  # L <= K: it fits
+        power = h_buf.view(float)[:b * k * n].reshape(b, k, n)
         for samples, (corr, gamma, sigma_norm) in zip(out, points):
-            lanes = (corr.sqrt_r_h @ w.reshape(-1, n).T).reshape(n, b, l)
+            np.matmul(corr.sqrt_r_h, w.reshape(-1, n).T,
+                      out=lanes.reshape(n, b * l))
             lanes *= sqrt_p
             np.fft.fft(lanes, n=k, axis=-1, out=h.reshape(n, b, k))
             np.matmul(h.T, q_conj, out=e)
             samples[start:start + b] = realization_capacity(
                 e.reshape(b, k, n), gamma, sigma_norm, config.snr_linear,
+                scratch=power,
             )
         start += b
     return out
@@ -303,6 +321,9 @@ def _monte_carlo(config: SimConfig, points):
     if processes <= 1:
         return _simulate(config, points, indices)
     chunks = np.array_split(indices, processes * 4)
+    # one pool per call: a pool kept across calls was ~5% faster in process,
+    # but its forked workers hold the caller's inherited pipe ends open, so
+    # a parent waiting for EOF on one of them waits forever
     with __getattr__("ProcessPoolExecutor")(max_workers=processes) as pool:
         parts = list(pool.map(_pool_run,
                               [(config, points, c) for c in chunks]))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -192,6 +193,26 @@ class TestRealizationCapacity:
         sigma = rng.uniform(0.3, 3.0, (64, n))
         assert np.array_equal(realization_capacity(h, gamma, sigma, 10.0),
                               self.straight(h, gamma, sigma, 10.0))
+
+    @pytest.mark.parametrize("lead", [(), (_BLOCK,)])
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_scratch_gives_the_same_bits(self, n, lead):
+        rng = np.random.default_rng(n)
+        shape = (*lead, 64, n)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gamma = rng.uniform(0, 1, (64, n))
+        sigma = rng.uniform(0.3, 3.0, (64, n))
+        want = np.asarray(realization_capacity(h, gamma, sigma, 10.0))
+        # scratch cut from a complex buffer, as _simulate cuts it
+        buf = np.full(h.size, np.nan, complex)
+        scratch = buf.view(float)[:h.size].reshape(shape)
+        got = realization_capacity(h, gamma, sigma, 10.0, scratch=scratch)
+        assert np.asarray(got).tobytes() == want.tobytes()
+        # a strided h_hat still lands C-ordered in the scratch
+        strided = np.swapaxes(np.swapaxes(h, -1, -2).copy(), -1, -2)
+        got = realization_capacity(strided, gamma, sigma, 10.0,
+                                   scratch=np.empty(shape))
+        assert np.asarray(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (3,), (64, 64)])
     @pytest.mark.parametrize("n", range(1, 21))
@@ -501,6 +522,26 @@ class TestBlockedKernel:
             monkeypatch.setattr(capacity, "_BLOCK", block)
             got = _simulate(cfg, points, np.arange(m))
             assert [s.tobytes() for s in got] == want, f"_BLOCK = {block}"
+
+    def test_peak_memory_stays_near_the_workspace(self):
+        # the workspace is two complex buffers of B K N entries; everything
+        # else a block allocates (draws, mode sums, samples) must stay under
+        # a quarter of it, the size of one |h|^2 array.  At N = 16, B = 128
+        # the bound is 5.24 MB: the kernel reads 4.88 MB, and read 6.13 MB
+        # when it allocated the lanes and |h|^2 per block and spacing
+        cfg = SimConfig(n_antennas=16, seed=3)
+        points = [kernel_inputs(cfg, d) for d in (0.1, 0.5)]
+        indices = np.arange(_BLOCK + 5)  # a full block and a partial tail
+        _simulate(cfg, points, indices)  # first-call caches stay out
+        tracemalloc.start()
+        try:
+            _simulate(cfg, points, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bkn = _BLOCK * cfg.subcarriers * cfg.n_antennas
+        workspace = 2 * bkn * 16  # two complex buffers
+        assert peak <= workspace + bkn * 8, f"peak {peak} bytes"
 
     @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
     def test_single_realization_chunk(self, index):
