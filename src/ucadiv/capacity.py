@@ -31,10 +31,12 @@ from .modes import EigenModeSet
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
-# while peak memory stays independent of the realization count.  One N = 16
-# default sweep took 432/426/419/413/411 ms at B = 64/96/128/160/192.  Its
-# peak RSS reads 41.0/42.6/44.5/46.1/47.8 MB with the lanes and |h|^2 in
-# the workspace of _simulate, 41.5/43.4/45.6/47.7/49.7 MB without.
+# while peak memory stays independent of the realization count (the draws
+# derive their keys per channel._KEY_BLOCKS blocks; only the samples grow
+# with it).  One N = 16 default sweep took 432/426/419/413/411 ms at B =
+# 64/96/128/160/192.  Its peak RSS reads 41.0/42.6/44.5/46.1/47.8 MB with
+# the lanes and |h|^2 in the workspace of _simulate, 41.5/43.4/45.6/47.7/
+# 49.7 MB without.
 _BLOCK = 128
 
 # |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
@@ -282,7 +284,8 @@ def _simulate(config: SimConfig, points, indices):
 
 
 def _pool_run(args):
-    return _simulate(*args)
+    config, points, (start, stop) = args
+    return _simulate(config, points, np.arange(start, stop))
 
 
 def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
@@ -310,24 +313,34 @@ def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
 
 
 def _monte_carlo(config: SimConfig, points):
-    """``_simulate`` over all realizations; one pool serves every point."""
+    """``_simulate`` over all realizations; one pool serves every point.
+
+    The pool's tasks are (start, stop) bounds, and each worker makes its
+    own indices, so the parent holds the samples only: it writes every
+    chunk's samples into their slice as the chunk arrives.
+    """
     if not points:
         return []
-    indices = np.arange(config.realizations)
+    m = config.realizations
     # the pool starts all its processes at once: no more than may run here
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     processes = min(config.workers, cpus)
     if processes <= 1:
-        return _simulate(config, points, indices)
-    chunks = np.array_split(indices, processes * 4)
+        return _simulate(config, points, np.arange(m))
+    parts = processes * 4
+    edges = [m * i // parts for i in range(parts + 1)]
+    bounds = list(zip(edges[:-1], edges[1:]))
+    out = [np.empty(m) for _ in points]
     # one pool per call: a pool kept across calls was ~5% faster in process,
     # but its forked workers hold the caller's inherited pipe ends open, so
     # a parent waiting for EOF on one of them waits forever
     with __getattr__("ProcessPoolExecutor")(max_workers=processes) as pool:
-        parts = list(pool.map(_pool_run,
-                              [(config, points, c) for c in chunks]))
-    return [np.concatenate(col) for col in zip(*parts)]
+        chunks = pool.map(_pool_run, [(config, points, b) for b in bounds])
+        for (start, stop), chunk in zip(bounds, chunks):
+            for samples, part in zip(out, chunk):
+                samples[start:stop] = part
+    return out
 
 
 def __getattr__(name):

@@ -22,6 +22,14 @@ from .modes import uca_pairwise_distance
 # as roundoff and clipped to zero when taking the matrix square root.
 PSD_CLIP = -1e-10
 
+# Blocks per realization_keys call in draw_tap_blocks.  A call for one
+# 128-realization block took 104 us (0.81 us per index, about half the
+# draw), for 64 blocks 0.026 us per index and for 100k indices at once
+# 0.064; one call for every index holds ~96 B per index (keys and
+# temporaries: a 125k-realization _simulate peaked at 10.99 MiB, against
+# 2.29 MiB with keys per 64 blocks).
+_KEY_BLOCKS = 64
+
 # Hash constants of numpy's SeedSequence, which realization_keys follows.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -166,9 +174,10 @@ def draw_tap_blocks(n, l, seed, indices, block):
 
     ``_correlate`` of row j equals ``draw_taps(model, l, profile,
     realization_rng(seed, i))`` bit for bit: one Philox generator, re-keyed
-    per realization, starts each stream as ``realization_rng`` does.
+    per realization, starts each stream as ``realization_rng`` does.  The
+    keys are derived per span of ``_KEY_BLOCKS`` blocks, so memory does not
+    grow with the number of indices.
     """
-    keys = realization_keys(seed, indices)
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     # a fresh stream (counter 0, buffer_pos 4: empty buffer, has_uint32 0),
@@ -177,15 +186,18 @@ def draw_tap_blocks(n, l, seed, indices, block):
     fresh = bitgen.state
     state = {**fresh, "buffer": fresh["buffer"].tolist(),
              "state": {k: v.tolist() for k, v in fresh["state"].items()}}
-    for start in range(0, len(keys), block):
-        chunk = keys[start:start + block].tolist()
-        # w[j] = (re, im) of realization j, filled in stream order
-        w = np.empty((len(chunk), 2, l, n))
-        for j, key in enumerate(chunk):
-            state["state"]["key"] = key
-            bitgen.state = state
-            rng.standard_normal(out=w[j])
-        yield _white(w[:, 0], w[:, 1])
+    span = _KEY_BLOCKS * block
+    for first in range(0, len(indices), span):
+        keys = realization_keys(seed, indices[first:first + span])
+        for start in range(0, len(keys), block):
+            chunk = keys[start:start + block].tolist()
+            # w[j] = (re, im) of realization j, filled in stream order
+            w = np.empty((len(chunk), 2, l, n))
+            for j, key in enumerate(chunk):
+                state["state"]["key"] = key
+                bitgen.state = state
+                rng.standard_normal(out=w[j])
+            yield _white(w[:, 0], w[:, 1])
 
 
 def taps_to_subcarriers(taps, k):

@@ -24,6 +24,7 @@ from ucadiv.capacity import (
     _binom_ppf,
     _match_and_noise,
     _mode_sum,
+    _monte_carlo,
     _simulate,
     outage,
     realization_capacity,
@@ -31,6 +32,7 @@ from ucadiv.capacity import (
     sweep,
 )
 from ucadiv.channel import (
+    _KEY_BLOCKS,
     CorrelationModel,
     draw_taps,
     realization_rng,
@@ -80,6 +82,16 @@ def kernel_inputs(config, d, mode_set=None):
     )
     corr = spatial_correlation(n, d, config.planewaves)
     return corr, front.gamma, cov.normalized()
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, over one call of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def per_realization_samples(config, d, indices):
@@ -404,6 +416,23 @@ class TestRunMonteCarlo:
         assert np.array_equal(got, run_monte_carlo(replace(cfg, workers=1),
                                                    0.25))
 
+    def test_pool_parent_holds_the_samples_only(self, monkeypatch):
+        # the tasks are bounds and each chunk is written into its slice, so
+        # besides the samples the parent holds chunks in transit: each
+        # process's latest one, waiting to be copied, and the pipe's copy of
+        # the next; the pool's own objects get 256 KiB.  At 2**16
+        # realizations the bound is 0.98 MB: the parent reads 0.84 MB, and
+        # read 1.59 MB when it sent index arrays and kept every chunk for a
+        # final concatenate
+        claim_cpus(monkeypatch, 2)
+        m, processes = 2**16, 2
+        cfg = SimConfig(realizations=m, seed=3, workers=processes)
+        points = [kernel_inputs(cfg, 0.25)]
+        _monte_carlo(replace(cfg, realizations=4000), points)  # pool imports
+        peak = traced_peak(_monte_carlo, cfg, points)
+        chunk = -(-m // (4 * processes)) * 8
+        assert peak <= m * 8 + (processes + 1) * chunk + 256 * 1024, peak
+
     @pytest.mark.parametrize("cpus", [1, None])
     def test_one_cpu_runs_serially(self, cpus, monkeypatch):
         # with room for one process only, the samples come from this one
@@ -533,15 +562,24 @@ class TestBlockedKernel:
         points = [kernel_inputs(cfg, d) for d in (0.1, 0.5)]
         indices = np.arange(_BLOCK + 5)  # a full block and a partial tail
         _simulate(cfg, points, indices)  # first-call caches stay out
-        tracemalloc.start()
-        try:
-            _simulate(cfg, points, indices)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_simulate, cfg, points, indices)
         bkn = _BLOCK * cfg.subcarriers * cfg.n_antennas
         workspace = 2 * bkn * 16  # two complex buffers
         assert peak <= workspace + bkn * 8, f"peak {peak} bytes"
+
+    def test_memory_does_not_grow_with_the_realizations(self):
+        # keys are derived per span of _KEY_BLOCKS blocks, so over 8 spans
+        # the peak may exceed that over 2 by the 6 spans of samples more,
+        # plus 64 KiB.  At N = 2 the difference reads 0.39 MB, the samples
+        # alone, and read 4.33 MB when every realization's keys were
+        # derived at once
+        cfg = SimConfig(seed=3)
+        points = [kernel_inputs(cfg, 0.25)]
+        span = _KEY_BLOCKS * _BLOCK
+        _simulate(cfg, points, np.arange(_BLOCK + 5))  # first-call caches
+        two, eight = (traced_peak(_simulate, cfg, points, np.arange(s * span))
+                      for s in (2, 8))
+        assert eight - two <= 6 * span * 8 + 64 * 1024, (two, eight)
 
     @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
     def test_single_realization_chunk(self, index):
