@@ -31,12 +31,8 @@ from .modes import EigenModeSet
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
-# while peak memory stays independent of the realization count (the draws
-# derive their keys per channel._KEY_BLOCKS blocks; only the samples grow
-# with it).  One N = 16 default sweep took 432/426/419/413/411 ms at B =
-# 64/96/128/160/192.  Its peak RSS reads 41.0/42.6/44.5/46.1/47.8 MB with
-# the lanes and |h|^2 in the workspace of _simulate, 41.5/43.4/45.6/47.7/
-# 49.7 MB without.
+# while peak memory stays independent of the realization count (keys come
+# per channel._KEY_BLOCKS blocks, only the samples grow with it).
 _BLOCK = 128
 
 # |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
@@ -207,11 +203,7 @@ def _mode_sum(power):
     numpy's pairwise sum adds fewer than 8 terms one after another, left to
     right, so adding whole mode slices in index order gives the same bits
     at a fraction of the per-row cost.  From 8 terms on it keeps 8 partial
-    sums.  For 8 <= N <= 128 a slice order reproduces those too: r =
-    p[..., :8] + p[..., 8:16] (then each later group of 8 added in turn),
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
-    order.  At N = 16 that was bit-equal on a (128, 64, 16) block but not
-    faster (178.9 us against 180.0 us), so ``sum`` stays.
+    sums, which a slice order can match but not beat, so ``sum`` stays.
     """
     if power.shape[-1] >= 8:
         return power.sum(axis=-1)
@@ -249,12 +241,8 @@ def _simulate(config: SimConfig, points, indices):
     read them (N L <= K N: ``SimConfig`` enforces K >= L), then the
     eigen-basis channels.  ``h_buf`` takes the FFT output, dead once the
     eigen-basis product has read it, then, as floats, the |h|^2 of
-    ``realization_capacity``.  Allocated per block instead, those arrays
-    are large enough that glibc may hand them back to the kernel and fault
-    them in again: depending on what ran before, a sweep then took up to
-    ~1.5x as long with 12k-16k minor page faults (repeated N = 2 sweeps at
-    B = 128).  With the lanes and |h|^2 in the workspace too, a default
-    N = 16 sweep's tracemalloc peak is 5.21 MiB, not 6.28.
+    ``realization_capacity``.  Allocated per block, such arrays are large
+    enough for glibc to hand back to the kernel and fault in again.
     """
     n, l, k = config.n_antennas, config.n_taps, config.subcarriers
     q_conj, sqrt_p = dft_beamformer(n).conj(), np.sqrt(config.profile)
@@ -344,7 +332,9 @@ def _monte_carlo(config: SimConfig, points):
 
 
 def __getattr__(name):
-    # PEP 562: the pool loads on first use; a class bound here already stays
+    # PEP 562: the pool loads on first use (an eager import cost 4.5-6.7 ms
+    # of `import ucadiv.cli`, 2-CPU Xeon); a class bound here stays, as
+    # tests/test_capacity.py::TestPoolSeam and perfbench/tracer.py rely on
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor

@@ -22,12 +22,8 @@ from .modes import uca_pairwise_distance
 # as roundoff and clipped to zero when taking the matrix square root.
 PSD_CLIP = -1e-10
 
-# Blocks per realization_keys call in draw_tap_blocks.  A call for one
-# 128-realization block took 104 us (0.81 us per index, about half the
-# draw), for 64 blocks 0.026 us per index and for 100k indices at once
-# 0.064; one call for every index holds ~96 B per index (keys and
-# temporaries: a 125k-realization _simulate peaked at 10.99 MiB, against
-# 2.29 MiB with keys per 64 blocks).
+# Blocks per realization_keys call in draw_tap_blocks: a call per block
+# costs about half the draw, and one for all indices grows with their count.
 _KEY_BLOCKS = 64
 
 # Hash constants of numpy's SeedSequence, which realization_keys follows.

@@ -60,7 +60,7 @@ def _add_monte_carlo(p):
     p.add_argument("--realizations", type=int, help="override sample count")
     p.add_argument("--bits", action="store_true",
                    help="report capacity in bits/s/Hz instead of nats")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="store_true")
 
 
 # flag dest -> the SimConfig field it overrides when given
@@ -203,9 +203,7 @@ def cmd_fixture(args):
         sweep = fixtures.fixture_sweep(args.n, args.spacing, grid)
     out_dir = args.out or io.default_outdir()
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(
-        out_dir, f"fixture_n{args.n}_d{args.spacing:g}.csv"
-    )
+    path = os.path.join(out_dir, f"fixture_n{args.n}_d{args.spacing:g}.csv")
     io.write_impedance(sweep, path)
     print(path)
     return 0

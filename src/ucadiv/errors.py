@@ -32,12 +32,3 @@ class ModelError(UcadivError):
 class NumericError(UcadivError):
     """Numerical failure during evaluation (exit code 5)."""
 
-
-class SingularSampleError(NumericError):
-    """A per-sample solve hit a near-singular system (f/fc None: no grid)."""
-
-    def __init__(self, message, sample_index, frequency=None):
-        self.sample_index = sample_index
-        self.frequency = frequency
-        where = "" if frequency is None else f" (f/fc = {frequency:.6g})"
-        super().__init__(f"{message} at sample {sample_index}{where}")

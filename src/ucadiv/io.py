@@ -31,7 +31,7 @@ FORMAT_TAG = "ucadiv impedance sweep v1"
 # a number as the writer formats it ("{:.17g}" of a finite float, or an
 # int): float() and int() would also take "7_0", " 72 ", "+1" and "nan".
 # "(?:...|)" is "(?:...)?" with less backtracking state for re to save per
-# field (a quarter less time per row); possessive forms need Python 3.11
+# field (a quarter less time per row)
 _NUMBER = r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
 OUTDIR_ENV = "UCADIV_OUTDIR"
 

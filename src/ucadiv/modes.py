@@ -322,7 +322,8 @@ def retune(mode: ResonantMode, f_target) -> ResonantMode:
     """Shift a mode's resonance to f_target, keeping R and Q.
 
     Models trimming the element lengths so the mode responses overlap at
-    the carrier.
+    the carrier.  A series reactance tuning to the carrier would give Q' =
+    Q max(f0, 1/f0) instead (ROADMAP item 3); only ``perfbench`` calls it.
     """
     if f_target <= 0:
         raise ValueError("target frequency must be positive")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSampleError
+from .errors import NumericError
 
 # Condition estimate above which a per-sample solve is treated as singular;
 # separates physical open/short limits from ordinary roundoff.
@@ -96,7 +96,7 @@ def _slabs(size, n):
 
 
 def _guard(a, grid, what, offset=0):
-    """Raise SingularSampleError at the first sample with cond > COND_LIMIT.
+    """Raise NumericError at the first sample with cond > COND_LIMIT.
 
     ``a`` starts at grid sample ``offset``; the error names the grid index.
 
@@ -124,8 +124,8 @@ def _guard(a, grid, what, offset=0):
     bad = unsure[np.linalg.cond(a[unsure]) > COND_LIMIT]
     if bad.size:
         k = offset + int(bad[0])
-        f = None if grid is None else float(grid.samples[k])
-        raise SingularSampleError(f"singular {what}", k, f)
+        where = "" if grid is None else f" (f/fc = {grid.samples[k]:.6g})"
+        raise NumericError(f"singular {what} at sample {k}{where}")
 
 
 def z_to_s(z, grid=None):

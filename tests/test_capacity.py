@@ -301,6 +301,33 @@ class TestOutage:
         assert half == 0.5 * (hi - lo)
 
 
+def outage_coverage(m, p, reps=2000):
+    """Share of ``reps`` seeded runs whose c0 +/- half covers the p-quantile.
+
+    Each run passes m draws of C = log1p(10 E), E unit exponential, to
+    ``outage``; the exact quantile is log1p(-10 ln(1 - p)).
+    """
+    q = np.log1p(-10.0 * np.log1p(-p))
+    rng = np.random.default_rng([18, m])
+    hits = 0
+    for _ in range(reps):
+        c0, half = outage(np.log1p(10.0 * rng.exponential(size=m)), p)
+        hits += abs(c0 - q) <= half
+    return hits / reps
+
+
+@pytest.mark.parametrize("m,p", [
+    pytest.param(100, 0.01, marks=pytest.mark.xfail(
+        strict=True, reason="rank 1: the lower end is c0 itself and no "
+        "two-sided 95% interval exists (ROADMAP item 18(c))")),
+    (500, 0.01),
+    (5000, 0.01),
+], ids=["rank1", "rank5", "rank50"])
+def test_outage_interval_covers_at_95_percent(m, p):
+    # 2000 runs: the standard error of a 0.95 coverage is 0.005
+    assert abs(outage_coverage(m, p) - 0.95) <= 0.02
+
+
 # every loaded top-level package, on one line
 _LOADED = ("import sys\n"
            "print(*sorted({m.split('.')[0] for m in sys.modules}))\n")

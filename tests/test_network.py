@@ -5,13 +5,15 @@ The ring's circulant layout lives on ``modes.ArraySweep`` and
 replaced, copied here as an oracle.
 """
 
+import pickle
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ucadiv.errors import SingularSampleError
+from ucadiv.errors import NumericError
 from ucadiv.fixtures import CouplingModel, fixture_sweep
 from ucadiv.modes import ArraySweep, distinct_dft_indices, eigen_impedances
 from ucadiv.network import (
@@ -31,6 +33,12 @@ from ucadiv.network import (
 
 def grid(n_samples=5):
     return FrequencyGrid(np.linspace(0.9, 1.1, n_samples))
+
+
+def at_sample(k, f=None):
+    """Pattern of a singular-sample message's end: sample k, f/fc = f."""
+    where = "" if f is None else f" (f/fc = {f:.6g})"
+    return re.escape(f" at sample {k}{where}") + "$"
 
 
 def s_to_z(s, z_ref=1.0, grid=None):
@@ -139,15 +147,13 @@ class TestZSConversion:
     def test_singular_sample_reported(self):
         z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
         z[2] = -np.eye(2)  # Z + I singular at sample 2
-        with pytest.raises(SingularSampleError) as err:
+        with pytest.raises(NumericError, match=r"at sample 2 \(f/fc = "):
             z_to_s(z, grid=grid(4))
-        assert err.value.sample_index == 2
         z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
         z[1] = z[3] = -np.eye(2)  # two singular samples: the first is named
-        with pytest.raises(SingularSampleError) as err:
+        with pytest.raises(NumericError,
+                           match=at_sample(1, grid(4).samples[1])):
             z_to_s(z, grid=grid(4))
-        assert err.value.sample_index == 1
-        assert err.value.frequency == grid(4).samples[1]
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_grid_of_another_length_rejected(self, singular):
@@ -166,7 +172,7 @@ class TestZSConversion:
 
     def test_total_reflection_error(self):
         s = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
-        with pytest.raises(SingularSampleError):
+        with pytest.raises(NumericError, match=at_sample(0)):
             s_to_z(s)
 
     def test_singular_sample_without_grid_names_no_frequency(self):
@@ -176,12 +182,22 @@ class TestZSConversion:
         s = np.zeros((4, 2, 2), dtype=complex)
         s[1] = np.eye(2)  # I - S singular at sample 1
         for convert, sweep in ((z_to_s, z), (s_to_z, s)):
-            with pytest.raises(SingularSampleError) as err:
+            with pytest.raises(NumericError, match=at_sample(1)) as err:
                 convert(sweep)
-            assert err.value.sample_index == 1
-            assert err.value.frequency is None
             assert "f/fc" not in str(err.value)
             assert str(err.value).endswith("at sample 1")
+
+    @pytest.mark.parametrize("g", [grid(4), None])
+    def test_singular_sample_error_pickles(self, g):
+        # a guarded solve that fails in a pool worker reaches the parent
+        # pickled: the error must come back whole, not as a TypeError
+        z = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+        z[1] = -np.eye(2)
+        with pytest.raises(NumericError) as err:
+            z_to_s(z, grid=g)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is NumericError
+        assert str(back) == str(err.value)
 
 
 class TestCascade:
@@ -281,16 +297,14 @@ class TestCascade:
         # S22a = S11m = I makes (I - S11m S22a) singular everywhere
         a = MultiportS(zero.copy(), eye.copy(), eye.copy(), eye.copy(), g)
         m = MultiportS(eye.copy(), eye.copy(), eye.copy(), zero.copy(), g)
-        with pytest.raises(SingularSampleError) as err:
+        with pytest.raises(NumericError, match=r"at sample 0 \(f/fc = "):
             cascade(a, m)
-        assert err.value.sample_index == 0
         # the same at sample 3 only: the error names that sample
         g = grid(5)
         a, m = (writable(through_network(2, g)) for _ in range(2))
         a.s22[3] = m.s11[3] = np.eye(2)
-        with pytest.raises(SingularSampleError) as err:
+        with pytest.raises(NumericError, match=at_sample(3, g.samples[3])):
             cascade(a, m)
-        assert err.value.sample_index == 3
 
     def test_both_inner_terms_singular_names_the_first(self):
         # S22a = S11m = I makes both inner matrices singular; the
@@ -299,7 +313,7 @@ class TestCascade:
         eye = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
         a = MultiportS(eye.copy(), eye.copy(), eye.copy(), eye.copy(), g)
         m = MultiportS(eye.copy(), eye.copy(), eye.copy(), eye.copy(), g)
-        with pytest.raises(SingularSampleError, match=r"\(I - S11m S22a\)"):
+        with pytest.raises(NumericError, match=r"\(I - S11m S22a\)"):
             cascade(a, m)
 
 
@@ -353,11 +367,10 @@ class TestSlabs:
     def test_singular_sample_in_a_later_slab(self):
         a, m = self.through_pair()
         a.s22[500] = m.s11[500] = np.eye(self.N)
-        with pytest.raises(SingularSampleError,
+        with pytest.raises(NumericError,
                            match=r"\(I - S11m S22a\)") as err:
             cascade(a, m)
-        assert err.value.sample_index == 500
-        assert err.value.frequency == a.grid.samples[500]
+        assert re.search(at_sample(500, a.grid.samples[500]), str(err.value))
 
     def test_first_inner_term_is_named_across_slabs(self):
         # at sample 10 only (I - S22a S11m) is flagged: with
@@ -368,17 +381,16 @@ class TestSlabs:
         delta, x = 1e-10, 1e2
         m.s11[10, :2, :2] = [[1, -x], [0, 1]]
         a.s22[10, :2, :2] = np.diag([1 - delta, 0])
-        with pytest.raises(SingularSampleError,
+        with pytest.raises(NumericError,
                            match=r"\(I - S22a S11m\)") as err:
             cascade(a, m)
-        assert err.value.sample_index == 10
+        assert re.search(at_sample(10, a.grid.samples[10]), str(err.value))
         # both terms singular at 500, in a later slab: the first term wins
         a.s22[500] = m.s11[500] = np.eye(self.N)
-        with pytest.raises(SingularSampleError,
+        with pytest.raises(NumericError,
                            match=r"\(I - S11m S22a\)") as err:
             cascade(a, m)
-        assert err.value.sample_index == 500
-        assert err.value.frequency == a.grid.samples[500]
+        assert re.search(at_sample(500, a.grid.samples[500]), str(err.value))
 
     def test_only_second_inner_term_singular_in_a_later_slab(self):
         # the construction above at sample 500, inside a slab that starts
@@ -388,11 +400,10 @@ class TestSlabs:
         m.s11[500, :2, :2] = [[1, -x], [0, 1]]
         a.s22[500, :2, :2] = np.diag([1 - delta, 0])
         assert _slabs(a.grid.size, 2 * self.N)[15] == slice(480, 512)
-        with pytest.raises(SingularSampleError,
+        with pytest.raises(NumericError,
                            match=r"\(I - S22a S11m\) at sample 500 ") as err:
             cascade(a, m)
-        assert err.value.sample_index == 500
-        assert err.value.frequency == a.grid.samples[500]
+        assert re.search(at_sample(500, a.grid.samples[500]), str(err.value))
 
     def test_nan_in_a_later_slab_fails_the_lossless_check(self):
         s = writable(through_network(self.N, default_grid()))
@@ -620,12 +631,11 @@ class TestSingularGuard:
         try:
             _guard(a, g, "test system")
             x = np.linalg.solve(a, b)
-        except SingularSampleError as exc:
+        except NumericError as exc:
             assert want[0] == "singular", (want, str(exc))
             k = want[1]
-            assert exc.sample_index == k
-            assert str(exc) == str(SingularSampleError(
-                "singular test system", k, float(g.samples[k])))
+            assert str(exc) == (f"singular test system at sample {k} "
+                                f"(f/fc = {g.samples[k]:.6g})")
         except np.linalg.LinAlgError as exc:
             assert want == ("linalg", str(exc))
         else:

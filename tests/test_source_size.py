@@ -1,0 +1,64 @@
+"""Tripwire on the size of ``src/ucadiv``.
+
+The package is to stay the same size or smaller.  A change that needs more
+lines raises a limit below, a one-line diff, and says in CHANGES.md which
+lines pay for it.  ``python3 tests/test_source_size.py`` prints both counts.
+"""
+
+import io
+import pathlib
+import tokenize
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
+
+MAX_LINES = 2460  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1524  # without blank lines, comments and docstrings
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                    tokenize.ENCODING}
+
+
+def code_lines(text):
+    """Number of lines that hold a token other than a comment or docstring.
+
+    A docstring is a string token that makes up a whole statement.
+    """
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+              if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for prev, tok, nxt in zip([None] + tokens, tokens, tokens[1:] + [None]):
+        if tok.type in _LAYOUT:
+            continue
+        if (tok.type == tokenize.STRING
+                and (prev is None or prev.type in _STATEMENT_START)
+                and nxt is not None and nxt.type == tokenize.NEWLINE):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def source_size():
+    """(lines, code lines) over every module of the package."""
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    return (sum(len(t.splitlines()) for t in texts),
+            sum(code_lines(t) for t in texts))
+
+
+def test_code_lines_skip_comments_and_docstrings():
+    text = ('"""Module."""\n\n# note\n\n\ndef f(x):\n    """Doc\n\n    more\n'
+            '    """\n    y = ("a"\n         "b")  # tail\n    return y\n')
+    assert code_lines(text) == 4
+
+
+def test_source_stays_within_its_line_limits():
+    lines, code = source_size()
+    hint = ("raise the limit in tests/test_source_size.py only with a "
+            "CHANGES.md line that says which lines pay for it")
+    assert lines <= MAX_LINES, f"{lines} lines in src/ucadiv: {hint}"
+    assert code <= MAX_CODE_LINES, f"{code} code lines in src/ucadiv: {hint}"
+
+
+if __name__ == "__main__":
+    print(*source_size())

@@ -18,10 +18,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from ucadiv.capacity import SimConfig, _kernel_inputs, _monte_carlo
+from ucadiv.capacity import _BLOCK, SimConfig, _kernel_inputs, _monte_carlo
 
 SPACINGS = (0.05, 0.25, 1.0)
-# around the 64-realization block: one short block, one full, a ragged tail
+# 3 and 64 are short blocks of the 128-realization block size; 131 is one
+# full block and a ragged tail
 COUNTS = (3, 64, 131)
 
 DIGESTS = {
@@ -56,6 +57,11 @@ def grid_digest(n):
             assert isinstance(samples, np.ndarray) and samples.shape == (m,)
             digest.update(samples.astype("<f8").tobytes())
     return digest.hexdigest()
+
+
+def test_counts_cover_a_full_block_and_a_tail():
+    # a later block size must not silently drop the full-block case
+    assert COUNTS[-1] > _BLOCK and COUNTS[-1] % _BLOCK
 
 
 @pytest.mark.parametrize("n", sorted(DIGESTS))
