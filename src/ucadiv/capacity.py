@@ -213,19 +213,6 @@ def _mode_sum(power):
     return quad
 
 
-def _match_and_noise(config: SimConfig, mode_set: EigenModeSet):
-    """Front end and noise covariance for a mode set."""
-    specs = [fano_boxcar(m, config.relative_bandwidth) for m in mode_set.modes]
-    freqs = subcarrier_grid(config.subcarriers, config.relative_bandwidth)
-    front = build_frontend(mode_set, specs, freqs)
-
-    iso = fixtures.isolated_mode(f0=1.0)
-    gamma_iid = fano_boxcar(iso, config.relative_bandwidth).gamma0
-    n0 = n0_normalize(config.temps, iso.r, gamma_iid)
-    resistances = mode_set.expand([m.r for m in mode_set.modes]).real
-    return front, noise_cov(front, resistances, config.temps, n0=n0)
-
-
 def _simulate(config: SimConfig, points, indices):
     """Samples of realizations ``indices`` at each (corr, gamma, sigma_norm).
 
@@ -282,22 +269,24 @@ def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
     Every error of the spacing is raised here, before any draw: the
     kernel's only one, a zero noise floor, does not depend on the draws.
     """
-    if config.coupling:
-        if mode_set is None:
-            mode_set = fixtures.CouplingModel().mode_set(config.n_antennas, d)
-        if mode_set.n != config.n_antennas:
-            raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
-                            f"the run has N={config.n_antennas}")
-        front, cov = _match_and_noise(config, mode_set)
-        return (channel.spatial_correlation(config.n_antennas, d,
-                                            config.planewaves),
-                front.gamma, _noise_floor(cov.normalized()))
-    # perfect match and unit noise
-    shape = (config.subcarriers, config.n_antennas)
-    eye = np.eye(config.n_antennas, dtype=complex)
-    corr = channel.CorrelationModel(n=config.n_antennas, r_h=eye,
-                                    sqrt_r_h=eye.copy())
-    return corr, np.zeros(shape), np.ones(shape)
+    n, k, w = config.n_antennas, config.subcarriers, config.relative_bandwidth
+    if not config.coupling:  # perfect match and unit noise
+        eye = np.eye(n, dtype=complex)
+        corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
+        return corr, np.zeros((k, n)), np.ones((k, n))
+    if mode_set is None:
+        mode_set = fixtures.CouplingModel().mode_set(n, d)
+    if mode_set.n != n:
+        raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
+                        f"the run has N={n}")
+    specs = [fano_boxcar(m, w) for m in mode_set.modes]
+    front = build_frontend(mode_set, specs, subcarrier_grid(k, w))
+    iso = fixtures.isolated_mode()
+    n0 = n0_normalize(config.temps, iso.r, fano_boxcar(iso, w).gamma0)
+    r = mode_set.expand([m.r for m in mode_set.modes]).real
+    sigma = noise_cov(front, r, config.temps, n0=n0).normalized()
+    corr = channel.spatial_correlation(n, d, config.planewaves)
+    return corr, front.gamma, _noise_floor(sigma)
 
 
 def _monte_carlo(config: SimConfig, points):

@@ -206,10 +206,7 @@ def taps_to_subcarriers(taps, k):
     l = taps.shape[-2]
     if l > k:
         raise ModelError(f"tap count {l} exceeds sub-carrier count {k}")
-    # FFT contiguous (..., N, L) lanes (numpy copies strided ones out one by
-    # one); to_eigenbasis makes the returned (..., K, N) view contiguous
-    lanes = np.ascontiguousarray(np.swapaxes(taps, -1, -2))
-    return np.swapaxes(np.fft.fft(lanes, n=k, axis=-1), -1, -2)
+    return np.fft.fft(taps, n=k, axis=-2)
 
 
 def to_eigenbasis(h, q):

@@ -267,7 +267,7 @@ def cli_main(argv=None):
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ModelError as exc:

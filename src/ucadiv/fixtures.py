@@ -77,11 +77,12 @@ class CouplingModel:
 
 
 def isolated_mode(f0=None) -> ResonantMode:
-    """Single-element reference resonator used for the i.i.d. baseline."""
-    return ResonantMode(
-        r=R_ISOLATED, q=Q_ISOLATED,
-        f0=F0_ISOLATED if f0 is None else float(f0),
-    )
+    """Single-element reference resonator used for the i.i.d. baseline.
+
+    ``f0`` reaches no result (Gamma0 reads Q, N0 R); only perfbench sets it.
+    """
+    f0 = F0_ISOLATED if f0 is None else float(f0)
+    return ResonantMode(r=R_ISOLATED, q=Q_ISOLATED, f0=f0)
 
 
 def table1_fixture() -> EigenModeSet:

@@ -102,9 +102,10 @@ def noise_cov(front: FrontEnd, mode_resistances, temps: NoiseTemps,
               n0=1.0) -> NoiseCov:
     """Eigen-basis noise covariance Sigma_nk / (4 kB B T0) per sub-carrier.
 
-    ``mode_resistances`` is the length-N diagonal of Re(Lambda_A) (fitted
-    per-mode resistances placed on all N DFT indices by
-    ``EigenModeSet.expand``, in units of the reference impedance).
+    ``mode_resistances`` is the length-N diagonal of Re(Lambda_A), per-mode
+    resistances placed on all N DFT indices by ``EigenModeSet.expand``.
+    They enter as given: the Monte-Carlo setup passes R in ohms, and its
+    ``n0`` the isolated element's R in ohms (ROADMAP item 2).
     """
     r = np.asarray(mode_resistances, dtype=float)
     if r.shape != front.gamma.shape[1:]:

@@ -152,9 +152,10 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         S22c = S22m + S21m (I - S22a S11m)^-1 S22a S12m
 
     so the composite relates the outer wave vectors of the chain.
-    A first pass builds and checks (I - S11m S22a) slab by slab, so its
-    singular samples are named before any of (I - S22a S11m); the solve pass
-    builds both per slab again, checks (I - S22a S11m) and factors each once.
+    One pass over the slabs builds, checks and factors both inner matrices
+    per slab.  The error names the first slab with a flagged sample, and in
+    it (I - S11m S22a) before (I - S22a S11m); as det(I - AB) = det(I - BA),
+    an exactly singular sample is named for (I - S11m S22a).
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -164,18 +165,17 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
         raise ValueError("cascade requires a shared frequency grid")
     n = a.n_ports
     eye = np.eye(n, dtype=complex)
-    slabs = _slabs(a.grid.size, 2 * n)
-    for k in slabs:
-        _guard(eye - m.s11[k] @ a.s22[k], a.grid,
-               "resonant inner term (I - S11m S22a)", k.start)
     s11, s12, s21, s22 = (np.empty((a.grid.size, n, n), dtype=complex)
                           for _ in range(4))
     # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
-    for k in slabs:
+    for k in _slabs(a.grid.size, 2 * n):
+        inner_m = eye - m.s11[k] @ a.s22[k]
         inner_a = eye - a.s22[k] @ m.s11[k]
+        _guard(inner_m, a.grid, "resonant inner term (I - S11m S22a)",
+               k.start)
         _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)",
                k.start)
-        xm = np.linalg.solve(eye - m.s11[k] @ a.s22[k], np.concatenate(
+        xm = np.linalg.solve(inner_m, np.concatenate(
             [m.s11[k], m.s12[k]], axis=2))
         ya = np.linalg.solve(inner_a, np.concatenate(
             [a.s21[k], a.s22[k] @ m.s12[k]], axis=2))

@@ -22,7 +22,7 @@ from ucadiv.capacity import (
     OutageCurve,
     SimConfig,
     _binom_ppf,
-    _match_and_noise,
+    _kernel_inputs,
     _mode_sum,
     _monte_carlo,
     _simulate,
@@ -33,15 +33,13 @@ from ucadiv.capacity import (
 )
 from ucadiv.channel import (
     _KEY_BLOCKS,
-    CorrelationModel,
     draw_taps,
     realization_rng,
-    spatial_correlation,
     taps_to_subcarriers,
     to_eigenbasis,
 )
 from ucadiv.errors import ModelError, NumericError
-from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
+from ucadiv.fixtures import table1_fixture, table1_sweep
 from ucadiv.io import write_impedance
 from ucadiv.network import dft_beamformer
 
@@ -70,20 +68,6 @@ def iid_oracle_samples(config):
     return out
 
 
-def kernel_inputs(config, d, mode_set=None):
-    """(corr, gamma, sigma_norm) of one spacing, as the kernel gets them."""
-    n, k = config.n_antennas, config.subcarriers
-    if not config.coupling:
-        eye = np.eye(n, dtype=complex)
-        corr = CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
-        return corr, np.zeros((k, n)), np.ones((k, n))
-    front, cov = _match_and_noise(
-        config, mode_set or CouplingModel().mode_set(n, d)
-    )
-    corr = spatial_correlation(n, d, config.planewaves)
-    return corr, front.gamma, cov.normalized()
-
-
 def traced_peak(fn, *args):
     """tracemalloc's peak, in bytes, over one call of ``fn(*args)``."""
     tracemalloc.start()
@@ -96,7 +80,7 @@ def traced_peak(fn, *args):
 
 def per_realization_samples(config, d, indices):
     """The public per-realization path, one realization at a time."""
-    corr, gamma, sigma = kernel_inputs(config, d)
+    corr, gamma, sigma = _kernel_inputs(config, d)
     q = dft_beamformer(config.n_antennas)
     out = np.empty(len(indices))
     for j, i in enumerate(indices):
@@ -301,31 +285,54 @@ class TestOutage:
         assert half == 0.5 * (hi - lo)
 
 
-def outage_coverage(m, p, reps=2000):
-    """Share of ``reps`` seeded runs whose c0 +/- half covers the p-quantile.
+def outage_coverage(runs, m, p):
+    """Share of the arrays ``runs(m, p)`` whose c0 +/- half covers q.
 
-    Each run passes m draws of C = log1p(10 E), E unit exponential, to
-    ``outage``; the exact quantile is log1p(-10 ln(1 - p)).
+    Each array holds m draws of C = log1p(10 E), E unit exponential, whose
+    exact p-quantile q is log1p(-10 ln(1 - p)).
     """
     q = np.log1p(-10.0 * np.log1p(-p))
+    hits = [abs(c0 - q) <= half
+            for c0, half in (outage(s, p) for s in runs(m, p))]
+    return sum(hits) / len(hits)
+
+
+def exponential_runs(m, p, reps=2000):
+    """``reps`` seeded arrays drawn from the distribution itself."""
     rng = np.random.default_rng([18, m])
-    hits = 0
     for _ in range(reps):
-        c0, half = outage(np.log1p(10.0 * rng.exponential(size=m)), p)
-        hits += abs(c0 - q) <= half
-    return hits / reps
+        yield np.log1p(10.0 * rng.exponential(size=m))
 
 
-@pytest.mark.parametrize("m,p", [
-    pytest.param(100, 0.01, marks=pytest.mark.xfail(
-        strict=True, reason="rank 1: the lower end is c0 itself and no "
-        "two-sided 95% interval exists (ROADMAP item 18(c))")),
-    (500, 0.01),
-    (5000, 0.01),
-], ids=["rank1", "rank5", "rank50"])
-def test_outage_interval_covers_at_95_percent(m, p):
-    # 2000 runs: the standard error of a 0.95 coverage is 0.005
-    assert abs(outage_coverage(m, p) - 0.95) <= 0.02
+def pipeline_runs(m, p, reps=1000):
+    """``run_monte_carlo`` samples over seeds 0..reps-1 at N = 1, one tap.
+
+    Uncoupled, with one tap and one sub-carrier, each sample is
+    log1p(snr |w|^2) with |w|^2 unit exponential, and snr is 10 (10 dB).
+    """
+    for seed in range(reps):
+        cfg = SimConfig(n_antennas=1, n_taps=1, subcarriers=1, coupling=False,
+                        spacings=(0.0,), realizations=m, outage_p=p,
+                        seed=seed)
+        yield run_monte_carlo(cfg, 0.0)
+
+
+RANK1 = pytest.mark.xfail(strict=True, reason="rank 1: the lower end is c0 "
+                          "itself and no two-sided 95% interval exists "
+                          "(ROADMAP item 18(c))")
+
+
+@pytest.mark.parametrize("runs,m,p", [
+    pytest.param(exponential_runs, 100, 0.01, marks=RANK1, id="rank1"),
+    pytest.param(exponential_runs, 500, 0.01, id="rank5"),
+    pytest.param(exponential_runs, 5000, 0.01, id="rank50"),
+    pytest.param(pipeline_runs, 100, 0.01, marks=RANK1, id="pipeline-rank1"),
+    pytest.param(pipeline_runs, 500, 0.01, id="pipeline-rank5"),
+])
+def test_outage_interval_covers_at_95_percent(runs, m, p):
+    # the standard error of a 0.95 coverage is 0.005 over 2000 runs and
+    # 0.007 over 1000
+    assert abs(outage_coverage(runs, m, p) - 0.95) <= 0.02
 
 
 # every loaded top-level package, on one line
@@ -454,7 +461,7 @@ class TestRunMonteCarlo:
         claim_cpus(monkeypatch, 2)
         m, processes = 2**16, 2
         cfg = SimConfig(realizations=m, seed=3, workers=processes)
-        points = [kernel_inputs(cfg, 0.25)]
+        points = [_kernel_inputs(cfg, 0.25)]
         _monte_carlo(replace(cfg, realizations=4000), points)  # pool imports
         peak = traced_peak(_monte_carlo, cfg, points)
         chunk = -(-m // (4 * processes)) * 8
@@ -571,7 +578,7 @@ class TestBlockedKernel:
         # the two spacings share each block's draws and workspace
         m, spacings = 261, (0.1, 0.5)
         cfg = SimConfig(n_antennas=n, realizations=m, seed=37)
-        points = [kernel_inputs(cfg, d) for d in spacings]
+        points = [_kernel_inputs(cfg, d) for d in spacings]
         want = [per_realization_samples(cfg, d, range(m)).tobytes()
                 for d in spacings]
         for block in [1, 7, 64, 128, 200]:
@@ -586,7 +593,7 @@ class TestBlockedKernel:
         # the bound is 5.24 MB: the kernel reads 4.88 MB, and read 6.13 MB
         # when it allocated the lanes and |h|^2 per block and spacing
         cfg = SimConfig(n_antennas=16, seed=3)
-        points = [kernel_inputs(cfg, d) for d in (0.1, 0.5)]
+        points = [_kernel_inputs(cfg, d) for d in (0.1, 0.5)]
         indices = np.arange(_BLOCK + 5)  # a full block and a partial tail
         _simulate(cfg, points, indices)  # first-call caches stay out
         peak = traced_peak(_simulate, cfg, points, indices)
@@ -601,7 +608,7 @@ class TestBlockedKernel:
         # alone, and read 4.33 MB when every realization's keys were
         # derived at once
         cfg = SimConfig(seed=3)
-        points = [kernel_inputs(cfg, 0.25)]
+        points = [_kernel_inputs(cfg, 0.25)]
         span = _KEY_BLOCKS * _BLOCK
         _simulate(cfg, points, np.arange(_BLOCK + 5))  # first-call caches
         two, eight = (traced_peak(_simulate, cfg, points, np.arange(s * span))
@@ -611,7 +618,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("index", [0, _BLOCK + 1, 2**32 - 1])
     def test_single_realization_chunk(self, index):
         cfg = SimConfig(n_antennas=3, seed=2**40)
-        [got] = _simulate(cfg, [kernel_inputs(cfg, 0.5)], np.array([index]))
+        [got] = _simulate(cfg, [_kernel_inputs(cfg, 0.5)], np.array([index]))
         assert np.array_equal(got, per_realization_samples(cfg, 0.5, [index]))
 
     def test_zero_noise_raises_before_any_draw(self, monkeypatch):

@@ -834,6 +834,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert os.listdir(tmp_path) == []
 
+    def test_unallocatable_config_exit_3(self, tmp_path, capsys):
+        # 10**14 sub-carriers ask for 728 TiB, beyond the 128 TiB address
+        # space of a 64-bit Linux process, so the allocation fails before a
+        # page is touched; its MemoryError used to escape as a traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcarriers": 10**14, "spacings": [0.25],
+                                   "realizations": 200}))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_fixture_without_antennas_exit_3(self, n, tmp_path, capsys):
         # N = 0 used to escape as an IndexError traceback
