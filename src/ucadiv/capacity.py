@@ -32,8 +32,11 @@ from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
 # while peak memory stays independent of the realization count (keys come
-# per channel._KEY_BLOCKS blocks, only the samples grow with it).
+# per channel._KEY_BLOCKS blocks, only the samples grow with it).  Fewer
+# where K N > 512, so that a workspace buffer of B K N complex entries
+# stays within _BLOCK_BYTES, about one core's L2, unless B = 1 exceeds it.
 _BLOCK = 128
+_BLOCK_BYTES = 2**20
 
 # |snr_db| bound: 4000 dB overflows snr_linear and 3080 dB the products of
 # realization_capacity, while 10**30 leaves them a wide margin
@@ -223,21 +226,22 @@ def _simulate(config: SimConfig, points, indices):
     eigen-basis product: swapped, BLAS sums some N in another order.
 
     Each block's large arrays live in one workspace per call, two buffers
-    sized for the largest block; a partial tail block uses their leading
-    parts.  ``e_buf`` takes the correlated lanes, dead once the FFT has
-    read them (N L <= K N: ``SimConfig`` enforces K >= L), then the
-    eigen-basis channels.  ``h_buf`` takes the FFT output, dead once the
-    eigen-basis product has read it, then, as floats, the |h|^2 of
-    ``realization_capacity``.  Allocated per block, such arrays are large
-    enough for glibc to hand back to the kernel and fault in again.
+    of B K N complex entries, at most ``_BLOCK_BYTES`` each; a partial tail
+    block uses their leading parts.  ``e_buf`` takes the correlated lanes,
+    dead once the FFT has read them (N L <= K N: ``SimConfig`` enforces
+    K >= L), then the eigen-basis channels.  ``h_buf`` takes the FFT
+    output, dead once the eigen-basis product has read it, then, as floats,
+    the |h|^2 of ``realization_capacity``.  Allocated per block, such
+    arrays are large enough for glibc to return to the kernel and refault.
     """
     n, l, k = config.n_antennas, config.n_taps, config.subcarriers
     q_conj, sqrt_p = dft_beamformer(n).conj(), np.sqrt(config.profile)
     out = [np.empty(len(indices)) for _ in points]
-    size = min(_BLOCK, len(indices)) * k * n
+    block = min(_BLOCK, max(1, _BLOCK_BYTES // (16 * k * n)))
+    size = min(block, len(indices)) * k * n
     h_buf, e_buf = np.empty(size, complex), np.empty(size, complex)
     start = 0
-    for w in channel.draw_tap_blocks(n, l, config.seed, indices, _BLOCK):
+    for w in channel.draw_tap_blocks(n, l, config.seed, indices, block):
         b = len(w)
         # contiguous leading slices: (N, B*K) sub-carrier lanes, (B*K, N)
         h = h_buf[:b * k * n].reshape(n, b * k)

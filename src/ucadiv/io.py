@@ -51,8 +51,12 @@ def _write_lines(path, lines):
     """The lines as text, also written to ``path`` when one is given."""
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # not "w": O_TRUNC stalls ext4 mounted with discard ~50 ms a rewrite
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            if os.path.isfile(path):  # truncate() refuses /dev/null
+                fh.truncate()
     return text
 
 

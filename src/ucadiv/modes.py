@@ -364,13 +364,7 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
 
     s12 = assemble(t.astype(complex))
     s12.flags.writeable = False  # reciprocal: one array is S12 and S21
-    return MultiportS(
-        s11=assemble(-np.conj(g)),
-        s12=s12,
-        s21=s12,
-        s22=assemble(g),
-        grid=sweep.grid,
-    )
+    return MultiportS(assemble(-np.conj(g)), s12, s12, assemble(g), sweep.grid)
 
 
 def sweep_from_modes(modes: EigenModeSet, grid: FrequencyGrid, d) -> ArraySweep:

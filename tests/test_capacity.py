@@ -573,33 +573,58 @@ class TestBlockedKernel:
         assert np.array_equal(got, per_realization_samples(cfg, 0.1, range(m)))
 
     @pytest.mark.parametrize("n", [2, 3, 16])
-    def test_bits_do_not_depend_on_the_block(self, n, monkeypatch):
+    def test_bits_do_not_depend_on_the_block(self, n, monkeypatch,
+                                             used_blocks):
         # 261 realizations end in a partial block at every size but 1, and
-        # the two spacings share each block's draws and workspace
+        # the two spacings share each block's draws and workspace.  Each
+        # case sets _BLOCK and _BLOCK_BYTES; the block is the smaller of
+        # _BLOCK and the budget's count of B K N complex entries, at least 1
         m, spacings = 261, (0.1, 0.5)
         cfg = SimConfig(n_antennas=n, realizations=m, seed=37)
         points = [_kernel_inputs(cfg, d) for d in spacings]
         want = [per_realization_samples(cfg, d, range(m)).tobytes()
                 for d in spacings]
-        for block in [1, 7, 64, 128, 200]:
-            monkeypatch.setattr(capacity, "_BLOCK", block)
+        entry = 16 * cfg.subcarriers * n  # bytes of one realization's K N
+        for size, budget, block in [
+            (1, 2**40, 1), (7, 2**40, 7), (64, 2**40, 64), (128, 2**40, 128),
+            (200, 2**40, 200), (128, 200 * entry, 128),  # _BLOCK sets it
+            (128, 7 * entry + entry // 2, 7),
+            (128, entry - 1, 1),  # the budget does, down to one realization
+        ]:
+            monkeypatch.setattr(capacity, "_BLOCK", size)
+            monkeypatch.setattr(capacity, "_BLOCK_BYTES", budget)
             got = _simulate(cfg, points, np.arange(m))
-            assert [s.tobytes() for s in got] == want, f"_BLOCK = {block}"
+            assert used_blocks.pop() == block, (size, budget)
+            assert [s.tobytes() for s in got] == want, (size, budget)
 
-    def test_peak_memory_stays_near_the_workspace(self):
+    @staticmethod
+    def workspace_peak(n, k, blocks):
+        """tracemalloc's peak over a full block and a tail, and B K N."""
+        cfg = SimConfig(n_antennas=n, subcarriers=k, seed=3)
+        points = [_kernel_inputs(cfg, d) for d in (0.1, 0.5)]
+        _simulate(cfg, points, np.arange(1))  # first-call caches stay out
+        indices = np.arange(blocks[0] + 5)
+        bkn = blocks[0] * k * n
+        assert bkn * 16 <= capacity._BLOCK_BYTES  # each buffer within it
+        return traced_peak(_simulate, cfg, points, indices), bkn
+
+    def test_peak_memory_stays_near_the_workspace(self, used_blocks):
         # the workspace is two complex buffers of B K N entries; everything
         # else a block allocates (draws, mode sums, samples) must stay under
-        # a quarter of it, the size of one |h|^2 array.  At N = 16, B = 128
-        # the bound is 5.24 MB: the kernel reads 4.88 MB, and read 6.13 MB
-        # when it allocated the lanes and |h|^2 per block and spacing
-        cfg = SimConfig(n_antennas=16, seed=3)
-        points = [_kernel_inputs(cfg, d) for d in (0.1, 0.5)]
-        indices = np.arange(_BLOCK + 5)  # a full block and a partial tail
-        _simulate(cfg, points, indices)  # first-call caches stay out
-        peak = traced_peak(_simulate, cfg, points, indices)
-        bkn = _BLOCK * cfg.subcarriers * cfg.n_antennas
-        workspace = 2 * bkn * 16  # two complex buffers
-        assert peak <= workspace + bkn * 8, f"peak {peak} bytes"
+        # a quarter of it, the size of one |h|^2 array.  At N = 16
+        # (B = 64) the bound is 2.62 MB and the kernel reads 2.51 MB; at
+        # B = 128 it read 4.88 MB, and 6.13 MB when it allocated the lanes
+        # and |h|^2 per block and spacing
+        peak, bkn = self.workspace_peak(16, 64, used_blocks)
+        assert peak <= 2 * bkn * 16 + bkn * 8, f"peak {peak} bytes"
+
+    def test_peak_memory_stays_within_the_budget_at_large_k(self,
+                                                            used_blocks):
+        # the same bound at N = 16, K = 1024 (B = 4) is 2.62 MB (2.5 MiB)
+        # and the kernel reads 2.38 MB; with 128-realization blocks it
+        # read 68.8 MB
+        peak, bkn = self.workspace_peak(16, 1024, used_blocks)
+        assert peak <= 2 * bkn * 16 + bkn * 8, f"peak {peak} bytes"
 
     def test_memory_does_not_grow_with_the_realizations(self):
         # keys are derived per span of _KEY_BLOCKS blocks, so over 8 spans

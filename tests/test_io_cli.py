@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -330,6 +331,33 @@ class TestImpedanceFileBytes:
         with pytest.raises(ValueError, match=match):
             write_impedance(sweep, path)
         assert not path.exists()
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # the writer opens without O_TRUNC and cuts the old tail after
+        path, short = tmp_path / "z.csv", table1_sweep()
+        write_impedance(fixture_sweep(16, 0.3), path)
+        write_impedance(short, path)
+        assert path.read_bytes() == per_element_writer(short)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_rewrite_through_a_symlink_keeps_link_and_mode(self, tmp_path):
+        target, link = tmp_path / "z.csv", tmp_path / "link.csv"
+        write_impedance(fixture_sweep(16, 0.3), target)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        write_impedance(table1_sweep(), link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == per_element_writer(table1_sweep())
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_symlink_to_dev_null_takes_the_write(self, tmp_path):
+        # only a regular file is cut: truncate() on /dev/null is EINVAL
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        write_impedance(table1_sweep(), link)
+        assert link.is_symlink() and link.resolve() == Path(os.devnull)
 
     def test_refuses_no_element(self):
         # ArraySweep itself refuses, so no such sweep reaches the writer

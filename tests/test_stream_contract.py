@@ -18,11 +18,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from ucadiv.capacity import _BLOCK, SimConfig, _kernel_inputs, _monte_carlo
+from ucadiv.capacity import SimConfig, _kernel_inputs, _monte_carlo
 
 SPACINGS = (0.05, 0.25, 1.0)
-# 3 and 64 are short blocks of the 128-realization block size; 131 is one
-# full block and a ragged tail
+# blocks hold 128 realizations up to N = 8, and fewer where a block of K N
+# complex entries would pass the kernel's 1 MiB budget: 113 at N = 9, 64 at
+# N = 16 and 60 at N = 17 (K = 64).  3 and 64 are short blocks, but 64 fills
+# one at N = 16; 131 is one full block and a ragged tail, or two full
+# blocks and a tail at N = 16 and 17
 COUNTS = (3, 64, 131)
 
 DIGESTS = {
@@ -59,9 +62,15 @@ def grid_digest(n):
     return digest.hexdigest()
 
 
-def test_counts_cover_a_full_block_and_a_tail():
-    # a later block size must not silently drop the full-block case
-    assert COUNTS[-1] > _BLOCK and COUNTS[-1] % _BLOCK
+def test_counts_cover_a_full_block_and_a_tail(used_blocks):
+    # a later block size must not silently drop the full-block case: the
+    # block each pinned N uses is read from the kernel's draw_tap_blocks
+    for n in sorted(DIGESTS):
+        cfg = SimConfig(n_antennas=n, realizations=3, outage_p=0.49,
+                        planewaves=max(32, 2 * n))
+        _monte_carlo(cfg, [_kernel_inputs(cfg, 0.25)])
+        block = used_blocks.pop()
+        assert COUNTS[-1] > block and COUNTS[-1] % block, (n, block)
 
 
 @pytest.mark.parametrize("n", sorted(DIGESTS))
