@@ -27,7 +27,6 @@ from .frontend import (
     noise_cov,
     subcarrier_grid,
 )
-from .modes import EigenModeSet
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
@@ -267,9 +266,11 @@ def _pool_run(args):
     return _simulate(config, points, np.arange(start, stop))
 
 
-def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
+def _kernel_inputs(config: SimConfig, d, mode_source=None):
     """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them.
 
+    ``mode_source(d)`` is read only with coupling on, and a source that
+    returns None, like none at all, means the synthetic coupling model.
     Every error of the spacing is raised here, before any draw: the
     kernel's only one, a zero noise floor, does not depend on the draws.
     """
@@ -278,6 +279,7 @@ def _kernel_inputs(config: SimConfig, d, mode_set: EigenModeSet = None):
         eye = np.eye(n, dtype=complex)
         corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
         return corr, np.zeros((k, n)), np.ones((k, n))
+    mode_set = mode_source(d) if mode_source is not None else None
     if mode_set is None:
         mode_set = fixtures.CouplingModel().mode_set(n, d)
     if mode_set.n != n:
@@ -393,23 +395,17 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     """
     if not config.spacings:
         raise ValueError("sweep needs at least one spacing")
-    inputs = []  # per spacing: kernel inputs, or the error of its setup
+    points, inputs = [], []  # inputs of the points whose setup succeeded
     for d in config.spacings:
+        points.append(SpacingResult(float(d)))
         try:
-            mode_set = mode_source(d) if mode_source is not None else None
-            inputs.append(_kernel_inputs(config, d, mode_set))
+            inputs.append(_kernel_inputs(config, d, mode_source))
         except UcadivError as exc:
-            inputs.append(exc)
+            points[-1].cause = exc
     start = time.perf_counter()
-    samples = iter(_monte_carlo(
-        config, [p for p in inputs if not isinstance(p, UcadivError)]
-    ))
+    samples = _monte_carlo(config, inputs)
     elapsed = time.perf_counter() - start
-    points = []
-    for d, p in zip(config.spacings, inputs):
-        if isinstance(p, UcadivError):
-            points.append(SpacingResult(float(d), cause=p))
-            continue
-        c0, half = outage(next(samples), config.outage_p)
-        points.append(SpacingResult(float(d), c0, half, config.realizations))
+    for p, s in zip([p for p in points if p.cause is None], samples):
+        p.c_out, p.ci_half_width = outage(s, config.outage_p)
+        p.n_samples = config.realizations
     return OutageCurve(points=points, monte_carlo_s=elapsed)

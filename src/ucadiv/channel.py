@@ -5,9 +5,10 @@ R_h^(1/2) w with w standard complex Gaussian, where the receive correlation
 R_h comes from a discrete ring of equal-gain plane waves.  Sub-carrier
 channel vectors are the DFT of the taps; the spatial DFT Q^H moves them to
 the eigen-basis.  Every step after the draw accepts leading batch axes.
-The Monte-Carlo kernel in ``capacity`` draws its blocks with
-``draw_tap_blocks`` but does the later steps itself, in antenna-major
-lanes, with the same bits as these per-step functions.
+The Monte-Carlo kernel in ``capacity`` draws its white taps with
+``draw_tap_blocks`` but correlates them as ``draw_taps`` does and does the
+later steps itself, in antenna-major lanes, with the same bits as these
+per-step functions.
 """
 
 import math
@@ -142,33 +143,27 @@ def _white(re, im):
     return w
 
 
-def _correlate(model: CorrelationModel, l, profile, w):
-    """Correlated taps sqrt(p_l) R_h^(1/2) w_l from white taps (..., L, N)."""
-    profile = np.asarray(profile, dtype=float)
-    if profile.shape != (l,):
-        raise ValueError("profile length must equal the tap count")
-    if not abs(profile.sum() - 1.0) <= 1e-9:  # NaN fails too
-        raise ValueError("tap powers must sum to 1")
-    # one (B*L, N) @ (N, N) product: a stacked matmul calls BLAS B times
-    taps = (w.reshape(-1, w.shape[-1]) @ model.sqrt_r_h.T).reshape(w.shape)
-    taps *= np.sqrt(profile)[:, None]
-    return taps
-
-
 def draw_taps(model: CorrelationModel, l, profile, rng):
     """One quasi-static realization: L correlated tap vectors, shape (L, N).
 
     Tap l is sqrt(p_l) R_h^(1/2) w_l with w_l standard complex Gaussian.
     """
+    profile = np.asarray(profile, dtype=float)
+    if profile.shape != (l,):
+        raise ValueError("profile length must equal the tap count")
+    if not abs(profile.sum() - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError("tap powers must sum to 1")
     re = rng.standard_normal((l, model.n))
     im = rng.standard_normal((l, model.n))
-    return _correlate(model, l, profile, _white(re, im))
+    taps = _white(re, im) @ model.sqrt_r_h.T
+    taps *= np.sqrt(profile)[:, None]
+    return taps
 
 
 def draw_tap_blocks(n, l, seed, indices, block):
     """White taps w of ``indices`` in (B, L, N) blocks, for every spacing.
 
-    ``_correlate`` of row j equals ``draw_taps(model, l, profile,
+    Row j is the white taps of ``draw_taps(model, l, profile,
     realization_rng(seed, i))`` bit for bit: one Philox generator, re-keyed
     per realization, starts each stream as ``realization_rng`` does.  The
     keys are derived per span of ``_KEY_BLOCKS`` blocks, so memory does not

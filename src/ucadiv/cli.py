@@ -139,11 +139,7 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
     failure is raised again, so it sets the exit code.  Only a run that
     succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
-    mode_source = None
-    if run.sim.coupling:
-        def mode_source(d):
-            return _mode_set_for(args, run, d)
-    curve = cap.sweep(run.sim, mode_source=mode_source)
+    curve = cap.sweep(run.sim, lambda d: _mode_set_for(args, run, d))
     table, doc = io.emit_curve(curve, run, args.out or io.default_outdir(),
                                stem=stem, to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)

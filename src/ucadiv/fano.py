@@ -30,15 +30,15 @@ class MatchSpec:
 
     ``gamma0`` is the conservative (capacity lower-bound) in-band reflection
     and ``gamma0_sq`` its square; ``gamma0_sq_upper`` is the optimistic
-    closed-form bound.  ``rhp_zero`` is the diagnostic right-half-plane zero
-    alpha + j beta (beta kept at 0; the conjugate pair is implied).
+    closed-form bound.  ``alpha`` is the real part of the diagnostic
+    right-half-plane zero pair alpha +- j beta, with beta taken as 0.
     """
 
     w: float
     gamma0: float
     gamma0_sq_upper: float
     gamma0_sq: float
-    rhp_zero: complex
+    alpha: float
 
     @property
     def usable(self):
@@ -65,14 +65,9 @@ def fano_boxcar(mode: ResonantMode, w) -> MatchSpec:
     g_sq_lower = math.exp(-2.0 * math.pi * (1.0 - w * w / 4.0) / (q * w))
     g_sq_upper = math.exp(-2.0 * math.pi / (q * w))
     alpha = f0 * math.pi * w * w / (4.0 * q)
-    gamma0 = math.sqrt(g_sq_lower)
-    return MatchSpec(
-        w=w,
-        gamma0=gamma0,
-        gamma0_sq_upper=g_sq_upper,
-        gamma0_sq=g_sq_lower,
-        rhp_zero=complex(alpha, 0.0),
-    )
+    return MatchSpec(w=w, gamma0=math.sqrt(g_sq_lower),
+                     gamma0_sq_upper=g_sq_upper, gamma0_sq=g_sq_lower,
+                     alpha=alpha)
 
 
 def boundary_bandwidth(q):
@@ -186,7 +181,6 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     if spec.gamma0_sq == 0.0:
         raise NumericError(f"box-car budget of the mode with Q = {q:.6g} at "
                            f"W = {w:.6g} underflows double precision")
-    alpha = spec.rhp_zero.real
 
     def logprof(fn):
         mag = boxcar_profile(spec, 1.0, fn)
@@ -197,7 +191,7 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     int_b, _ = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
 
     # |z_r|^2 = f0^2 per the conjugate-pair choice: (b) has (a)'s right side
-    budget = 2.0 * math.pi / q - 2.0 * alpha / f0
+    budget = 2.0 * math.pi / q - 2.0 * spec.alpha / f0
     return FanoResidualReport(
         residual_a=float(int_a - budget),
         residual_b=float(int_b - budget),

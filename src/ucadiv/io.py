@@ -266,7 +266,14 @@ def _number(value):
     return float(value)
 
 
-def _pair(entry, convert=str):
+def _path(value):
+    """A JSON string as a path; numbers, bool, null and lists are not."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
+
+
+def _pair(entry, convert=_path):
     """A ``[spacing, value]`` entry as (spacing, convert(value))."""
     if not (isinstance(entry, list) and len(entry) == 2):
         raise TypeError(f"expected a [spacing, value] pair, got {entry!r}")
@@ -290,9 +297,17 @@ def _entries(doc, key, convert):
 
 def load_config(path) -> RunConfig:
     import json  # here, not at import: `modes`, `match` and `fit` never use it
+
+    def unique(pairs):  # a repeated key is refused, not last-wins
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ParseError(f"repeated key {key!r}", path)
+        return dict(pairs)
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), path, exc.lineno) from None
     return config_from_dict(doc)
@@ -380,7 +395,7 @@ def emit_match_report(mode_set, specs, reports, out_path=None):
         rows.append(
             f"{m},{_fmt(mode.q)},{_fmt(mode.f0)},{_fmt(spec.w)},"
             f"{_fmt(spec.gamma0)},{_fmt(spec.gamma0_sq)},"
-            f"{_fmt(spec.gamma0_sq_upper)},{_fmt(spec.rhp_zero.real)},"
+            f"{_fmt(spec.gamma0_sq_upper)},{_fmt(spec.alpha)},"
             f"{int(spec.usable)},{_fmt(rep.residual_a)},"
             f"{_fmt(rep.residual_b)},{_fmt(rep.residual_b_bound)}"
         )

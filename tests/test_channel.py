@@ -1,5 +1,7 @@
 """Spatial correlation, Kronecker tap draws, and OFDM sub-carrier channels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from scipy import special
 
 from ucadiv.capacity import _BLOCK
 from ucadiv.channel import (
-    _correlate,
     _white,
     draw_tap_blocks,
     draw_taps,
@@ -197,28 +198,31 @@ def complex_normal(rng, shape):
 LEADING = [(), (1,), (3,), (_BLOCK + 1,)]
 
 
-class TestCorrelateBits:
-    """``_correlate`` against its straight formulation, bit for bit."""
+def straight_taps(model, profile, w):
+    """sqrt(p_l) R_h^(1/2) w_l for white taps w of shape (..., L, N)."""
+    return np.sqrt(profile)[:, None] * (w @ model.sqrt_r_h.T)
 
-    @staticmethod
-    def straight(model, profile, re, im):
-        w = (re + 1j * im) / np.sqrt(2.0)
-        return np.sqrt(profile)[:, None] * (w @ model.sqrt_r_h.T)
+
+class TestCorrelateBits:
+    """``draw_taps`` against its straight formulation, bit for bit."""
 
     @pytest.mark.parametrize("lead", LEADING + [(_BLOCK,)])
     @pytest.mark.parametrize("n", [1, 2, 3, 16])
     def test_equals_stacked_matmul(self, n, lead):
+        # a block of shape ``lead`` of realizations, one stream each, is
+        # correlated by one stacked matmul over the block
         rng = np.random.default_rng(n)
         model = spatial_correlation(n, 0.3)
         profile = rng.uniform(0.5, 1.5, 8)
         profile /= profile.sum()
-        # re/im as draw_tap_blocks passes them: views of one block, strided
-        # once it holds more than one realization
-        w = rng.standard_normal((*lead, 2, 8, n))
-        re, im = w[..., 0, :, :], w[..., 1, :, :]
-        got = _correlate(model, 8, profile, _white(re, im))
-        assert got.shape == (*lead, 8, n)
-        assert np.array_equal(got, self.straight(model, profile, re, im))
+        count = math.prod(lead)
+        w = np.array([realization_rng(n, i).standard_normal((2, 8, n))
+                      for i in range(count)]).reshape(*lead, 2, 8, n)
+        white = (w[..., 0, :, :] + 1j * w[..., 1, :, :]) / np.sqrt(2.0)
+        got = np.array([draw_taps(model, 8, profile, realization_rng(n, i))
+                        for i in range(count)])
+        assert np.array_equal(got.reshape(*lead, 8, n),
+                              straight_taps(model, profile, white))
 
 
 class TestDrawTapBlocks:
@@ -229,7 +233,7 @@ class TestDrawTapBlocks:
         indices = np.arange(7, 7 + 2 * 4 + 3)
         blocks = list(draw_tap_blocks(n, 5, 11, indices, 4))
         assert [b.shape for b in blocks] == [(4, 5, n)] * 2 + [(3, 5, n)]
-        got = [_correlate(model, 5, profile, b) for b in blocks]
+        got = [straight_taps(model, profile, b) for b in blocks]
         want = [draw_taps(model, 5, profile, realization_rng(11, i))
                 for i in indices]
         assert np.array_equal(np.concatenate(got), np.array(want))

@@ -73,12 +73,11 @@ class TestFanoBoxcar:
     def test_rhp_zero_construction(self):
         spec = fano_boxcar(BROAD, 0.02)
         assert_allclose(
-            spec.rhp_zero.real,
+            spec.alpha,
             BROAD.f0 * math.pi * 0.02 ** 2 / (4.0 * BROAD.q),
             rtol=1e-14,
         )
-        assert spec.rhp_zero.real > 0
-        assert spec.rhp_zero.imag == 0.0
+        assert spec.alpha > 0
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
@@ -124,7 +123,7 @@ class TestIntegralCheck:
         for w in (0.01, 0.02, 0.3):
             spec = fano_boxcar(NARROW, w)
             g0 = -math.log(spec.gamma0_sq)
-            lhs = w * g0 + 2.0 * spec.rhp_zero.real / NARROW.f0
+            lhs = w * g0 + 2.0 * spec.alpha / NARROW.f0
             assert_allclose(lhs, 2.0 * math.pi / NARROW.q, rtol=1e-12)
 
 

@@ -426,6 +426,22 @@ class TestRunConfig:
         assert run.sim.seed == 42
         assert run.sim.realizations == 500
 
+    def test_repeated_key_refused(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"seed": 1, "realizations": 200, "seed": 5}')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                                             "repeated key 'seed'$"):
+            load_config(path)
+        rc = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 3 and not (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("path", [5, True, None, ["z.csv"]])
+    def test_impedance_file_path_must_be_a_string(self, path):
+        with pytest.raises(DataError, match="^key 'impedance_files': expected "
+                           f"a path string, got {re.escape(repr(path))}$"):
+            config_from_dict({"impedance_files": [[0.25, "z.csv"],
+                                                  [0.5, path]]})
+
     def test_json_syntax_error_names_its_line(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text('{\n  "seed": 42,\n}\n')  # a trailing comma
@@ -1266,6 +1282,31 @@ class TestCli:
                          "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert doc["points"][0]["error"] is None
+
+    @pytest.mark.parametrize("doc,argv", [
+        ({"input": "files", "impedance_files": [[0.25, "missing.csv"]],
+          "spacings": [0.25]}, []),
+        ({}, ["--fixture", "table1", "--spacing", "0.5"]),
+    ])
+    def test_coupling_off_never_resolves_modes(self, tmp_path, doc, argv):
+        # a missing file or a spacing table1 does not cover fails only
+        # where modes are read, which an uncoupled run never does
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"coupling": False, "realizations": 150,
+                                   **doc}))
+        assert cli_main(["sweep", "--config", str(cfg), *argv,
+                         "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert [p["error"] for p in doc["points"]] == [None]
+
+    def test_non_string_impedance_file_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"impedance_files": [[0.5, 5], [0.25, None]],
+                                   "spacings": [0.1]}))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 3 and not (tmp_path / "sweep.json").exists()
+        assert capsys.readouterr().err == ("error: key 'impedance_files': "
+                                           "expected a path string, got 5\n")
 
     def test_files_mode_missing_spacing_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -11,8 +11,8 @@ import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
-MAX_LINES = 2448  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1511  # without blank lines, comments and docstrings
+MAX_LINES = 2444  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1503  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
