@@ -127,7 +127,7 @@ class SimConfig:
     def profile(self):
         if self.tap_powers is not None:
             return np.asarray(self.tap_powers, dtype=float)
-        return channel.equal_power_profile(self.n_taps)
+        return np.full(self.n_taps, 1.0 / self.n_taps)
 
     @property
     def quantile_well_resolved(self):
@@ -269,8 +269,8 @@ def _pool_run(args):
 def _kernel_inputs(config: SimConfig, d, mode_source=None):
     """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them.
 
-    ``mode_source(d)`` is read only with coupling on, and a source that
-    returns None, like none at all, means the synthetic coupling model.
+    ``mode_source(d)``, read only with coupling on, gives the spacing's
+    EigenModeSet; without a source the synthetic coupling model does.
     Every error of the spacing is raised here, before any draw: the
     kernel's only one, a zero noise floor, does not depend on the draws.
     """
@@ -279,9 +279,8 @@ def _kernel_inputs(config: SimConfig, d, mode_source=None):
         eye = np.eye(n, dtype=complex)
         corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
         return corr, np.zeros((k, n)), np.ones((k, n))
-    mode_set = mode_source(d) if mode_source is not None else None
-    if mode_set is None:
-        mode_set = fixtures.CouplingModel().mode_set(n, d)
+    mode_set = (mode_source(d) if mode_source is not None
+                else fixtures.CouplingModel().mode_set(n, d))
     if mode_set.n != n:
         raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
                         f"the run has N={n}")
@@ -387,11 +386,12 @@ def outage(samples, p):
 def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     """Outage capacity across the configured spacings.
 
-    ``mode_source`` optionally maps a spacing to its EigenModeSet (fitted
-    from ingested data or pinned fixture parameters); the synthetic coupling
-    model is the default.  Per-spacing failures are isolated: the offending
-    point records its error and the sweep continues.  Every spacing sees
-    the same realizations, each drawn once, so the points are paired.
+    ``mode_source`` optionally maps each spacing to its EigenModeSet (fitted
+    from ingested data or pinned fixture parameters); without one, the
+    synthetic coupling model gives the modes.  Per-spacing failures are
+    isolated: the offending point records its error and the sweep
+    continues.  Every spacing sees the same realizations, each drawn once,
+    so the points are paired.
     """
     if not config.spacings:
         raise ValueError("sweep needs at least one spacing")

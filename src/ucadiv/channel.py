@@ -128,13 +128,6 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
     return CorrelationModel(n=n, r_h=r_h, sqrt_r_h=sqrt_r_h)
 
 
-def equal_power_profile(l):
-    """Normalized flat delay profile over L taps."""
-    if l < 1:
-        raise ValueError("need at least one tap")
-    return np.full(l, 1.0 / l)
-
-
 def _white(re, im):
     """Standard complex Gaussian taps (re + j im) / sqrt(2) as a new array."""
     w = np.empty(re.shape, dtype=complex)

@@ -70,8 +70,8 @@ _OVERRIDES = {"seed": "seed", "realizations": "realizations",
 
 def _load_run_config(args) -> io.RunConfig:
     run = io.load_config(args.config) if args.config else io.RunConfig()
-    given = {name: getattr(args, dest) for dest, name in _OVERRIDES.items()
-             if getattr(args, dest, None) is not None}
+    given = {name: value for dest, name in _OVERRIDES.items()
+             if (value := vars(args).get(dest)) is not None}
     if "spacings" in given:  # argparse gives a list
         given["spacings"] = tuple(given["spacings"])
     return replace(run, sim=replace(run.sim, **given))
@@ -79,7 +79,7 @@ def _load_run_config(args) -> io.RunConfig:
 
 def _mode_set_for(args, run: io.RunConfig, d):
     """Resolve the mode set for one spacing from the configured input."""
-    if getattr(args, "fixture", None) == "table1":
+    if args.fixture == "table1":
         if abs(d - fixtures.TABLE1_SPACING) < 1e-12:
             return fixtures.table1_fixture()
         raise DataError(f"table1 is only for d = {fixtures.TABLE1_SPACING}")
@@ -144,7 +144,7 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
                                stem=stem, to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)
     for p in curve.points:
-        if p.error:
+        if p.cause is not None:
             print(f"d = {p.d}: failed ({p.error})")
         else:
             print(f"d = {p.d}: {label} = {p.c_out * scale:.6f} "

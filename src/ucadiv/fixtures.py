@@ -10,7 +10,6 @@ measured data.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ COUPLING_DECAY = 12.0
 WEIGHT_CLAMP = 2.5
 
 
-@dataclass(frozen=True)
 class CouplingModel:
     """Per-mode parameter splits as a function of element spacing.
 

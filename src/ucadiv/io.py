@@ -252,10 +252,17 @@ def config_from_dict(doc) -> RunConfig:
         sim = SimConfig(**given)
     except (ValueError, OverflowError) as exc:
         raise DataError(str(exc)) from None
-    return RunConfig(sim=sim, input_mode=input_mode,
-                     impedance_files=_entries(doc, "impedance_files", _pair),
-                     fixture_modes=_entries(doc, "fixture_modes",
-                                            lambda e: _pair(e, _triples)))
+    files = _entries(doc, "impedance_files", _pair)
+    pinned = _entries(doc, "fixture_modes", lambda e: _pair(e, _triples))
+    # one run spacing matches an entry within 1e-12, so two entries this
+    # close could both match it: a spacing is configured once
+    spacings = sorted(d for d, _ in files + pinned)
+    for a, b in zip(spacings, spacings[1:]):
+        if b - a < 2e-12:
+            raise DataError(f"spacing {a} is configured more than once in "
+                            "impedance_files and fixture_modes")
+    return RunConfig(sim=sim, input_mode=input_mode, impedance_files=files,
+                     fixture_modes=pinned)
 
 
 def _number(value):
@@ -342,25 +349,21 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     scale, unit = capacity_unit(to_bits)
 
     rows = [f"spacing,c_out_{unit},ci_half_width,samples,seed,config"]
+    points = []
     for p in curve.points:
-        values = "error,error,0" if p.error is not None else (
-            f"{_fmt(p.c_out * scale)},{_fmt(p.ci_half_width * scale)},"
-            f"{p.n_samples}")
+        ok = p.cause is None  # the one test for a failed point
+        c, half = ((p.c_out * scale, p.ci_half_width * scale) if ok
+                   else (None, None))
+        values = (f"{_fmt(c)},{_fmt(half)},{p.n_samples}" if ok
+                  else "error,error,0")
         rows.append(f"{_fmt(p.d)},{values},{run_config.sim.seed},{h}")
+        points.append({"spacing": p.d, "c_out": c, "ci_half_width": half,
+                       "samples": p.n_samples, "error": p.error})
     doc = {
         "config": run_config.to_dict(),
         "config_hash": h,
         "capacity_unit": f"{unit}/s/Hz",
-        "points": [
-            {
-                "spacing": p.d,
-                "c_out": None if p.error else p.c_out * scale,
-                "ci_half_width": None if p.error else p.ci_half_width * scale,
-                "samples": p.n_samples,
-                "error": p.error,
-            }
-            for p in curve.points
-        ],
+        "points": points,
     }
     # strict JSON: a non-finite value raises here, before any file is written
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

@@ -339,17 +339,13 @@ def extend_to_2n_port(sweep: ArraySweep, z_ref=1.0) -> MultiportS:
     port-symmetric.  Only |t|^2 enters downstream formulas, so the phase
     convention is observably irrelevant.
 
-    ``z_ref`` is a scalar (default the 1-ohm system reference, in which case
-    S22a equals z_to_s of the impedance matrices) or a per-mode vector of
-    finite, positive reference resistances.  S21 is S12, made read-only.
+    ``z_ref`` is one finite, positive reference resistance for every mode
+    (default the 1-ohm system reference, in which case S22a equals z_to_s
+    of the impedance matrices).  S21 is S12, made read-only.
     """
     lam = eigen_impedances(sweep)
-    zr = np.asarray(z_ref, dtype=float)
-    if zr.ndim == 0:
-        zr = np.full(sweep.n, float(zr))
-    elif zr.shape != (sweep.n,):
-        raise ValueError("per-mode z_ref must have one entry per DFT index")
-    if not np.all(np.isfinite(zr) & (zr > 0)):
+    zr = float(z_ref)
+    if not (math.isfinite(zr) and zr > 0):
         raise ValueError("reference resistances must be finite and positive")
 
     g = (lam - zr) / (lam + zr)

@@ -24,7 +24,6 @@ import ucadiv
 from ucadiv.capacity import SimConfig, outage, run_monte_carlo, sweep
 from ucadiv.channel import (
     draw_taps,
-    equal_power_profile,
     realization_rng,
     spatial_correlation,
 )
@@ -267,7 +266,7 @@ def test_criterion_07_correlation_oracle():
 
     rng = realization_rng(777, 0)
     n_draws = 100_000
-    draws = draw_taps(model, n_draws, equal_power_profile(n_draws), rng)
+    draws = draw_taps(model, n_draws, np.full(n_draws, 1.0 / n_draws), rng)
     draws = draws * math.sqrt(n_draws)
     sample_cov = draws.conj().T @ draws / n_draws
     assert np.max(np.abs(sample_cov - model.r_h)) < 0.01

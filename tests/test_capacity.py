@@ -39,7 +39,7 @@ from ucadiv.channel import (
     to_eigenbasis,
 )
 from ucadiv.errors import ModelError, NumericError
-from ucadiv.fixtures import table1_fixture, table1_sweep
+from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
 from ucadiv.io import write_impedance
 from ucadiv.network import dft_beamformer
 
@@ -683,8 +683,8 @@ class TestSharedDraws:
         cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
                         realizations=200, spacings=(0.1, 0.25, 0.5), seed=31,
                         workers=workers)
-        curve = sweep(cfg, mode_source=lambda d: (dark_mode_set()
-                                                  if d == 0.25 else None))
+        curve = sweep(cfg, mode_source=lambda d: (
+            dark_mode_set() if d == 0.25 else CouplingModel().mode_set(2, d)))
         bad = curve.points[1]
         assert bad.error.startswith("zero noise floor")
         assert isinstance(bad.cause, NumericError) and bad.n_samples == 0
@@ -724,7 +724,7 @@ class TestSweep:
         def mode_source(d):
             if d == 0.1:
                 raise ModelError("synthetic failure")
-            return None
+            return CouplingModel().mode_set(2, d)
 
         curve = sweep(cfg, mode_source=mode_source)
         assert curve.points[0].error is not None
@@ -736,8 +736,6 @@ class TestSweep:
             sweep(SimConfig(spacings=()))
 
     def test_n4_structure(self):
-        from ucadiv.fixtures import CouplingModel
-
         modes = CouplingModel().mode_set(4, 0.25)
         assert len(modes.modes) == 3
         assert sorted(np.bincount(modes.expand([0, 1, 2]))) == [1, 1, 2]

@@ -14,7 +14,6 @@ from ucadiv.channel import (
     _white,
     draw_tap_blocks,
     draw_taps,
-    equal_power_profile,
     realization_keys,
     realization_rng,
     spatial_correlation,
@@ -109,7 +108,8 @@ class TestDrawTaps:
         model.r_h = np.eye(2, dtype=complex)
         model.sqrt_r_h = np.eye(2, dtype=complex)
         rng = realization_rng(0, 0)
-        draws = draw_taps(model, 100_000, equal_power_profile(100_000), rng)
+        draws = draw_taps(model, 100_000, np.full(100_000, 1.0 / 100_000),
+                          rng)
         draws = draws * np.sqrt(100_000)  # undo the per-tap power split
         cov = draws.conj().T @ draws / draws.shape[0]
         assert np.max(np.abs(cov - np.eye(2))) < 0.02
@@ -118,27 +118,27 @@ class TestDrawTaps:
         model = spatial_correlation(2, 0.25)
         rng = realization_rng(7, 0)
         n_draws = 100_000
-        w = draw_taps(model, n_draws, equal_power_profile(n_draws), rng)
+        w = draw_taps(model, n_draws, np.full(n_draws, 1.0 / n_draws), rng)
         w = w * np.sqrt(n_draws)
         cov = w.conj().T @ w / n_draws
         assert np.max(np.abs(cov - model.r_h)) < 0.01
 
     def test_rank_one_makes_equal_entries(self):
         model = spatial_correlation(3, 0.0)
-        taps = draw_taps(model, 4, equal_power_profile(4), realization_rng(1, 2))
+        taps = draw_taps(model, 4, np.full(4, 1.0 / 4), realization_rng(1, 2))
         assert_allclose(taps[:, 0], taps[:, 1], rtol=1e-10)
         assert_allclose(taps[:, 0], taps[:, 2], rtol=1e-10)
 
     def test_fixed_seed_bit_identical(self):
         model = spatial_correlation(2, 0.5)
-        a = draw_taps(model, 8, equal_power_profile(8), realization_rng(3, 9))
-        b = draw_taps(model, 8, equal_power_profile(8), realization_rng(3, 9))
+        a = draw_taps(model, 8, np.full(8, 1.0 / 8), realization_rng(3, 9))
+        b = draw_taps(model, 8, np.full(8, 1.0 / 8), realization_rng(3, 9))
         assert np.array_equal(a, b)
 
     def test_stream_keys_are_independent(self):
         model = spatial_correlation(2, 0.5)
-        a = draw_taps(model, 8, equal_power_profile(8), realization_rng(3, 0))
-        b = draw_taps(model, 8, equal_power_profile(8), realization_rng(3, 1))
+        a = draw_taps(model, 8, np.full(8, 1.0 / 8), realization_rng(3, 0))
+        b = draw_taps(model, 8, np.full(8, 1.0 / 8), realization_rng(3, 1))
         assert not np.array_equal(a, b)
 
     def test_profile_validation(self):
@@ -147,9 +147,7 @@ class TestDrawTaps:
             draw_taps(model, 3, np.array([0.5, 0.5, 0.5]),
                       realization_rng(0, 0))
         with pytest.raises(ValueError, match="^profile length must equal"):
-            draw_taps(model, 3, equal_power_profile(2), realization_rng(0, 0))
-        with pytest.raises(ValueError, match="^need at least one tap$"):
-            equal_power_profile(0)
+            draw_taps(model, 3, np.full(2, 1.0 / 2), realization_rng(0, 0))
 
 
 def seed_sequence_key(seed, index):
@@ -229,7 +227,7 @@ class TestDrawTapBlocks:
     @pytest.mark.parametrize("n", [1, 3])
     def test_rows_equal_draw_taps(self, n):
         model = spatial_correlation(n, 0.3)
-        profile = equal_power_profile(5)
+        profile = np.full(5, 1.0 / 5)
         indices = np.arange(7, 7 + 2 * 4 + 3)
         blocks = list(draw_tap_blocks(n, 5, 11, indices, 4))
         assert [b.shape for b in blocks] == [(4, 5, n)] * 2 + [(3, 5, n)]

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ucadiv import capacity, errors
+from ucadiv import capacity, cli, errors
 from ucadiv.capacity import OutageCurve, SpacingResult
 from ucadiv.cli import cli_main
-from ucadiv.errors import DataError, ParseError, UcadivError
+from ucadiv.errors import DataError, ModelError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
     TABLE1_MODE2,
+    CouplingModel,
     fixture_sweep,
     table1_fixture,
     table1_sweep,
@@ -533,6 +534,12 @@ class TestRunConfig:
         })
         assert run.fixture_modes[0][0] == 0.25
         assert run.fixture_modes[0][1][1] == (28.31, 16.0, 0.9675)
+
+    def test_spacings_apart_by_more_than_the_match_rule_are_kept(self):
+        t1 = [list(TABLE1_MODE1), list(TABLE1_MODE2)]
+        run = config_from_dict({"impedance_files": [[0.25, "z.csv"]],
+                                "fixture_modes": [[0.25 + 4e-12, t1]]})
+        assert run.impedance_files == ((0.25, "z.csv"),)
 
 
 # any JSON value: scalars (unbounded ints, non-finite floats) and nested lists
@@ -1426,6 +1433,66 @@ class TestCli:
                 (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert float(rows[0][1]) > 0
         assert rows[1][:3] == ["0.5", "error", "error"]
+
+    @pytest.mark.parametrize("files, pinned", [
+        ([[0.25, "good"], [0.25, "missing"]], []),
+        ([[0.25, "missing"], [0.25, "good"]], []),
+        ([], [[0.25, "table1"], [0.25, "dark"]]),
+        ([], [[0.25, "dark"], [0.25, "table1"]]),
+        ([[0.25, "good"]], [[0.25 + 1e-12, "dark"]]),
+        ([[0.25, "missing"]], [[0.25, "table1"]]),
+    ], ids=["files", "files-swapped", "pinned", "pinned-swapped", "across",
+            "across-missing"])
+    def test_spacing_configured_twice_exit_3(self, files, pinned, tmp_path,
+                                             capsys):
+        # the first matching entry ran and a later one was never read, so
+        # the same entries exited 0 or 3 depending on their order
+        good = tmp_path / "d025.csv"
+        write_impedance(table1_sweep(), good)
+        r2, _, f2 = TABLE1_MODE2
+        modes = {"table1": [list(TABLE1_MODE1), list(TABLE1_MODE2)],
+                 "dark": [list(TABLE1_MODE1), [r2, 1e20, f2]]}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.25], "realizations": 200,
+            "input": "files" if files else "fixture",
+            "impedance_files": [[d, str(tmp_path / f"{name}.csv")]
+                                if name == "missing" else [d, str(good)]
+                                for d, name in files],
+            "fixture_modes": [[d, modes[name]] for d, name in pinned],
+        }))
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: spacing 0.25 is configured more than once in "
+                "impedance_files and fixture_modes\n")
+
+    def test_failure_with_an_empty_message_is_a_failed_point(
+            self, tmp_path, monkeypatch, capsys):
+        # a cause whose message is empty read as success: the json got
+        # c_out = NaN and the run stopped on "Out of range float values"
+        def mode_set_for(args, run, d):
+            if d == 0.1:
+                raise ModelError()
+            return CouplingModel().mode_set(run.sim.n_antennas, d)
+
+        monkeypatch.setattr(cli, "_mode_set_for", mode_set_for)
+        rc = cli_main(["sweep", "--spacing", "0.1", "0.25", "--realizations",
+                       "200", "--out", str(tmp_path)])
+        assert rc == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "d = 0.1: failed ()"
+        assert err == "model error: \n"
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][1:4] == ["error", "error", "0"]
+        assert float(rows[1][1]) > 0
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert doc["points"][0] == {"spacing": 0.1, "c_out": None,
+                                    "ci_half_width": None, "samples": 0,
+                                    "error": ""}
+        assert doc["points"][1]["error"] is None
 
     @pytest.mark.parametrize("spacings, good", [
         (["0.05", "1.0"], []), (["0.25", "1.0"], ["0.25"])])

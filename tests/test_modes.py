@@ -342,17 +342,25 @@ class TestExtendTo2nPort:
         with pytest.raises(ValueError, match="read-only"):
             s.s21[0, 0, 0] = 0.0
 
-    @pytest.mark.parametrize("z_ref", [np.nan, np.inf, [1.0, np.nan]])
+    @pytest.mark.parametrize("z_ref", [np.nan, np.inf, np.array(np.nan)])
     def test_rejects_non_finite_reference(self, z_ref):
         with pytest.raises(ValueError, match="finite and positive"):
+            extend_to_2n_port(table1_sweep(default_grid(points=21)),
+                              z_ref=z_ref)
+
+    @pytest.mark.parametrize("z_ref", [0.0, -1.0])
+    def test_rejects_non_positive_reference(self, z_ref):
+        with pytest.raises(ValueError, match="^reference resistances must be "
+                                             "finite and positive$"):
             extend_to_2n_port(table1_sweep(default_grid(points=21)),
                               z_ref=z_ref)
 
     @pytest.mark.parametrize("z_ref", [[1.0], [1.0, 1.0, 1.0],
                                        [[1.0, 1.0]]])
     def test_rejects_reference_of_wrong_length(self, z_ref):
-        with pytest.raises(ValueError, match="^per-mode z_ref must have one "
-                                             "entry per DFT index$"):
+        # one reference resistance serves every mode; a list of any
+        # length is refused
+        with pytest.raises(TypeError):
             extend_to_2n_port(table1_sweep(default_grid(points=21)),
                               z_ref=z_ref)
 
@@ -391,8 +399,8 @@ class TestExtendTo2nPort:
         assert worst <= 1e-10, f"reciprocity deviation {worst}"
 
     def test_retuned_modes_transmissivity_matches_response(self):
-        # with modes centered at the carrier and per-mode reference
-        # resistances, |Lambda_21|^2 is exactly the eigen-mode response
+        # with modes centered at the carrier and each mode's resistance as
+        # the reference, |Lambda_21|^2 is exactly the eigen-mode response
         modes = EigenModeSet(
             n=2,
             modes=tuple(
@@ -401,11 +409,10 @@ class TestExtendTo2nPort:
         )
         g = default_grid(points=101)
         sw = sweep_from_modes(modes, g, 0.25)
-        refs = np.array([m.r for m in modes.modes])
-        s = extend_to_2n_port(sw, z_ref=refs)
         q = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        lam21 = np.einsum("ij,fjk,kl->fil", q.conj().T, s.s21, q)
         for idx, mode in enumerate(modes.modes):
+            s21 = extend_to_2n_port(sw, z_ref=mode.r).s21
+            lam21 = np.einsum("ij,fjk,kl->fil", q.conj().T, s21, q)
             got = np.abs(lam21[:, idx, idx]) ** 2
             want = eigen_mode_response(mode, g.samples)
             assert_allclose(got, want, atol=1e-10)
@@ -416,11 +423,10 @@ class TestExtendTo2nPort:
         modes = table1_fixture()
         g = default_grid(points=101)
         sw = sweep_from_modes(modes, g, 0.25)
-        refs = np.array([m.r for m in modes.modes])
-        s = extend_to_2n_port(sw, z_ref=refs)
         q = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        lam21 = np.einsum("ij,fjk,kl->fil", q.conj().T, s.s21, q)
         for idx, mode in enumerate(modes.modes):
+            s21 = extend_to_2n_port(sw, z_ref=mode.r).s21
+            lam21 = np.einsum("ij,fjk,kl->fil", q.conj().T, s21, q)
             got = np.abs(lam21[:, idx, idx]) ** 2
             want = eigen_mode_response(mode, g.samples)
             assert np.max(np.abs(got - want)) < 0.05

@@ -2,7 +2,8 @@
 
 The package is to stay the same size or smaller.  A change that needs more
 lines raises a limit below, a one-line diff, and says in CHANGES.md which
-lines pay for it.  ``python3 tests/test_source_size.py`` prints both counts.
+lines pay for it.  ``python3 tests/test_source_size.py`` prints both counts
+per module, then the totals.
 """
 
 import io
@@ -11,8 +12,8 @@ import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
-MAX_LINES = 2444  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1503  # without blank lines, comments and docstrings
+MAX_LINES = 2434  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1493  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -39,11 +40,17 @@ def code_lines(text):
     return len(lines)
 
 
+def module_sizes():
+    """{module file name: (lines, code lines)} over the package."""
+    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    return {name: (len(t.splitlines()), code_lines(t))
+            for name, t in texts.items()}
+
+
 def source_size():
     """(lines, code lines) over every module of the package."""
-    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    return (sum(len(t.splitlines()) for t in texts),
-            sum(code_lines(t) for t in texts))
+    sizes = module_sizes().values()
+    return sum(s[0] for s in sizes), sum(s[1] for s in sizes)
 
 
 def test_code_lines_skip_comments_and_docstrings():
@@ -61,4 +68,6 @@ def test_source_stays_within_its_line_limits():
 
 
 if __name__ == "__main__":
-    print(*source_size())
+    for name, (lines, code) in [*module_sizes().items(),
+                                ("total", source_size())]:
+        print(f"{name:<12} {lines:5d} {code:5d}")
