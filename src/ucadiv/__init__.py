@@ -6,6 +6,11 @@ gain-bandwidth limits of box-car matching, and estimates diversity-OFDM
 outage capacity versus element spacing by Monte-Carlo simulation.
 """
 
+import os
+# one BLAS thread per process unless set, before numpy loads (see README)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .capacity import (
     OutageCurve,
     SimConfig,

@@ -109,21 +109,21 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 def _gk21(f, a, b):
     """QK21 on [a, b]: (result, abserr) in QUADPACK's summation order."""
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(centr)
+    dx = hlgth * np.array(_XGK)
+    fc, *v = f(np.concatenate(([centr], centr - dx, centr + dx))).tolist()
     resg, resk = 0.0, _WGK[10] * fc
     resabs = abs(resk)
-    fv = [(f(centr - hlgth * x), f(centr + hlgth * x)) for x in _XGK]
     # the Gauss nodes first, then the Kronrod-only ones, as QK21 adds them
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        f1, f2 = fv[j]
+        f1, f2 = v[j], v[10 + j]
         if j % 2:
             resg = resg + _WG[j // 2] * (f1 + f2)
         resk = resk + _WGK[j] * (f1 + f2)
         resabs = resabs + _WGK[j] * (abs(f1) + abs(f2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
-    for j, (f1, f2) in enumerate(fv):
-        resasc = resasc + _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(v[j] - reskh) + abs(v[10 + j] - reskh))
     resabs, resasc = resabs * abs(hlgth), resasc * abs(hlgth)
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
@@ -134,8 +134,8 @@ def _gk21(f, a, b):
 
 
 def _quad(f, a, b):
-    """QK21, bisecting the worst panel until the summed error meets quad's
-    default tolerance max(1.49e-8, 1.49e-8 |result|), in 50 panels at most."""
+    """QK21 of ``f`` on 1-D node arrays, bisecting the worst panel until the
+    summed error meets quad's max(1.49e-8, 1.49e-8 |result|), 50 panels max."""
     panels = [(*_gk21(f, a, b), a, b)]
     while True:
         result, abserr = sum(p[0] for p in panels), sum(p[1] for p in panels)
@@ -170,12 +170,12 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
     """Integrate the box-car profile against both matching constraints.
 
     The band integrals are evaluated by quadrature in the mode-normalized
-    frequency (they are closed-form for a box-car; the quadrature keeps the
-    check independent of the construction).  Constraint (a) must be exact;
-    the magnitude of the (b) residual is bounded by pi W^2 / (2 Q).  The rule
-    is QUADPACK's QK21 (Piessens et al., 1983): where one pass meets quad's
-    tolerance (W <= 1.25) the bits equal SciPy 1.17's ``quad``, and wider
-    bands are bisected.  Q W below ~0.0084 underflows: NumericError.
+    frequency (closed-form for a box-car, but quadrature keeps the check
+    independent of the construction).  Constraint (a) must be exact; the (b)
+    residual's magnitude is bounded by pi W^2 / (2 Q).  The rule is QK21
+    (QUADPACK; Piessens et al., 1983), one integrand call per panel: where a
+    pass meets quad's tolerance (W <= 1.25) the bits equal SciPy 1.17's
+    ``quad``; wider bands are bisected.  Q W < ~0.0084 underflows: NumericError.
     """
     q, f0, w = mode.q, mode.f0, spec.w
     if spec.gamma0_sq == 0.0:
@@ -183,8 +183,7 @@ def fano_integral_check(spec: MatchSpec, mode: ResonantMode) -> FanoResidualRepo
                            f"W = {w:.6g} underflows double precision")
 
     def logprof(fn):
-        mag = boxcar_profile(spec, 1.0, fn)
-        return -2.0 * np.log(mag)
+        return -2.0 * np.log(boxcar_profile(spec, 1.0, fn))
 
     lo, hi = 1.0 - w / 2.0, 1.0 + w / 2.0
     int_a, _ = _quad(logprof, lo, hi)

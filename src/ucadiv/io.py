@@ -28,7 +28,7 @@ from .modes import ArraySweep, distinct_dft_indices, usable_bandwidth
 from .network import FrequencyGrid
 
 FORMAT_TAG = "ucadiv impedance sweep v1"
-# a number as the writer formats it ("{:.17g}" of a finite float, or an
+# a number as the writer formats it ("%.17g" of a finite float, or an
 # int): float() and int() would also take "7_0", " 72 ", "+1" and "nan".
 # "(?:...|)" is "(?:...)?" with less backtracking state for re to save per
 # field (a quarter less time per row)
@@ -86,8 +86,8 @@ def write_impedance(sweep: ArraySweep, path):
         "# funit = relative",
         ",".join(cols),
     ]
-    row = ",".join(["{:.17g}"] * table.shape[1])
-    lines += [row.format(*values) for values in table.tolist()]
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines += [row % tuple(values) for values in table.tolist()]
     _write_lines(path, lines)
 
 

@@ -233,20 +233,21 @@ def fit_rlc(trace, grid: FrequencyGrid):
         raise ModelError("resistance must stay positive in the fit band")
     r = float(np.mean(re))
 
-    sign = np.sign(im)
-    crossings = np.nonzero(np.diff(sign) != 0)[0]
+    crossings = np.nonzero(np.diff(np.sign(im)) != 0)[0]
     if crossings.size == 0:
         raise ModelError("reactance does not cross zero in the fit band")
     k = crossings[0]
     # linear interpolation seed for the resonant frequency
     f0_seed = f[k] - im[k] * (f[k + 1] - f[k]) / (im[k + 1] - im[k])
+    g, e = np.empty_like(f), np.empty_like(f)  # reused: no temporaries
 
     def profile(f0):
         """Closed-form Q at f0 and the squared residual it leaves."""
-        g = f / f0 - f0 / f
+        np.subtract(np.divide(f, f0, out=g), np.divide(f0, f, out=e), out=g)
         denom = r * float(g @ g)
         q = 0.0 if denom == 0.0 else float(im @ g) / denom
-        return q, float(np.sum((im - r * q * g) ** 2))
+        np.square(np.subtract(im, np.multiply(g, r * q, out=e), out=e), out=e)
+        return q, float(np.add.reduce(e))
 
     def residual(f0):
         return profile(f0)[1]

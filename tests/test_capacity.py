@@ -382,6 +382,26 @@ def test_import_and_cli_leave_scipy_unloaded(argv, emits, tmp_path):
     assert not loaded & (unused if emits else unused | {"hashlib", "json"})
 
 
+@pytest.mark.parametrize("preset,want", [
+    ({}, ["1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1"]),
+], ids=["unset", "preset"])
+def test_import_defaults_to_one_blas_thread(preset, want):
+    # pool workers that each run a multi-threaded BLAS oversubscribe the
+    # CPUs, so the import sets one thread; a caller's own setting is kept
+    src = os.path.dirname(os.path.dirname(ucadiv.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p))
+    code = ("import os, ucadiv\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "os.environ['OMP_NUM_THREADS'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == want
+
+
 def claim_cpus(monkeypatch, n):
     """Let ``capacity`` see ``n`` CPUs that this process may run on."""
     monkeypatch.setattr(capacity.os, "sched_getaffinity",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ucadiv import fano
 from ucadiv.fano import (
     _quad,
     boundary_bandwidth,
@@ -117,6 +118,25 @@ class TestIntegralCheck:
         int_b, err_b = _quad(lambda fn: logprof(fn) / fn ** 2, lo, hi)
         assert max(abs(int_a - w * g0), err_a) < 1e-10
         assert max(abs(int_b - w * g0 / (1.0 - w * w / 4.0)), err_b) < 1e-10
+
+    @pytest.mark.parametrize("w", [0.02, 1.9])
+    def test_one_integrand_call_per_panel(self, w, monkeypatch):
+        # one 21-node array per QK21 panel; W = 1.9 bisects into several
+        spec = fano_boxcar(NARROW, w)
+        panels, calls, gk21 = [], [], fano._gk21
+
+        def counted_gk21(f, a, b):
+            panels.append((a, b))
+            return gk21(f, a, b)
+
+        def integrand(fn):
+            calls.append(np.shape(fn))
+            return -2.0 * np.log(boxcar_profile(spec, 1.0, fn)) / fn ** 2
+
+        monkeypatch.setattr(fano, "_gk21", counted_gk21)
+        _quad(integrand, 1.0 - w / 2.0, 1.0 + w / 2.0)
+        assert calls == [(21,)] * len(panels)
+        assert (len(panels) == 1) == (w < 1.25)
 
     def test_budget_identity(self):
         # W (-log gamma0^2) + 2 alpha / f0 = 2 pi / Q

@@ -289,6 +289,14 @@ def extreme_sweep():
     return ArraySweep(n=3, d=-0.0, grid=grid, first_row=vals.view(complex))
 
 
+def integral_sweep():
+    """N = 2 sweep of integer-valued floats with 16 and 17 digits."""
+    vals = np.array([[1e16, -12345678901234568.0, 2.0 ** 53, -(2.0 ** 56)],
+                     [99999999999999984.0, 1e17, -1e16, 2.0 ** 53 + 2.0]])
+    grid = FrequencyGrid(np.array([1.0, 2.0 ** 53]))
+    return ArraySweep(n=2, d=1e16, grid=grid, first_row=vals.view(complex))
+
+
 class TestImpedanceFileBytes:
     """One formatting pass writes the per-element writer's bytes."""
 
@@ -296,7 +304,8 @@ class TestImpedanceFileBytes:
         table1_sweep,
         lambda: fixture_sweep(16, 0.3),
         extreme_sweep,
-    ], ids=["table1", "fixture-n16", "extremes"])
+        integral_sweep,
+    ], ids=["table1", "fixture-n16", "extremes", "integral"])
     def test_bytes_and_round_trip_bits(self, make, tmp_path):
         sweep = make()
         path = tmp_path / "z.csv"

@@ -133,4 +133,4 @@ def test_bisected_quadrature_close_to_quad(w):
 
 def test_singular_integrand_hits_panel_cap():
     with pytest.raises(NumericError, match="50 panels"):
-        _quad(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
+        _quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
