@@ -67,11 +67,10 @@ class MultiportS:
     grid: FrequencyGrid
 
     def __post_init__(self):
-        blocks = [self.s11, self.s12, self.s21, self.s22]
-        shapes = {b.shape for b in blocks}
+        shapes = {b.shape for b in (self.s11, self.s12, self.s21, self.s22)}
         if len(shapes) != 1:
             raise ValueError("all four blocks must share one shape")
-        shape = blocks[0].shape
+        shape = self.s11.shape
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError("blocks must have shape (F, N, N)")
         if shape[0] != self.grid.size:
@@ -95,16 +94,16 @@ def _slabs(size, n):
     return [slice(k, k + step) for k in range(0, size, step)]
 
 
-def _guard(a, grid, what, offset=0):
-    """Raise NumericError at the first sample with cond > COND_LIMIT.
+def _guard(a, grid, what, rows=None):
+    """Raise NumericError at the first non-finite sample or cond > COND_LIMIT.
 
-    ``a`` starts at grid sample ``offset``; the error names the grid index.
+    ``a[i]`` is grid sample ``rows[i]`` (default ``i``); errors name that.
 
-    A sample is flagged exactly when ``np.linalg.cond(a[k]) > COND_LIMIT``,
-    but the full SVD runs only on the samples a cheaper bound cannot clear.
-    Guggenheimer, Edelman and Johnson ("A simple estimate of the condition
-    number of a linear system", College Math. J. 26, 1995) bound the
-    2-norm condition number of an n x n matrix by
+    A finite sample is flagged exactly when ``np.linalg.cond(a[i]) >
+    COND_LIMIT``, but the full SVD runs only on the samples a cheaper bound
+    cannot clear.  Guggenheimer, Edelman and Johnson ("A simple estimate of
+    the condition number of a linear system", College Math. J. 26, 1995)
+    bound the 2-norm condition number of an n x n matrix by
 
         kappa(A) < (2 / |det A|) (||A||_F / sqrt(n))^n,
 
@@ -113,7 +112,7 @@ def _guard(a, grid, what, offset=0):
     16x margin absorbs the rounding of the computed bound, which can fall
     slightly below kappa near the limit.  Singular, all-zero or non-finite
     samples give an infinite or NaN bound and go to the SVD, as does
-    everything else the bound leaves unsure.
+    everything else the bound leaves unsure.  A non-finite sample is flagged.
     """
     n = a.shape[-1]
     with np.errstate(all="ignore"):
@@ -121,11 +120,14 @@ def _guard(a, grid, what, offset=0):
         fro = np.linalg.norm(a, axis=(-2, -1))
         log_bound = np.log(2.0) - logdet + n * np.log(fro / np.sqrt(n))
     unsure = np.flatnonzero(~(log_bound <= np.log(COND_LIMIT / 16.0)))
-    bad = unsure[np.linalg.cond(a[unsure]) > COND_LIMIT]
+    sub = a[unsure]
+    sub[~np.isfinite(sub).all(axis=(-2, -1))] = 0.0  # cond(0) = inf; no SVD
+    bad = unsure[np.linalg.cond(sub) > COND_LIMIT] if unsure.size else unsure
     if bad.size:
-        k = offset + int(bad[0])
+        k = int(bad[0] if rows is None else rows[bad[0]])
         where = "" if grid is None else f" (f/fc = {grid.samples[k]:.6g})"
-        raise NumericError(f"singular {what} at sample {k}{where}")
+        kind = "singular" if np.isfinite(a[bad[0]]).all() else "non-finite"
+        raise NumericError(f"{kind} {what} at sample {k}{where}")
 
 
 def z_to_s(z, grid=None):
@@ -153,9 +155,12 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
 
     so the composite relates the outer wave vectors of the chain.
     One pass over the slabs builds, checks and factors both inner matrices
-    per slab.  The error names the first slab with a flagged sample, and in
-    it (I - S11m S22a) before (I - S22a S11m); as det(I - AB) = det(I - BA),
-    an exactly singular sample is named for (I - S11m S22a).
+    per slab.  Each is I minus a product of 2-norm <= x = ||S11m||_F
+    ||S22a||_F, so x < 1/2 gives cond <= 3 (Golub and Van Loan, Matrix
+    Computations, Lemma 2.3.3) and clears the sample; ``_guard``'s two tiers
+    check the rest.  The error names the first slab with a flagged sample,
+    and in it (I - S11m S22a) before (I - S22a S11m): det(I - AB) =
+    det(I - BA), so an exactly singular sample is named for the first.
     """
     if a.n_ports != m.n_ports:
         raise ValueError("cascade requires equal inner port counts")
@@ -167,12 +172,15 @@ def cascade(a: MultiportS, m: MultiportS) -> MultiportS:
                           for _ in range(4))
     # (I - S11m S22a)^-1 [S11m | S12m] ; (I - S22a S11m)^-1 [S21a | S22a S12m]
     for k in _slabs(a.grid.size, 2 * n):
-        inner_m = eye - m.s11[k] @ a.s22[k]
-        inner_a = eye - a.s22[k] @ m.s11[k]
-        _guard(inner_m, a.grid, "resonant inner term (I - S11m S22a)",
-               k.start)
-        _guard(inner_a, a.grid, "resonant inner term (I - S22a S11m)",
-               k.start)
+        with np.errstate(all="ignore"):  # _guard names a NaN or inf
+            inner_m = eye - m.s11[k] @ a.s22[k]
+            inner_a = eye - a.s22[k] @ m.s11[k]
+            unsure = np.flatnonzero(~(np.linalg.matrix_norm(m.s11[k])
+                                      * np.linalg.matrix_norm(a.s22[k]) < 0.5))
+        for inner, term in ((inner_m, "S11m S22a"), (inner_a, "S22a S11m")):
+            if unsure.size:
+                _guard(inner[unsure], a.grid,
+                       f"resonant inner term (I - {term})", k.start + unsure)
         xm = np.linalg.solve(inner_m, np.concatenate(
             [m.s11[k], m.s12[k]], axis=2))
         ya = np.linalg.solve(inner_a, np.concatenate(

@@ -15,7 +15,8 @@ from numpy.testing import assert_allclose
 
 from ucadiv.errors import NumericError
 from ucadiv.fixtures import CouplingModel, fixture_sweep
-from ucadiv.modes import ArraySweep, distinct_dft_indices, eigen_impedances
+from ucadiv.modes import (ArraySweep, distinct_dft_indices, eigen_impedances,
+                          extend_to_2n_port)
 from ucadiv.network import (
     COND_LIMIT,
     FrequencyGrid,
@@ -618,12 +619,14 @@ class TestSingularGuard:
 
     @staticmethod
     def reference(a):
-        """Today's verdict: ('ok',), ('singular', k) or ('linalg', message)."""
-        try:
-            bad = np.flatnonzero(np.linalg.cond(a) > COND_LIMIT)
-        except np.linalg.LinAlgError as exc:
-            return ("linalg", str(exc))
-        return ("singular", int(bad[0])) if bad.size else ("ok",)
+        """The verdict, one sample at a time: ('ok',), or (kind, k) for the
+        first sample k that is non-finite or has cond > COND_LIMIT."""
+        for k, sample in enumerate(a):
+            if not np.all(np.isfinite(sample)):
+                return ("non-finite", k)
+            if np.linalg.cond(sample) > COND_LIMIT:
+                return ("singular", k)
+        return ("ok",)
 
     def assert_agrees(self, a):
         g = FrequencyGrid(np.linspace(0.5, 1.5, len(a)))
@@ -633,12 +636,10 @@ class TestSingularGuard:
             _guard(a, g, "test system")
             x = np.linalg.solve(a, b)
         except NumericError as exc:
-            assert want[0] == "singular", (want, str(exc))
-            k = want[1]
-            assert str(exc) == (f"singular test system at sample {k} "
+            assert want[0] != "ok", (want, str(exc))
+            kind, k = want
+            assert str(exc) == (f"{kind} test system at sample {k} "
                                 f"(f/fc = {g.samples[k]:.6g})")
-        except np.linalg.LinAlgError as exc:
-            assert want == ("linalg", str(exc))
         else:
             assert want == ("ok",)
             assert np.array_equal(x, np.linalg.solve(a, b))
@@ -667,3 +668,108 @@ class TestSingularGuard:
             for sample in rng.permutation(specials)[:rng.integers(0, 4)]:
                 stack.insert(rng.integers(0, len(stack) + 1), sample)
             self.assert_agrees(np.stack(stack))
+
+
+def counting(monkeypatch, *names):
+    """Count the calls to the named ``np.linalg`` functions."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, wrap(name, fn))
+    return calls
+
+
+class TestGuardTiers:
+    """cascade's norm tier, and what reaches _guard's determinant tier."""
+
+    N = 16
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_norm_bound_clears_both_inner_terms(self, n):
+        # ||S11m||_F ||S22a||_F = x < t bounds both inner products' 2-norm
+        # by x, so cond(I - S11m S22a) and cond(I - S22a S11m) are at most
+        # (1 + t) / (1 - t); rank-one pairs with aligned factors make the
+        # Frobenius product the 2-norm, the bound's tight case
+        rng = np.random.default_rng(300 + n)
+        t = 0.5
+        limit = (1 + t) / (1 - t)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for trial in range(200):
+            if trial % 2:
+                s11m, s22a = cplx(n, n), cplx(n, n)
+            else:
+                u, v, w = cplx(n, 1), cplx(n, 1), cplx(n, 1)
+                s11m, s22a = u @ v.conj().T, v @ w.conj().T
+            x = t * rng.choice([rng.uniform(), 1 - 1e-12])
+            s11m *= x / np.linalg.norm(s11m) / np.linalg.norm(s22a)
+            assert np.linalg.norm(s11m) * np.linalg.norm(s22a) < t
+            eye = np.eye(n)
+            for inner in (eye - s11m @ s22a, eye - s22a @ s11m):
+                assert np.linalg.cond(inner) <= limit
+
+    def test_through_cascade_makes_no_factorization(self, monkeypatch):
+        # S11m = 0 clears every sample by the norm tier
+        ext = extend_to_2n_port(fixture_sweep(self.N, 0.25))
+        calls = counting(monkeypatch, "slogdet", "cond")
+        cascade(ext, through_network(self.N, ext.grid))
+        assert calls == {"slogdet": 0, "cond": 0}
+
+    def test_two_completions_reach_the_determinant_tier(self, monkeypatch):
+        sweep = fixture_sweep(self.N, 0.25)
+        ext, other = extend_to_2n_port(sweep), extend_to_2n_port(sweep, 2.0)
+        calls = counting(monkeypatch, "slogdet", "cond")
+        cascade(ext, other)
+        assert calls["slogdet"] > 0
+
+    def test_z_to_s_runs_no_svd_when_the_bound_clears_every_sample(
+            self, monkeypatch):
+        sweep = fixture_sweep(self.N, 0.25)
+        z = sweep.impedance_matrices()
+        calls = counting(monkeypatch, "cond")
+        z_to_s(z, grid=sweep.grid)
+        assert calls == {"cond": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_non_finite_impedance_sample_is_named(self, bad):
+        g = default_grid()
+        z = np.broadcast_to(3.0 * np.eye(2, dtype=complex), (g.size, 2, 2))
+        z = z.copy()
+        z[500, 1, 0] = bad
+        z[550] = -np.eye(2)  # singular, but after the non-finite sample
+        with pytest.raises(NumericError, match="^non-finite "
+                           + re.escape("(Z + z_ref I)")
+                           + at_sample(500, g.samples[500])):
+            z_to_s(z, grid=g)
+
+    def test_nan_first_row_is_named_at_sample_0(self):
+        sweep = fixture_sweep(4, 0.25)
+        first_row = sweep.first_row.copy()
+        first_row[0] = np.nan
+        bad = ArraySweep(sweep.n, sweep.d, sweep.grid, first_row)
+        with pytest.raises(NumericError, match="^non-finite "
+                           + re.escape("(Z + z_ref I)") + at_sample(0, 0.85)):
+            z_to_s(bad.impedance_matrices(), grid=bad.grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["s22a", "s11m"])
+    def test_non_finite_cascade_sample_in_a_later_slab(self, bad, where):
+        g = default_grid()
+        a, m = (writable(through_network(self.N, g)) for _ in range(2))
+        assert _slabs(g.size, 2 * self.N)[15] == slice(480, 512)
+        a.s22[500] = m.s11[500] = 0.3 * np.eye(self.N)
+        (a.s22 if where == "s22a" else m.s11)[500, 3, 4] = bad
+        a.s22[510] = m.s11[510] = np.eye(self.N)  # singular, later
+        with pytest.raises(NumericError, match="^non-finite resonant inner "
+                           + re.escape("term (I - S11m S22a)")
+                           + at_sample(500, g.samples[500])):
+            cascade(a, m)
