@@ -22,7 +22,7 @@ from ucadiv import (
     table1_sweep,
     write_impedance,
 )
-from ucadiv.io import RunConfig, load_config
+from ucadiv.io import load_config
 
 # the work directory and its files are removed when the demo ends
 with tempfile.TemporaryDirectory(prefix="ucadiv_demo_") as workdir:
@@ -51,11 +51,11 @@ with tempfile.TemporaryDirectory(prefix="ucadiv_demo_") as workdir:
 
     run = load_config(config_path)
     print(f"\nrun configuration hash: {config_hash(run)}")
-    samples = run_monte_carlo(run.sim, 0.25)
-    c0, half = outage(samples, run.sim.outage_p)
+    samples = run_monte_carlo(run, 0.25)
+    c0, half = outage(samples, run.outage_p)
     print(f"C_out(1%) at d = 0.25: {c0:.4f} +/- {half:.4f} nats/s/Hz")
 
-    again = run_monte_carlo(run.sim, 0.25)
+    again = run_monte_carlo(run, 0.25)
     print(f"bit-identical on rerun: {(samples == again).all()}")
 
     print(f"\n(the same run is available from the shell: "

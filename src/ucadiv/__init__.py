@@ -45,7 +45,6 @@ from .frontend import (
     subcarrier_grid,
 )
 from .io import (
-    RunConfig,
     config_from_dict,
     config_hash,
     emit_curve,

@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .frontend import (
     noise_cov,
     subcarrier_grid,
 )
+from .modes import EigenModeSet, fit_modes
 from .network import dft_beamformer
 
 # Realizations per vectorized block: amortizes numpy's per-call overhead
@@ -44,13 +45,16 @@ SNR_DB_LIMIT = 300.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte-Carlo configuration; defaults follow the reference scenario.
+    """Run configuration; defaults follow the reference scenario.
 
+    Each field is a key of the JSON run configuration (``io.load_config``).
     Every mode's box-car band is centred on the carrier, and its Fano
     budget depends on Q and ``relative_bandwidth`` alone, not on f0.
     ``realizations`` defaults to a desk-scale 5000; quantile confidence is
     meaningful from about 100/outage_p samples upward.  The ``temp_*``
     fields are the ``NoiseTemps`` ratios, read together as ``temps``.
+    ``impedance_files`` holds (spacing, path) and ``fixture_modes``
+    (spacing, (R, Q, f0) triples) pairs; ``modes_at`` reads them.
     """
 
     n_antennas: int = 2
@@ -69,9 +73,15 @@ class SimConfig:
     coupling: bool = True
     planewaves: int = 32
     workers: int = 1
+    input: str = "fixture"
+    impedance_files: tuple = ()
+    fixture_modes: tuple = ()
 
     def __post_init__(self):
-        self.temps  # a bad temperature is named before any other value
+        if self.input not in ("fixture", "files"):
+            raise ValueError(f"input mode must be 'fixture' or 'files', got "
+                             f"{self.input!r}")
+        self.temps  # a bad temperature is named before any other number
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
         for d in self.spacings:
@@ -113,6 +123,19 @@ class SimConfig:
                     and abs(p.sum() - 1.0) <= 1e-9):
                 raise ValueError("tap_powers must be finite, >= 0 and sum "
                                  f"to 1, got {list(self.tap_powers)}")
+        # one run spacing matches an entry within 1e-12, so two entries this
+        # close could both match it: a spacing is configured once
+        spacings = sorted(d for d, _ in (*self.impedance_files,
+                                         *self.fixture_modes))
+        for a, b in zip(spacings, spacings[1:]):
+            if b - a < 2e-12:
+                raise ValueError(f"spacing {a} is configured more than once "
+                                 "in impedance_files and fixture_modes")
+
+    def to_dict(self):
+        """The hashed configuration: every field but ``workers``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "workers"}
 
     @property
     def temps(self):
@@ -266,13 +289,37 @@ def _pool_run(args):
     return _simulate(config, points, np.arange(start, stop))
 
 
+def modes_at(config: SimConfig, d):
+    """The EigenModeSet of spacing ``d`` under the configured input.
+
+    Its impedance file, fitted, else its ``fixture_modes``, else the
+    synthetic coupling model unless ``input`` is "files".
+    """
+    for spacing, path in config.impedance_files:
+        if abs(spacing - d) < 1e-12:
+            from .io import parse_impedance  # io imports this module
+            try:
+                swept = parse_impedance(path)
+            except OSError as exc:
+                raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+            if abs(swept.d - d) >= 1e-12:
+                raise DataError(f"{path} describes spacing {swept.d}, not {d}")
+            return fit_modes(swept)
+    for spacing, triples in config.fixture_modes:
+        if abs(spacing - d) < 1e-12:
+            return EigenModeSet.from_params(config.n_antennas, triples)
+    if config.input == "files":
+        raise DataError(f"no impedance file configured for spacing {d}")
+    return fixtures.CouplingModel().mode_set(config.n_antennas, d)
+
+
 def _kernel_inputs(config: SimConfig, d, mode_source=None):
     """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them.
 
     ``mode_source(d)``, read only with coupling on, gives the spacing's
-    EigenModeSet; without a source the synthetic coupling model does.
-    Every error of the spacing is raised here, before any draw: the
-    kernel's only one, a zero noise floor, does not depend on the draws.
+    EigenModeSet; without a source ``modes_at`` does.  Every error of the
+    spacing is raised here, before any draw: the kernel's only one, a zero
+    noise floor, does not depend on the draws.
     """
     n, k, w = config.n_antennas, config.subcarriers, config.relative_bandwidth
     if not config.coupling:  # perfect match and unit noise
@@ -280,7 +327,7 @@ def _kernel_inputs(config: SimConfig, d, mode_source=None):
         corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
         return corr, np.zeros((k, n)), np.ones((k, n))
     mode_set = (mode_source(d) if mode_source is not None
-                else fixtures.CouplingModel().mode_set(n, d))
+                else modes_at(config, d))
     if mode_set.n != n:
         raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
                         f"the run has N={n}")
@@ -340,8 +387,7 @@ def run_monte_carlo(config: SimConfig, d):
 
     Pipeline per block of realizations: draw white taps -> correlate ->
     sub-carrier DFT -> eigen-basis -> capacity.  Deterministic under (seed, d) and
-    invariant to the worker count.  The modes are the synthetic coupling
-    model's; ``sweep(mode_source=)`` runs fitted or pinned ones.
+    invariant to the worker count.  The modes are ``modes_at(config, d)``.
     """
     return _monte_carlo(config, [_kernel_inputs(config, d)])[0]
 
@@ -386,12 +432,11 @@ def outage(samples, p):
 def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     """Outage capacity across the configured spacings.
 
-    ``mode_source`` optionally maps each spacing to its EigenModeSet (fitted
-    from ingested data or pinned fixture parameters); without one, the
-    synthetic coupling model gives the modes.  Per-spacing failures are
-    isolated: the offending point records its error and the sweep
-    continues.  Every spacing sees the same realizations, each drawn once,
-    so the points are paired.
+    ``mode_source`` optionally maps each spacing to its EigenModeSet;
+    without one, ``modes_at`` reads the configured input.  Per-spacing
+    failures are isolated: the offending point records its error and the
+    sweep continues.  Every spacing sees the same realizations, each drawn
+    once, so the points are paired.
     """
     if not config.spacings:
         raise ValueError("sweep needs at least one spacing")

@@ -24,7 +24,7 @@ import numpy as np
 from . import capacity as cap
 from . import fano, fixtures, io
 from .errors import DataError, ModelError, NumericError
-from .modes import EigenModeSet, fit_modes
+from .modes import fit_modes
 from .network import default_grid
 
 EXIT_DATA = 3
@@ -68,36 +68,22 @@ _OVERRIDES = {"seed": "seed", "realizations": "realizations",
               "spacing": "spacings", "workers": "workers"}
 
 
-def _load_run_config(args) -> io.RunConfig:
-    run = io.load_config(args.config) if args.config else io.RunConfig()
+def _load_run_config(args) -> cap.SimConfig:
+    run = io.load_config(args.config) if args.config else cap.SimConfig()
     given = {name: value for dest, name in _OVERRIDES.items()
              if (value := vars(args).get(dest)) is not None}
     if "spacings" in given:  # argparse gives a list
         given["spacings"] = tuple(given["spacings"])
-    return replace(run, sim=replace(run.sim, **given))
+    return replace(run, **given)
 
 
-def _mode_set_for(args, run: io.RunConfig, d):
-    """Resolve the mode set for one spacing from the configured input."""
-    if args.fixture == "table1":
-        if abs(d - fixtures.TABLE1_SPACING) < 1e-12:
-            return fixtures.table1_fixture()
-        raise DataError(f"table1 is only for d = {fixtures.TABLE1_SPACING}")
-    for spacing, path in run.impedance_files:
-        if abs(spacing - d) < 1e-12:
-            try:
-                sweep = io.parse_impedance(path)
-            except OSError as exc:
-                raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-            if abs(sweep.d - d) >= 1e-12:
-                raise DataError(f"{path} describes spacing {sweep.d}, not {d}")
-            return fit_modes(sweep)
-    for spacing, triples in run.fixture_modes:
-        if abs(spacing - d) < 1e-12:
-            return EigenModeSet.from_params(run.sim.n_antennas, triples)
-    if run.input_mode == "files":
-        raise DataError(f"no impedance file configured for spacing {d}")
-    return fixtures.CouplingModel().mode_set(run.sim.n_antennas, d)
+def _mode_set_for(args, run: cap.SimConfig, d):
+    """The mode set of one spacing: ``--fixture table1``, else the run's."""
+    if args.fixture != "table1":
+        return cap.modes_at(run, d)
+    if abs(d - fixtures.TABLE1_SPACING) < 1e-12:
+        return fixtures.table1_fixture()
+    raise DataError(f"table1 is only for d = {fixtures.TABLE1_SPACING}")
 
 
 def _spacing(args):
@@ -123,7 +109,7 @@ def cmd_modes(args):
 def cmd_match(args):
     run = _load_run_config(args)
     mode_set = _mode_set_for(args, run, _spacing(args))
-    w = run.sim.relative_bandwidth
+    w = run.relative_bandwidth
     specs = [fano.fano_boxcar(m, w) for m in mode_set.modes]
     reports = [fano.fano_integral_check(s, m)
                for s, m in zip(specs, mode_set.modes)]
@@ -132,14 +118,14 @@ def cmd_match(args):
     return 0
 
 
-def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
+def _run_curve(args, run: cap.SimConfig, stem, label="C_out", note=""):
     """Sweep the run's spacings, write ``stem``.csv/.json, print each point.
 
     A failed point prints its error; once the files are written, the first
     failure is raised again, so it sets the exit code.  Only a run that
     succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
-    curve = cap.sweep(run.sim, lambda d: _mode_set_for(args, run, d))
+    curve = cap.sweep(run, lambda d: _mode_set_for(args, run, d))
     table, doc = io.emit_curve(curve, run, args.out or io.default_outdir(),
                                stem=stem, to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)
@@ -153,30 +139,28 @@ def _run_curve(args, run: io.RunConfig, stem, label="C_out", note=""):
         print(f"wrote {table} and {doc}")
         ran = sum(p.cause is None for p in curve.points)
         if ran:  # timings go to stderr only: stdout and files keep their bytes
-            m, t = run.sim.realizations, curve.monte_carlo_s
+            m, t = run.realizations, curve.monte_carlo_s
             print(f"monte carlo: {t:.3f} s for {m} realizations x {ran} "
                   f"spacings, {m / t:.0f} realizations/s", file=sys.stderr)
     failed = [p.cause for p in curve.points if p.cause is not None]
     if failed:
         raise failed[0]
-    if not run.sim.quantile_well_resolved:
-        print(f"warning: {run.sim.realizations} samples resolve the "
-              f"{run.sim.outage_p:g} outage quantile coarsely; about "
-              f"{100.0 / run.sim.outage_p:.0f} are needed", file=sys.stderr)
+    if not run.quantile_well_resolved:
+        print(f"warning: {run.realizations} samples resolve the "
+              f"{run.outage_p:g} outage quantile coarsely; about "
+              f"{100.0 / run.outage_p:.0f} are needed", file=sys.stderr)
     return 0
 
 
 def cmd_capacity(args):
-    run = _load_run_config(args)
-    sim = replace(run.sim, spacings=(_spacing(args),))
-    return _run_curve(args, replace(run, sim=sim), "capacity",
-                      label=f"C_out({sim.outage_p:g})",
-                      note=f"  [{sim.realizations} samples]")
+    run = replace(_load_run_config(args), spacings=(_spacing(args),))
+    return _run_curve(args, run, "capacity", label=f"C_out({run.outage_p:g})",
+                      note=f"  [{run.realizations} samples]")
 
 
 def cmd_sweep(args):
     run = _load_run_config(args)
-    if not run.sim.spacings:
+    if not run.spacings:
         print("usage: sweep requires at least one spacing", file=sys.stderr)
         return 2
     return _run_curve(args, run, "sweep")

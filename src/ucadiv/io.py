@@ -18,7 +18,7 @@ writer did not produce is rejected with a line-numbered diagnostic.
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -184,45 +184,18 @@ def parse_impedance(path) -> ArraySweep:
 
 
 # ---------------------------------------------------------------------------
-# run configuration: each field of SimConfig is a config key, a to_dict
-# entry and a hashed value
+# run configuration: each field of SimConfig is a config key, and each but
+# workers a to_dict entry and a hashed value
 
-# parsed and validated, but never emitted or hashed: it changes no result
-_UNHASHED = {"workers"}
 # JSON types per key: a float takes any number, a tuple a list, and a field
 # that defaults to None also null
 _CONFIG_KEYS = {
     f.name: {float: (int, float), tuple: (list,)}.get(f.type, (f.type,))
     + ((type(None),) if f.default is None else ()) for f in fields(SimConfig)
 }
-_CONFIG_KEYS.update(input=(str,), impedance_files=(list,),
-                    fixture_modes=(list,))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """File-form of SimConfig plus the input mode.
-
-    ``input_mode`` is "fixture" (synthetic coupling model, optionally pinned
-    by ``fixture_modes``) or "files" (one impedance sweep per spacing in
-    ``impedance_files``).
-    """
-
-    sim: SimConfig = field(default_factory=SimConfig)
-    input_mode: str = "fixture"
-    impedance_files: tuple = ()
-    fixture_modes: tuple = ()
-
-    def to_dict(self):
-        """The hashed configuration; ``json`` writes its tuples as lists."""
-        sim = {f.name: getattr(self.sim, f.name) for f in fields(SimConfig)
-               if f.name not in _UNHASHED}
-        return {**sim, "input": self.input_mode,
-                "impedance_files": self.impedance_files,
-                "fixture_modes": self.fixture_modes}
-
-
-def config_from_dict(doc) -> RunConfig:
+def config_from_dict(doc) -> SimConfig:
     """Validate a flat key/value document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise DataError("configuration document must be an object")
@@ -236,33 +209,20 @@ def config_from_dict(doc) -> RunConfig:
                            isinstance(value, bool) and bool not in types):
             raise DataError(f"key {key!r} has wrong type "
                             f"{type(value).__name__}")
-    input_mode = doc.get("input", "fixture")
-    if input_mode not in ("fixture", "files"):
-        raise DataError(f"input mode must be 'fixture' or 'files', got "
-                        f"{input_mode!r}")
     given = {}  # an absent key keeps the field's default
     try:
         for f in fields(SimConfig):
             if f.name not in doc:
                 continue
-            if f.type is tuple:
-                _entries(doc, f.name, _number)  # checked, kept as written
             value = doc[f.name]  # an int for a float field is hashed as float
+            if f.name in _PAIRS:  # each entry converted
+                value = _entries(doc, f.name, _PAIRS[f.name])
+            elif f.type is tuple:
+                _entries(doc, f.name, _number)  # checked, kept as written
             given[f.name] = None if value is None else f.type(value)
-        sim = SimConfig(**given)
+        return SimConfig(**given)
     except (ValueError, OverflowError) as exc:
         raise DataError(str(exc)) from None
-    files = _entries(doc, "impedance_files", _pair)
-    pinned = _entries(doc, "fixture_modes", lambda e: _pair(e, _triples))
-    # one run spacing matches an entry within 1e-12, so two entries this
-    # close could both match it: a spacing is configured once
-    spacings = sorted(d for d, _ in files + pinned)
-    for a, b in zip(spacings, spacings[1:]):
-        if b - a < 2e-12:
-            raise DataError(f"spacing {a} is configured more than once in "
-                            "impedance_files and fixture_modes")
-    return RunConfig(sim=sim, input_mode=input_mode, impedance_files=files,
-                     fixture_modes=pinned)
 
 
 def _number(value):
@@ -302,7 +262,12 @@ def _entries(doc, key, convert):
         raise DataError(f"key {key!r}: {exc}") from None
 
 
-def load_config(path) -> RunConfig:
+# the keys of [spacing, value] entries, and how each entry is converted
+_PAIRS = {"impedance_files": _pair,
+          "fixture_modes": lambda entry: _pair(entry, _triples)}
+
+
+def load_config(path) -> SimConfig:
     import json  # here, not at import: `modes`, `match` and `fit` never use it
 
     def unique(pairs):  # a repeated key is refused, not last-wins
@@ -320,7 +285,7 @@ def load_config(path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def config_hash(config: RunConfig):
+def config_hash(config: SimConfig):
     """Stable short hash over the full configuration."""
     import hashlib
     import json
@@ -336,7 +301,7 @@ def capacity_unit(to_bits):
     return (1.0 / np.log(2.0), "bits") if to_bits else (1.0, "nats")
 
 
-def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
+def emit_curve(curve: OutageCurve, config: SimConfig, out_dir,
                stem="sweep", to_bits=False):
     """Write an outage curve as a CSV table plus a JSON document.
 
@@ -345,7 +310,7 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
     """
     import json
     os.makedirs(out_dir, exist_ok=True)
-    h = config_hash(run_config)
+    h = config_hash(config)
     scale, unit = capacity_unit(to_bits)
 
     rows = [f"spacing,c_out_{unit},ci_half_width,samples,seed,config"]
@@ -356,11 +321,11 @@ def emit_curve(curve: OutageCurve, run_config: RunConfig, out_dir,
                    else (None, None))
         values = (f"{_fmt(c)},{_fmt(half)},{p.n_samples}" if ok
                   else "error,error,0")
-        rows.append(f"{_fmt(p.d)},{values},{run_config.sim.seed},{h}")
+        rows.append(f"{_fmt(p.d)},{values},{config.seed},{h}")
         points.append({"spacing": p.d, "c_out": c, "ci_half_width": half,
                        "samples": p.n_samples, "error": p.error})
     doc = {
-        "config": run_config.to_dict(),
+        "config": config.to_dict(),
         "config_hash": h,
         "capacity_unit": f"{unit}/s/Hz",
         "points": points,

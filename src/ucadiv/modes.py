@@ -53,6 +53,11 @@ class ArraySweep:
                 f"first_row must have shape ({self.grid.size}, {m}), "
                 f"got {self.first_row.shape}"
             )
+        finite = np.isfinite(self.first_row).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise DataError(f"non-finite first row at sample {k} "
+                            f"(f/fc = {self.grid.samples[k]:.6g})")
 
     def full_row(self):
         return np.take(self.first_row, _ring_index(self.n), axis=-1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ucadiv import capacity, cli, errors
-from ucadiv.capacity import OutageCurve, SpacingResult
+from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
 from ucadiv.cli import cli_main
 from ucadiv.errors import DataError, ModelError, ParseError, UcadivError
 from ucadiv.fixtures import (
@@ -29,7 +29,6 @@ from ucadiv.fixtures import (
 )
 from ucadiv.io import (
     _CONFIG_KEYS,
-    RunConfig,
     config_from_dict,
     config_hash,
     emit_curve,
@@ -39,6 +38,8 @@ from ucadiv.io import (
 )
 from ucadiv.modes import ArraySweep, fit_modes
 from ucadiv.network import FrequencyGrid, default_grid
+
+TABLE1_MODES = (TABLE1_MODE1, TABLE1_MODE2)
 
 # keys that changed no result, and the only values the hash saw of them:
 # bandwidth_hz was informational, and retune moved each mode's f0, which
@@ -401,8 +402,7 @@ class TestTable1Fixture:
 
 class TestRunConfig:
     def test_defaults_match_reference_scenario(self):
-        run = config_from_dict({})
-        sim = run.sim
+        sim = config_from_dict({})
         assert sim.subcarriers == 64
         assert sim.relative_bandwidth == 0.02
         assert sim.snr_db == 10.0
@@ -433,8 +433,8 @@ class TestRunConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"seed": 42, "realizations": 500}))
         run = load_config(path)
-        assert run.sim.seed == 42
-        assert run.sim.realizations == 500
+        assert run.seed == 42
+        assert run.realizations == 500
 
     def test_repeated_key_refused(self, tmp_path):
         path = tmp_path / "run.json"
@@ -530,9 +530,9 @@ class TestRunConfig:
         rows = re.findall(r"^\| `(\w+)` \|.*\| `(.+)` \|$",
                           section.split("**Results**")[0], re.M)
         assert sorted(key for key, _ in rows) == sorted(_CONFIG_KEYS)
-        run = RunConfig()
+        run = SimConfig()
         defaults = json.loads(json.dumps(run.to_dict()))
-        defaults["workers"] = run.sim.workers
+        defaults["workers"] = run.workers
         assert {key: json.loads(v) for key, v in rows} == defaults
 
     def test_fixture_modes_pinning(self):
@@ -549,6 +549,48 @@ class TestRunConfig:
         run = config_from_dict({"impedance_files": [[0.25, "z.csv"]],
                                 "fixture_modes": [[0.25 + 4e-12, t1]]})
         assert run.impedance_files == ((0.25, "z.csv"),)
+
+    def test_input_mode_refused_at_construction(self):
+        with pytest.raises(ValueError, match="^input mode must be 'fixture' "
+                                             "or 'files', got 'bogus'$"):
+            SimConfig(input="bogus")
+
+    @pytest.mark.parametrize("files,pinned", [
+        (((0.25, "a.csv"), (0.25 + 1e-12, "b.csv")), ()),
+        (((0.25, "a.csv"),), ((0.25, tuple(TABLE1_MODES)),)),
+        ((), ((0.5, tuple(TABLE1_MODES)), (0.5, tuple(TABLE1_MODES)))),
+    ], ids=["two-files", "file-and-modes", "two-modes"])
+    def test_spacing_configured_twice_refused_at_construction(self, files,
+                                                              pinned):
+        with pytest.raises(ValueError, match=r"^spacing 0\.(25|5) is "
+                           "configured more than once in impedance_files "
+                           "and fixture_modes$"):
+            SimConfig(impedance_files=files, fixture_modes=pinned)
+
+    @pytest.mark.parametrize("input_doc", ["files", "fixture_modes"])
+    def test_library_sweep_writes_the_cli_bytes(self, tmp_path, input_doc):
+        # sweep(load_config(path)) reads the files and pinned modes the CLI
+        # reads: same csv and json bytes as `ucadiv sweep --config path`
+        z = tmp_path / "d025.csv"
+        write_impedance(table1_sweep(), z)
+        doc = ({"input": "files", "impedance_files": [[0.25, str(z)]]}
+               if input_doc == "files" else
+               {"fixture_modes": [[0.1, [list(m) for m in TABLE1_MODES]]]})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spacings": [0.1, 0.25], "seed": 3,
+                                   "realizations": 200, **doc}))
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(cli_dir)])
+        assert rc == (3 if input_doc == "files" else 0)
+        config = load_config(cfg)
+        emit_curve(capacity.sweep(config), config, lib_dir)
+        for name in ("sweep.csv", "sweep.json"):
+            assert (lib_dir / name).read_bytes() == (cli_dir /
+                                                     name).read_bytes()
+        points = json.loads((lib_dir / "sweep.json").read_text())["points"]
+        missing = "no impedance file configured for spacing 0.1"
+        assert [p["error"] for p in points] == (
+            [missing, None] if input_doc == "files" else [None, None])
 
 
 # any JSON value: scalars (unbounded ints, non-finite floats) and nested lists
@@ -599,7 +641,7 @@ class TestConfigFuzz:
             run = config_from_dict(doc)
         except DataError:
             return
-        assert isinstance(run, RunConfig)
+        assert isinstance(run, SimConfig)
         # a bool is a number to isinstance, but only the flag takes one
         assert all(key == "coupling"
                    for key, value in doc.items() if isinstance(value, bool))
@@ -613,7 +655,7 @@ class TestConfigFuzz:
         except DataError:  # e.g. too few realizations for outage_p
             return
         back = config_from_dict(json.loads(json.dumps(run.to_dict())))
-        assert back == replace(run, sim=replace(run.sim, workers=1))
+        assert back == replace(run, workers=1)
         assert config_hash(back) == config_hash(run)
 
 
@@ -1116,7 +1158,7 @@ class TestCli:
                               n_samples=150)
         curve = OutageCurve(points=[point])
         with pytest.raises(ValueError, match="JSON"):
-            emit_curve(curve, RunConfig(), tmp_path)
+            emit_curve(curve, SimConfig(), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_fit_without_resonance_exit_4(self, tmp_path, capsys):
@@ -1484,7 +1526,7 @@ class TestCli:
         def mode_set_for(args, run, d):
             if d == 0.1:
                 raise ModelError()
-            return CouplingModel().mode_set(run.sim.n_antennas, d)
+            return CouplingModel().mode_set(run.n_antennas, d)
 
         monkeypatch.setattr(cli, "_mode_set_for", mode_set_for)
         rc = cli_main(["sweep", "--spacing", "0.1", "0.25", "--realizations",

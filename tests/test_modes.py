@@ -53,6 +53,16 @@ class TestArraySweep:
             ArraySweep(n=2, d=0.25, grid=default_grid(points=5),
                        first_row=np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_first_row_naming_its_first_sample(self, bad):
+        # extend_to_2n_port warned on such a row and returned NaN blocks
+        g = default_grid(points=5)
+        row = np.ones((g.size, 2), dtype=complex)
+        row[3, 1] = row[2, 0] = bad
+        with pytest.raises(DataError, match=r"^non-finite first row at "
+                           rf"sample 2 \(f/fc = {g.samples[2]:.6g}\)$"):
+            ArraySweep(n=2, d=0.25, grid=g, first_row=row)
+
 
 class TestEigenImpedances:
     def test_n2_sum_difference(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ucadiv.errors import NumericError
+from ucadiv.errors import DataError, NumericError
 from ucadiv.fixtures import CouplingModel, fixture_sweep
 from ucadiv.modes import (ArraySweep, distinct_dft_indices, eigen_impedances,
                           extend_to_2n_port)
@@ -755,10 +755,10 @@ class TestGuardTiers:
         sweep = fixture_sweep(4, 0.25)
         first_row = sweep.first_row.copy()
         first_row[0] = np.nan
-        bad = ArraySweep(sweep.n, sweep.d, sweep.grid, first_row)
-        with pytest.raises(NumericError, match="^non-finite "
-                           + re.escape("(Z + z_ref I)") + at_sample(0, 0.85)):
-            z_to_s(bad.impedance_matrices(), grid=bad.grid)
+        # refused when built, before z_to_s or extend_to_2n_port sees it
+        with pytest.raises(DataError, match="^non-finite first row"
+                           + at_sample(0, 0.85)):
+            ArraySweep(sweep.n, sweep.d, sweep.grid, first_row)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["s22a", "s11m"])
