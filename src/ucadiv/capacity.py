@@ -10,7 +10,6 @@ bit-for-bit regardless of how the work is partitioned.
 """
 
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -43,18 +42,56 @@ _BLOCK_BYTES = 2**20
 SNR_DB_LIMIT = 300.0
 
 
+def _number(value, finite=True):
+    """A JSON number as a float; bool, str, null and lists are not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or finite and not math.isfinite(value)):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)  # OverflowError for an int no float holds
+
+
+def _path(value):
+    """A JSON string as a path; numbers, bool, null and lists are not."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {value!r}")
+    return value
+
+
+def _pair(entry, convert=_path):
+    """A ``[spacing, value]`` entry as (spacing, convert(value))."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise TypeError(f"expected a [spacing, value] pair, got {entry!r}")
+    return _number(entry[0]), convert(entry[1])
+
+
+def _triples(modes):
+    """The (R, Q, f0) triples of one ``fixture_modes`` entry."""
+    if not all(isinstance(m, (list, tuple)) and len(m) == 3 for m in modes):
+        raise TypeError(f"expected [R, Q, f0] triples, got {modes!r}")
+    return tuple(tuple(map(_number, m)) for m in modes)
+
+
+# how the entries of a [spacing, value] key are converted
+_PAIRS = {"impedance_files": _pair,
+          "fixture_modes": lambda entry: _pair(entry, _triples)}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run configuration; defaults follow the reference scenario.
 
-    Each field is a key of the JSON run configuration (``io.load_config``).
+    Each field is a key of the JSON run configuration (``io.load_config``)
+    and takes what the key does: a float field also an int, a tuple field
+    a list, ``tap_powers`` None, and only ``coupling`` a bool; else a
+    TypeError names the key.  An int is stored as a float and a list as a
+    tuple, so the same keys hash the same from Python and from JSON.
     Every mode's box-car band is centred on the carrier, and its Fano
     budget depends on Q and ``relative_bandwidth`` alone, not on f0.
     ``realizations`` defaults to a desk-scale 5000; quantile confidence is
     meaningful from about 100/outage_p samples upward.  The ``temp_*``
     fields are the ``NoiseTemps`` ratios, read together as ``temps``.
     ``impedance_files`` holds (spacing, path) and ``fixture_modes``
-    (spacing, (R, Q, f0) triples) pairs; ``modes_at`` reads them.
+    (spacing, (R, Q, f0) triples) pairs of floats; ``modes_at`` reads them.
     """
 
     n_antennas: int = 2
@@ -78,6 +115,29 @@ class SimConfig:
     fixture_modes: tuple = ()
 
     def __post_init__(self):
+        for f in fields(self):  # every key's JSON type, then its entries
+            value = getattr(self, f.name)
+            types = {float: (int, float),
+                     tuple: (list, tuple)}.get(f.type, (f.type,))
+            if value is None and f.default is None:
+                continue
+            # bool is an int to isinstance, but True is no antenna count
+            if (not isinstance(value, types)
+                    or isinstance(value, bool) and f.type is not bool):
+                raise TypeError(f"key {f.name!r} has wrong type "
+                                f"{type(value).__name__}")
+        for f in fields(self):  # a pair converted, a number kept
+            value = getattr(self, f.name)
+            try:
+                if f.name in _PAIRS:
+                    value = tuple(map(_PAIRS[f.name], value))
+                elif f.type is tuple and value is not None:
+                    for x in value:  # as written; its range is below
+                        _number(x, finite=False)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TypeError(f"key {f.name!r}: {exc}") from None
+            if value is not None:  # float(int), tuple(list)
+                object.__setattr__(self, f.name, f.type(value))
         if self.input not in ("fixture", "files"):
             raise ValueError(f"input mode must be 'fixture' or 'files', got "
                              f"{self.input!r}")
@@ -85,8 +145,7 @@ class SimConfig:
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
         for d in self.spacings:
-            if (isinstance(d, bool) or not isinstance(d, numbers.Real)
-                    or not math.isfinite(d) or d < 0):
+            if not math.isfinite(d) or d < 0:
                 raise ValueError(
                     f"spacing must be a finite number >= 0, got {d!r}"
                 )
@@ -119,7 +178,8 @@ class SimConfig:
             if p.shape != (self.n_taps,):
                 raise ValueError(f"tap_powers needs n_taps = {self.n_taps} "
                                  f"entries, got {len(self.tap_powers)}")
-            if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            # each power in [0, 1] first, so the sum cannot overflow
+            if not (np.all(np.isfinite(p)) and np.all((0 <= p) & (p <= 1))
                     and abs(p.sum() - 1.0) <= 1e-9):
                 raise ValueError("tap_powers must be finite, >= 0 and sum "
                                  f"to 1, got {list(self.tap_powers)}")

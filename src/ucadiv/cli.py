@@ -42,7 +42,7 @@ def _add_input(p, spacings=1):
     p.add_argument("--config", help="JSON run configuration file")
     p.add_argument("--fixture", choices=["table1"],
                    help="use the built-in reference fixture")
-    p.add_argument("--spacing", type=float, nargs=spacings, default=None,
+    p.add_argument("--spacing", type=float, nargs=spacings, dest="spacings",
                    metavar="D", help="element spacing in wavelengths")
 
 
@@ -63,17 +63,14 @@ def _add_monte_carlo(p):
     p.add_argument("-v", "--verbose", action="store_true")
 
 
-# flag dest -> the SimConfig field it overrides when given
-_OVERRIDES = {"seed": "seed", "realizations": "realizations",
-              "spacing": "spacings", "workers": "workers"}
+# the SimConfig fields a flag overrides when given
+_OVERRIDES = ("seed", "realizations", "spacings", "workers")
 
 
 def _load_run_config(args) -> cap.SimConfig:
     run = io.load_config(args.config) if args.config else cap.SimConfig()
-    given = {name: value for dest, name in _OVERRIDES.items()
-             if (value := vars(args).get(dest)) is not None}
-    if "spacings" in given:  # argparse gives a list
-        given["spacings"] = tuple(given["spacings"])
+    given = {name: value for name in _OVERRIDES
+             if (value := vars(args).get(name)) is not None}
     return replace(run, **given)
 
 
@@ -88,7 +85,7 @@ def _mode_set_for(args, run: cap.SimConfig, d):
 
 def _spacing(args):
     """The one ``--spacing`` of a single-spacing subcommand, or Table I's."""
-    return args.spacing[0] if args.spacing else fixtures.TABLE1_SPACING
+    return args.spacings[0] if args.spacings else fixtures.TABLE1_SPACING
 
 
 def _out_path(args, name):

@@ -185,86 +185,20 @@ def parse_impedance(path) -> ArraySweep:
 
 # ---------------------------------------------------------------------------
 # run configuration: each field of SimConfig is a config key, and each but
-# workers a to_dict entry and a hashed value
-
-# JSON types per key: a float takes any number, a tuple a list, and a field
-# that defaults to None also null
-_CONFIG_KEYS = {
-    f.name: {float: (int, float), tuple: (list,)}.get(f.type, (f.type,))
-    + ((type(None),) if f.default is None else ()) for f in fields(SimConfig)
-}
-
+# workers a to_dict entry and a hashed value.  SimConfig checks and converts
+# every value; the document itself must be an object of known keys.
 
 def config_from_dict(doc) -> SimConfig:
     """Validate a flat key/value document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise DataError("configuration document must be an object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    unknown = set(doc) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise DataError(f"unknown configuration keys: {sorted(unknown)}")
-    for key, types in _CONFIG_KEYS.items():  # schema order names the key
-        value = doc.get(key)
-        # bool is an int to isinstance, but true is no antenna count
-        if key in doc and (not isinstance(value, types) or
-                           isinstance(value, bool) and bool not in types):
-            raise DataError(f"key {key!r} has wrong type "
-                            f"{type(value).__name__}")
-    given = {}  # an absent key keeps the field's default
     try:
-        for f in fields(SimConfig):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]  # an int for a float field is hashed as float
-            if f.name in _PAIRS:  # each entry converted
-                value = _entries(doc, f.name, _PAIRS[f.name])
-            elif f.type is tuple:
-                _entries(doc, f.name, _number)  # checked, kept as written
-            given[f.name] = None if value is None else f.type(value)
-        return SimConfig(**given)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(str(exc)) from None
-
-
-def _number(value):
-    """A finite JSON number as a float; bool, str, null and lists are not."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise TypeError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _path(value):
-    """A JSON string as a path; numbers, bool, null and lists are not."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a path string, got {value!r}")
-    return value
-
-
-def _pair(entry, convert=_path):
-    """A ``[spacing, value]`` entry as (spacing, convert(value))."""
-    if not (isinstance(entry, list) and len(entry) == 2):
-        raise TypeError(f"expected a [spacing, value] pair, got {entry!r}")
-    return _number(entry[0]), convert(entry[1])
-
-
-def _triples(modes):
-    """The (R, Q, f0) triples of one ``fixture_modes`` entry."""
-    if not all(isinstance(m, list) and len(m) == 3 for m in modes):
-        raise TypeError(f"expected [R, Q, f0] triples, got {modes!r}")
-    return tuple(tuple(map(_number, m)) for m in modes)
-
-
-def _entries(doc, key, convert):
-    """``convert`` applied to each entry of the list ``doc[key]``."""
-    try:
-        return tuple(convert(entry) for entry in doc.get(key) or ())
+        return SimConfig(**doc)  # an absent key keeps the field's default
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"key {key!r}: {exc}") from None
-
-
-# the keys of [spacing, value] entries, and how each entry is converted
-_PAIRS = {"impedance_files": _pair,
-          "fixture_modes": lambda entry: _pair(entry, _triples)}
+        raise DataError(str(exc)) from None
 
 
 def load_config(path) -> SimConfig:
@@ -282,6 +216,8 @@ def load_config(path) -> SimConfig:
             doc = json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc), path, exc.lineno) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", path) from None
     return config_from_dict(doc)
 
 

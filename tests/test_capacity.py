@@ -815,6 +815,7 @@ class TestSimConfig:
         (2, (float("nan"), 1.0), "must be finite"),
         (2, (float("inf"), 0.0), "must be finite"),
         (1, (1.0, 0.0), "needs n_taps = 1 entries, got 2"),
+        (2, (1e308, 1e308), "must be finite, >= 0 and sum to 1"),
     ])
     def test_tap_powers_checked_before_any_draw(self, n_taps, powers,
                                                 message):

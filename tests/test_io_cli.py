@@ -6,7 +6,7 @@ import math
 import os
 import re
 import stat
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from ucadiv.fixtures import (
     table1_sweep,
 )
 from ucadiv.io import (
-    _CONFIG_KEYS,
     config_from_dict,
     config_hash,
     emit_curve,
@@ -40,6 +39,7 @@ from ucadiv.modes import ArraySweep, fit_modes
 from ucadiv.network import FrequencyGrid, default_grid
 
 TABLE1_MODES = (TABLE1_MODE1, TABLE1_MODE2)
+CONFIG_KEYS = sorted(f.name for f in fields(SimConfig))
 
 # keys that changed no result, and the only values the hash saw of them:
 # bandwidth_hz was informational, and retune moved each mode's f0, which
@@ -529,7 +529,7 @@ class TestRunConfig:
         section = readme.split("**Run configuration JSON**")[1]
         rows = re.findall(r"^\| `(\w+)` \|.*\| `(.+)` \|$",
                           section.split("**Results**")[0], re.M)
-        assert sorted(key for key, _ in rows) == sorted(_CONFIG_KEYS)
+        assert sorted(key for key, _ in rows) == CONFIG_KEYS
         run = SimConfig()
         defaults = json.loads(json.dumps(run.to_dict()))
         defaults["workers"] = run.workers
@@ -567,22 +567,56 @@ class TestRunConfig:
                            "and fixture_modes$"):
             SimConfig(impedance_files=files, fixture_modes=pinned)
 
-    @pytest.mark.parametrize("input_doc", ["files", "fixture_modes"])
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"impedance_files": ((0.25,),)}, "key 'impedance_files': expected "
+         "a [spacing, value] pair, got (0.25,)"),
+        ({"impedance_files": [("0.25", "z.csv")]}, "key 'impedance_files': "
+         "expected a finite number, got '0.25'"),
+        ({"fixture_modes": ((0.25, ((1.0, 2.0),)),)}, "key 'fixture_modes': "
+         "expected [R, Q, f0] triples, got ((1.0, 2.0),)"),
+        ({"spacings": (0.25, None)}, "key 'spacings': expected a finite "
+         "number, got None"),
+        ({"n_antennas": True}, "key 'n_antennas' has wrong type bool"),
+        ({"seed": 1.5}, "key 'seed' has wrong type float"),
+        ({"realizations": 100.5}, "key 'realizations' has wrong type float"),
+    ])
+    def test_python_config_names_the_faulty_key(self, kwargs, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SimConfig(**kwargs)
+
+    def test_config_not_utf8_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"realizations": "\xff"}')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                                             "not UTF-8 text: "):
+            load_config(path)
+        rc = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 3 and not (tmp_path / "sweep.json").exists()
+        assert capsys.readouterr().err.startswith(f"error: {path}: not "
+                                                  "UTF-8 text: ")
+
+    @pytest.mark.parametrize("input_doc", ["files", "fixture_modes",
+                                           "python"])
     def test_library_sweep_writes_the_cli_bytes(self, tmp_path, input_doc):
         # sweep(load_config(path)) reads the files and pinned modes the CLI
-        # reads: same csv and json bytes as `ucadiv sweep --config path`
+        # reads, and SimConfig(**doc), given an int for a float and a list
+        # for a tuple, stores what the document does: same csv and json
+        # bytes as `ucadiv sweep --config path`
         z = tmp_path / "d025.csv"
         write_impedance(table1_sweep(), z)
-        doc = ({"input": "files", "impedance_files": [[0.25, str(z)]]}
-               if input_doc == "files" else
-               {"fixture_modes": [[0.1, [list(m) for m in TABLE1_MODES]]]})
+        doc = {"spacings": [0.1, 0.25], "seed": 3, "realizations": 200,
+               **{"files": {"input": "files",
+                            "impedance_files": [[0.25, str(z)]]},
+                  "fixture_modes": {"fixture_modes": [
+                      [0.1, [list(m) for m in TABLE1_MODES]]]},
+                  "python": {"snr_db": 12}}[input_doc]}
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"spacings": [0.1, 0.25], "seed": 3,
-                                   "realizations": 200, **doc}))
+        cfg.write_text(json.dumps(doc))
         cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
         rc = cli_main(["sweep", "--config", str(cfg), "--out", str(cli_dir)])
         assert rc == (3 if input_doc == "files" else 0)
-        config = load_config(cfg)
+        config = (SimConfig(**doc) if input_doc == "python"
+                  else load_config(cfg))
         emit_curve(capacity.sweep(config), config, lib_dir)
         for name in ("sweep.csv", "sweep.json"):
             assert (lib_dir / name).read_bytes() == (cli_dir /
@@ -600,7 +634,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3),
     max_leaves=8,
 )
-CONFIG_DOCS = st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)),
+CONFIG_DOCS = st.dictionaries(st.sampled_from(CONFIG_KEYS),
                               JSON_VALUES, max_size=4)
 # in-range values for every key; whole numbers may stand for floats
 _REAL = st.floats(-50, 50) | st.integers(-50, 50)
@@ -657,6 +691,28 @@ class TestConfigFuzz:
         back = config_from_dict(json.loads(json.dumps(run.to_dict())))
         assert back == replace(run, workers=1)
         assert config_hash(back) == config_hash(run)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=VALID_DOCS)
+    def test_python_config_is_the_document_config(self, doc):
+        # one schema: SimConfig(**doc) stores and hashes what the JSON does
+        try:
+            run = config_from_dict(doc)
+        except DataError:
+            return
+        built = SimConfig(**doc)
+        assert built == run and config_hash(built) == config_hash(run)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_python_config_refuses_what_the_document_refuses(self, doc):
+        try:
+            SimConfig(**doc)
+        except (TypeError, ValueError, OverflowError) as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                config_from_dict(doc)
+        else:
+            config_from_dict(doc)
 
 
 # tokens a corrupted or hand-edited file might hold
