@@ -353,8 +353,10 @@ def modes_at(config: SimConfig, d):
     """The EigenModeSet of spacing ``d`` under the configured input.
 
     Its impedance file, fitted, else its ``fixture_modes``, else the
-    synthetic coupling model unless ``input`` is "files".
+    synthetic coupling model unless ``input`` is "files".  Fitted or
+    pinned modes of another N than the run's are a DataError.
     """
+    n, mode_set = config.n_antennas, None
     for spacing, path in config.impedance_files:
         if abs(spacing - d) < 1e-12:
             from .io import parse_impedance  # io imports this module
@@ -364,33 +366,36 @@ def modes_at(config: SimConfig, d):
                 raise DataError(f"cannot read {path}: {exc.strerror}") from exc
             if abs(swept.d - d) >= 1e-12:
                 raise DataError(f"{path} describes spacing {swept.d}, not {d}")
-            return fit_modes(swept)
+            mode_set = fit_modes(swept)
     for spacing, triples in config.fixture_modes:
         if abs(spacing - d) < 1e-12:
-            return EigenModeSet.from_params(config.n_antennas, triples)
-    if config.input == "files":
-        raise DataError(f"no impedance file configured for spacing {d}")
-    return fixtures.CouplingModel().mode_set(config.n_antennas, d)
+            # Table I's exact pair is the N = 2 set; N = 3 takes two too
+            mode_set = EigenModeSet.from_params(
+                2 if triples == fixtures.TABLE1_MODES else n, triples)
+    if mode_set is None and config.input == "files":
+        raise DataError("no impedance_files or fixture_modes entry for "
+                        f"spacing {d}")
+    if mode_set is None:
+        return fixtures.CouplingModel().mode_set(n, d)
+    if mode_set.n != n:
+        raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
+                        f"the run has N={n}")
+    return mode_set
 
 
-def _kernel_inputs(config: SimConfig, d, mode_source=None):
+def _kernel_inputs(config: SimConfig, d):
     """(corr, gamma, sigma_norm) of one spacing, as ``_simulate`` takes them.
 
-    ``mode_source(d)``, read only with coupling on, gives the spacing's
-    EigenModeSet; without a source ``modes_at`` does.  Every error of the
-    spacing is raised here, before any draw: the kernel's only one, a zero
-    noise floor, does not depend on the draws.
+    The modes, read only with coupling on, are ``modes_at(config, d)``.
+    Every error of the spacing is raised here, before any draw: the
+    kernel's only one, a zero noise floor, does not depend on the draws.
     """
     n, k, w = config.n_antennas, config.subcarriers, config.relative_bandwidth
     if not config.coupling:  # perfect match and unit noise
         eye = np.eye(n, dtype=complex)
         corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
         return corr, np.zeros((k, n)), np.ones((k, n))
-    mode_set = (mode_source(d) if mode_source is not None
-                else modes_at(config, d))
-    if mode_set.n != n:
-        raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
-                        f"the run has N={n}")
+    mode_set = modes_at(config, d)
     specs = [fano_boxcar(m, w) for m in mode_set.modes]
     front = build_frontend(mode_set, specs, subcarrier_grid(k, w))
     iso = fixtures.isolated_mode()
@@ -489,14 +494,14 @@ def outage(samples, p):
     return c0, half
 
 
-def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
+def sweep(config: SimConfig) -> OutageCurve:
     """Outage capacity across the configured spacings.
 
-    ``mode_source`` optionally maps each spacing to its EigenModeSet;
-    without one, ``modes_at`` reads the configured input.  Per-spacing
-    failures are isolated: the offending point records its error and the
-    sweep continues.  Every spacing sees the same realizations, each drawn
-    once, so the points are paired.
+    Each spacing's modes are ``modes_at(config, d)``, so the config, which
+    the result files record, names them.  Per-spacing failures are
+    isolated: the offending point records its error and the sweep
+    continues.  Every spacing sees the same realizations, each drawn once,
+    so the points are paired.
     """
     if not config.spacings:
         raise ValueError("sweep needs at least one spacing")
@@ -504,7 +509,7 @@ def sweep(config: SimConfig, mode_source=None) -> OutageCurve:
     for d in config.spacings:
         points.append(SpacingResult(float(d)))
         try:
-            inputs.append(_kernel_inputs(config, d, mode_source))
+            inputs.append(_kernel_inputs(config, d))
         except UcadivError as exc:
             points[-1].cause = exc
     start = time.perf_counter()

@@ -9,6 +9,9 @@ Subcommands:
   fit       series-RLC fit of an impedance sweep file
   fixture   emit a synthetic impedance sweep file
 
+A spacing's modes come from the run configuration alone, through
+``capacity.modes_at``; ``--fixture table1`` is shorthand for its entries.
+
 Exit codes: 0 success, 2 usage, 3 data/parse error, 4 model error,
 5 numeric error; a capacity or sweep run with a failed point writes its
 files, then exits with the code of the first failure.
@@ -32,8 +35,8 @@ EXIT_MODEL = 4
 EXIT_NUMERIC = 5
 
 
-def _add_input(p, spacings=1):
-    """Where the modes come from: modes, match, capacity and sweep.
+def _add_input(p, spacings=1, table=False):
+    """The mode source flags and ``--out`` of modes, match, capacity, sweep.
 
     ``spacings`` is the argparse ``nargs`` of ``--spacing``: one value for
     a single-spacing subcommand, "+" for sweep.  Too many values or none
@@ -43,7 +46,10 @@ def _add_input(p, spacings=1):
     p.add_argument("--fixture", choices=["table1"],
                    help="use the built-in reference fixture")
     p.add_argument("--spacing", type=float, nargs=spacings, dest="spacings",
-                   metavar="D", help="element spacing in wavelengths")
+                   metavar="D", help="element spacing in wavelengths",
+                   default=[fixtures.TABLE1_SPACING] if spacings == 1
+                   else None)
+    _add_out(p, table)
 
 
 def _add_out(p, table=False):
@@ -68,24 +74,14 @@ _OVERRIDES = ("seed", "realizations", "spacings", "workers")
 
 
 def _load_run_config(args) -> cap.SimConfig:
+    """``--config`` or the defaults, overridden by every flag it takes."""
     run = io.load_config(args.config) if args.config else cap.SimConfig()
     given = {name: value for name in _OVERRIDES
              if (value := vars(args).get(name)) is not None}
+    if args.fixture == "table1":
+        given.update(input="files", impedance_files=(), fixture_modes=(
+            (fixtures.TABLE1_SPACING, fixtures.TABLE1_MODES),))
     return replace(run, **given)
-
-
-def _mode_set_for(args, run: cap.SimConfig, d):
-    """The mode set of one spacing: ``--fixture table1``, else the run's."""
-    if args.fixture != "table1":
-        return cap.modes_at(run, d)
-    if abs(d - fixtures.TABLE1_SPACING) < 1e-12:
-        return fixtures.table1_fixture()
-    raise DataError(f"table1 is only for d = {fixtures.TABLE1_SPACING}")
-
-
-def _spacing(args):
-    """The one ``--spacing`` of a single-spacing subcommand, or Table I's."""
-    return args.spacings[0] if args.spacings else fixtures.TABLE1_SPACING
 
 
 def _out_path(args, name):
@@ -97,15 +93,15 @@ def _out_path(args, name):
 
 
 def cmd_modes(args):
-    mode_set = _mode_set_for(args, _load_run_config(args), _spacing(args))
-    sys.stdout.write(io.emit_mode_report(mode_set,
+    run = _load_run_config(args)
+    sys.stdout.write(io.emit_mode_report(cap.modes_at(run, run.spacings[0]),
                                          _out_path(args, "modes.csv")))
     return 0
 
 
 def cmd_match(args):
     run = _load_run_config(args)
-    mode_set = _mode_set_for(args, run, _spacing(args))
+    mode_set = cap.modes_at(run, run.spacings[0])
     w = run.relative_bandwidth
     specs = [fano.fano_boxcar(m, w) for m in mode_set.modes]
     reports = [fano.fano_integral_check(s, m)
@@ -122,7 +118,7 @@ def _run_curve(args, run: cap.SimConfig, stem, label="C_out", note=""):
     failure is raised again, so it sets the exit code.  Only a run that
     succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
-    curve = cap.sweep(run, lambda d: _mode_set_for(args, run, d))
+    curve = cap.sweep(run)
     table, doc = io.emit_curve(curve, run, args.out or io.default_outdir(),
                                stem=stem, to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)
@@ -150,7 +146,7 @@ def _run_curve(args, run: cap.SimConfig, stem, label="C_out", note=""):
 
 
 def cmd_capacity(args):
-    run = replace(_load_run_config(args), spacings=(_spacing(args),))
+    run = _load_run_config(args)
     return _run_curve(args, run, "capacity", label=f"C_out({run.outage_p:g})",
                       note=f"  [{run.realizations} samples]")
 
@@ -195,24 +191,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("modes", help="eigen-impedance fit report")
-    _add_input(p)
-    _add_out(p, table=True)
+    _add_input(p, table=True)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("match", help="box-car matching budget per mode")
-    _add_input(p)
-    _add_out(p, table=True)
+    _add_input(p, table=True)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("capacity", help="single-spacing outage capacity")
     _add_input(p)
-    _add_out(p)
     _add_monte_carlo(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("sweep", help="outage capacity versus spacing")
     _add_input(p, spacings="+")
-    _add_out(p)
     _add_monte_carlo(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -26,6 +26,7 @@ from .network import FrequencyGrid, default_grid
 TABLE1_SPACING = 0.25
 TABLE1_MODE1 = (118.76, 3.75, 1.0425)   # (R ohm, Q, f0/fc), broadband mode
 TABLE1_MODE2 = (28.31, 16.0, 0.9675)    # narrowband mode
+TABLE1_MODES = (TABLE1_MODE1, TABLE1_MODE2)
 
 # Isolated-element parameters: the geometric midpoint of the reference mode
 # pair, so the fixture family passes exactly through the reference point and
@@ -85,7 +86,7 @@ def isolated_mode(f0=None) -> ResonantMode:
 
 def table1_fixture() -> EigenModeSet:
     """The reference two-element mode set (d = 0.25 wavelengths)."""
-    return EigenModeSet.from_params(2, (TABLE1_MODE1, TABLE1_MODE2))
+    return EigenModeSet.from_params(2, TABLE1_MODES)
 
 
 def table1_sweep(grid: FrequencyGrid = None) -> ArraySweep:

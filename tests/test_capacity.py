@@ -39,7 +39,12 @@ from ucadiv.channel import (
     to_eigenbasis,
 )
 from ucadiv.errors import ModelError, NumericError
-from ucadiv.fixtures import CouplingModel, table1_fixture, table1_sweep
+from ucadiv.fixtures import (
+    TABLE1_MODE1,
+    TABLE1_MODE2,
+    CouplingModel,
+    table1_sweep,
+)
 from ucadiv.io import write_impedance
 from ucadiv.network import dft_beamformer
 
@@ -548,10 +553,8 @@ class TestPoolSeam:
             capacity.no_such_name
 
 
-def dark_mode_set():
-    """Table I modes with the second too narrow to match: it stays dark."""
-    fx = table1_fixture()
-    return replace(fx, modes=(fx.modes[0], replace(fx.modes[1], q=1e20)))
+# Table I modes with the second too narrow to match: it stays dark
+DARK_MODES = (TABLE1_MODE1, (TABLE1_MODE2[0], 1e20, TABLE1_MODE2[2]))
 
 
 # realization counts around one and two blocks; 3 is the fewest SimConfig
@@ -674,9 +677,9 @@ class TestBlockedKernel:
 
         monkeypatch.setattr(capacity.channel, "draw_tap_blocks", no_draws)
         cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
-                        realizations=200)
-        [point] = sweep(replace(cfg, spacings=(0.25,)),
-                        mode_source=lambda d: dark_mode_set()).points
+                        realizations=200, spacings=(0.25,),
+                        fixture_modes=((0.25, DARK_MODES),))
+        [point] = sweep(cfg).points
         assert isinstance(point.cause, NumericError)
         assert point.error.startswith("zero noise floor (")
 
@@ -702,9 +705,8 @@ class TestSharedDraws:
     def test_failed_spacing_leaves_others_alone(self, workers):
         cfg = SimConfig(temp_antenna=1.0, temp_forward=0.0, temp_reverse=0.0,
                         realizations=200, spacings=(0.1, 0.25, 0.5), seed=31,
-                        workers=workers)
-        curve = sweep(cfg, mode_source=lambda d: (
-            dark_mode_set() if d == 0.25 else CouplingModel().mode_set(2, d)))
+                        workers=workers, fixture_modes=((0.25, DARK_MODES),))
+        curve = sweep(cfg)
         bad = curve.points[1]
         assert bad.error.startswith("zero noise floor")
         assert isinstance(bad.cause, NumericError) and bad.n_samples == 0
@@ -738,15 +740,16 @@ class TestSweep:
         assert curve.points[0].c_out == c0
         assert curve.points[0].ci_half_width == half
 
-    def test_failures_are_isolated(self):
+    def test_failures_are_isolated(self, monkeypatch):
         cfg = SimConfig(realizations=150, seed=3, spacings=(0.1, 0.25))
 
-        def mode_source(d):
+        def modes_at(config, d):
             if d == 0.1:
                 raise ModelError("synthetic failure")
             return CouplingModel().mode_set(2, d)
 
-        curve = sweep(cfg, mode_source=mode_source)
+        monkeypatch.setattr(capacity, "modes_at", modes_at)
+        curve = sweep(cfg)
         assert curve.points[0].error is not None
         assert curve.points[1].error is None
         assert np.isfinite(curve.points[1].c_out)

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ucadiv import capacity, cli, errors
+from ucadiv import capacity, errors
 from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
 from ucadiv.cli import cli_main
 from ucadiv.errors import DataError, ModelError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
     TABLE1_MODE2,
+    TABLE1_MODES,
+    TABLE1_SPACING,
     CouplingModel,
     fixture_sweep,
     table1_fixture,
@@ -38,7 +40,6 @@ from ucadiv.io import (
 from ucadiv.modes import ArraySweep, fit_modes
 from ucadiv.network import FrequencyGrid, default_grid
 
-TABLE1_MODES = (TABLE1_MODE1, TABLE1_MODE2)
 CONFIG_KEYS = sorted(f.name for f in fields(SimConfig))
 
 # keys that changed no result, and the only values the hash saw of them:
@@ -596,12 +597,13 @@ class TestRunConfig:
                                                   "UTF-8 text: ")
 
     @pytest.mark.parametrize("input_doc", ["files", "fixture_modes",
-                                           "python"])
+                                           "python", "table1"])
     def test_library_sweep_writes_the_cli_bytes(self, tmp_path, input_doc):
         # sweep(load_config(path)) reads the files and pinned modes the CLI
         # reads, and SimConfig(**doc), given an int for a float and a list
         # for a tuple, stores what the document does: same csv and json
-        # bytes as `ucadiv sweep --config path`
+        # bytes as `ucadiv sweep --config path`.  `--fixture table1
+        # --spacing 0.25` is shorthand for the table1 document's keys
         z = tmp_path / "d025.csv"
         write_impedance(table1_sweep(), z)
         doc = {"spacings": [0.1, 0.25], "seed": 3, "realizations": 200,
@@ -609,22 +611,31 @@ class TestRunConfig:
                             "impedance_files": [[0.25, str(z)]]},
                   "fixture_modes": {"fixture_modes": [
                       [0.1, [list(m) for m in TABLE1_MODES]]]},
-                  "python": {"snr_db": 12}}[input_doc]}
+                  "python": {"snr_db": 12},
+                  "table1": {"spacings": [0.25], "input": "files",
+                             "fixture_modes": [[0.25, TABLE1_MODES]]},
+                  }[input_doc]}
+        cli_doc, flags = doc, []
+        if input_doc == "table1":
+            cli_doc = {"seed": 3, "realizations": 200}
+            flags = ["--fixture", "table1", "--spacing", "0.25"]
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps(cli_doc))
         cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
-        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(cli_dir)])
+        rc = cli_main(["sweep", "--config", str(cfg), *flags,
+                       "--out", str(cli_dir)])
         assert rc == (3 if input_doc == "files" else 0)
-        config = (SimConfig(**doc) if input_doc == "python"
+        config = (SimConfig(**doc) if input_doc in ("python", "table1")
                   else load_config(cfg))
         emit_curve(capacity.sweep(config), config, lib_dir)
         for name in ("sweep.csv", "sweep.json"):
             assert (lib_dir / name).read_bytes() == (cli_dir /
                                                      name).read_bytes()
         points = json.loads((lib_dir / "sweep.json").read_text())["points"]
-        missing = "no impedance file configured for spacing 0.1"
+        missing = "no impedance_files or fixture_modes entry for spacing 0.1"
         assert [p["error"] for p in points] == (
-            [missing, None] if input_doc == "files" else [None, None])
+            [missing, None] if input_doc == "files"
+            else [None] * len(doc["spacings"]))
 
 
 # any JSON value: scalars (unbounded ints, non-finite floats) and nested lists
@@ -1122,15 +1133,18 @@ class TestCli:
 
     def test_wrong_triple_count_fails_its_spacing_exit_3(self, tmp_path,
                                                          capsys):
-        # a non-positive triple, too, fails only its own spacing
-        for n, triples, message in [
+        # a non-positive triple, too, fails only its own spacing; Table I's
+        # pair is named as the N = 2 set it is
+        for i, (n, triples, message) in enumerate([
             (4, [list(TABLE1_MODE1), list(TABLE1_MODE2)],
+             "modes of spacing 0.5 are for N=2, the run has N=4"),
+            (4, [[100, 5, 1], [30, 8, 1]],
              "need 3 (R, Q, f0) triples for N=4, got 2"),
             (2, [[-1, 1, 1], [1, 1, 1]],
              "R, Q and f0 must all be finite and positive"),
-        ]:
-            out = tmp_path / f"n{n}"
-            cfg = tmp_path / f"run{n}.json"
+        ]):
+            out = tmp_path / f"out{i}"
+            cfg = tmp_path / f"run{i}.json"
             cfg.write_text(json.dumps({
                 "n_antennas": n, "spacings": [0.25, 0.5],
                 "realizations": 150, "fixture_modes": [[0.5, triples]],
@@ -1505,19 +1519,63 @@ class TestCli:
         assert float(rows[0][1]) > 0
         assert rows[1][1:3] == ["error", "error"]
 
-    def test_table1_fixture_with_another_n_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("command", ["modes", "match", "capacity"])
+    def test_table1_fixture_with_another_n_exit_3(self, command, n, tmp_path,
+                                                  capsys):
+        # Table I is an N = 2 pair: modes and match printed its table for
+        # an N = 4 run and exited 0, while capacity failed the point; at
+        # N = 3, which takes two triples too, none may read it as a ring
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"n_antennas": 4}))
-        rc = cli_main(["capacity", "--fixture", "table1", "--config",
-                       str(cfg), "--realizations", "150",
-                       "--out", str(tmp_path)])
+        cfg.write_text(json.dumps({"n_antennas": n, "realizations": 150}))
+        out_dir = tmp_path / "out"
+        rc = cli_main([command, "--fixture", "table1", "--config", str(cfg),
+                       "--out", str(out_dir)])
         assert rc == 3
         out, err = capsys.readouterr()
-        assert err == ("error: modes of spacing 0.25 are for N=2, the run "
-                       "has N=4\n")
-        assert out.startswith("d = 0.25: failed (modes of spacing 0.25 ")
-        row = (tmp_path / "capacity.csv").read_text().splitlines()[1]
+        message = f"modes of spacing 0.25 are for N=2, the run has N={n}"
+        assert err == f"error: {message}\n"
+        if command != "capacity":
+            assert out == "" and not out_dir.exists()
+            return
+        assert out == f"d = 0.25: failed ({message})\n"
+        row = (out_dir / "capacity.csv").read_text().splitlines()[1]
         assert row.split(",")[1:3] == ["error", "error"]
+
+    @pytest.mark.parametrize("command", ["modes", "match"])
+    def test_file_of_another_n_exit_3(self, command, tmp_path, capsys):
+        # modes and match printed the fit of an N = 4 file for a run of
+        # the default N = 2 and exited 0
+        path = tmp_path / "n4.csv"
+        write_impedance(fixture_sweep(4, 0.5), path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"impedance_files": [[0.5, str(path)]]}))
+        out_dir = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg), "--spacing", "0.5",
+                       "--out", str(out_dir)])
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "", "error: modes of spacing 0.5 are for N=4, the run has N=2\n")
+        assert not out_dir.exists()
+
+    def test_table1_fixture_is_in_the_config_hash(self, tmp_path):
+        # --fixture table1 ran other modes than the file's fixture_modes,
+        # yet wrote the file's config block and hash: one hash, two C_out
+        cfg = tmp_path / "pin.json"
+        cfg.write_text(json.dumps({
+            "fixture_modes": [[0.25, [[100, 5, 1], [30, 8, 1]]]],
+            "realizations": 2000}))
+        docs = []
+        for flags in ([], ["--fixture", "table1"]):
+            out = tmp_path / f"out{len(docs)}"
+            assert cli_main(["capacity", "--config", str(cfg), *flags,
+                             "--out", str(out)]) == 0
+            docs.append(json.loads((out / "capacity.json").read_text()))
+        assert docs[0]["points"] != docs[1]["points"]
+        assert docs[0]["config_hash"] != docs[1]["config_hash"]
+        assert docs[1]["config"]["input"] == "files"
+        assert docs[1]["config"]["fixture_modes"] == [
+            [TABLE1_SPACING, [list(m) for m in TABLE1_MODES]]]
 
     def test_missing_impedance_file_fails_its_spacing_exit_3(self, tmp_path,
                                                             capsys):
@@ -1579,12 +1637,12 @@ class TestCli:
             self, tmp_path, monkeypatch, capsys):
         # a cause whose message is empty read as success: the json got
         # c_out = NaN and the run stopped on "Out of range float values"
-        def mode_set_for(args, run, d):
+        def modes_at(run, d):
             if d == 0.1:
                 raise ModelError()
             return CouplingModel().mode_set(run.n_antennas, d)
 
-        monkeypatch.setattr(cli, "_mode_set_for", mode_set_for)
+        monkeypatch.setattr(capacity, "modes_at", modes_at)
         rc = cli_main(["sweep", "--spacing", "0.1", "0.25", "--realizations",
                        "200", "--out", str(tmp_path)])
         assert rc == 4
@@ -1616,7 +1674,8 @@ class TestCli:
             if d in good:
                 assert float(row[1]) > 0
             else:
-                assert line == f"d = {d}: failed (table1 is only for d = 0.25)"
+                assert line == (f"d = {d}: failed (no impedance_files or "
+                                f"fixture_modes entry for spacing {d})")
                 assert row[1:3] == ["error", "error"]
 
     @pytest.mark.parametrize("command", ["modes", "match"])
@@ -1631,7 +1690,8 @@ class TestCli:
                        "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr() == (
-            "", "error: table1 is only for d = 0.25\n")
+            "", "error: no impedance_files or fixture_modes entry for "
+                "spacing 0.5\n")
         assert not out.exists()
 
     def test_partial_sweep_failure_exits_with_its_category(self, tmp_path,
