@@ -91,7 +91,8 @@ class SimConfig:
     meaningful from about 100/outage_p samples upward.  The ``temp_*``
     fields are the ``NoiseTemps`` ratios, read together as ``temps``.
     ``impedance_files`` holds (spacing, path) and ``fixture_modes``
-    (spacing, (R, Q, f0) triples) pairs of floats; ``modes_at`` reads them.
+    (spacing, (R, Q, f0) triples) pairs of floats, n_antennas // 2 + 1
+    triples each; ``modes_at`` reads them, and a bad triple fails its point.
     """
 
     n_antennas: int = 2
@@ -115,7 +116,7 @@ class SimConfig:
     fixture_modes: tuple = ()
 
     def __post_init__(self):
-        for f in fields(self):  # every key's JSON type, then its entries
+        for f in fields(self):  # each key's JSON type, then its entries
             value = getattr(self, f.name)
             types = {float: (int, float),
                      tuple: (list, tuple)}.get(f.type, (f.type,))
@@ -126,18 +127,15 @@ class SimConfig:
                     or isinstance(value, bool) and f.type is not bool):
                 raise TypeError(f"key {f.name!r} has wrong type "
                                 f"{type(value).__name__}")
-        for f in fields(self):  # a pair converted, a number kept
-            value = getattr(self, f.name)
-            try:
+            try:  # a pair converted, a number kept as written
                 if f.name in _PAIRS:
                     value = tuple(map(_PAIRS[f.name], value))
-                elif f.type is tuple and value is not None:
-                    for x in value:  # as written; its range is below
+                elif f.type is tuple:
+                    for x in value:  # its range is checked below
                         _number(x, finite=False)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TypeError(f"key {f.name!r}: {exc}") from None
-            if value is not None:  # float(int), tuple(list)
-                object.__setattr__(self, f.name, f.type(value))
+            object.__setattr__(self, f.name, f.type(value))  # float(int)
         if self.input not in ("fixture", "files"):
             raise ValueError(f"input mode must be 'fixture' or 'files', got "
                              f"{self.input!r}")
@@ -183,6 +181,12 @@ class SimConfig:
                     and abs(p.sum() - 1.0) <= 1e-9):
                 raise ValueError("tap_powers must be finite, >= 0 and sum "
                                  f"to 1, got {list(self.tap_powers)}")
+        count = self.n_antennas // 2 + 1  # one mode per distinct DFT index
+        for d, triples in self.fixture_modes:
+            if len(triples) != count:
+                raise ValueError(f"key 'fixture_modes': spacing {d} needs "
+                                 f"{count} (R, Q, f0) triples for "
+                                 f"N={self.n_antennas}, got {len(triples)}")
         # one run spacing matches an entry within 1e-12, so two entries this
         # close could both match it: a spacing is configured once
         spacings = sorted(d for d, _ in (*self.impedance_files,
@@ -352,11 +356,11 @@ def _pool_run(args):
 def modes_at(config: SimConfig, d):
     """The EigenModeSet of spacing ``d`` under the configured input.
 
-    Its impedance file, fitted, else its ``fixture_modes``, else the
-    synthetic coupling model unless ``input`` is "files".  Fitted or
-    pinned modes of another N than the run's are a DataError.
+    The first that matches: its impedance file, fitted, its
+    ``fixture_modes`` entry, else the synthetic coupling model unless
+    ``input`` is "files".  A file of another N is a DataError before the fit.
     """
-    n, mode_set = config.n_antennas, None
+    n = config.n_antennas
     for spacing, path in config.impedance_files:
         if abs(spacing - d) < 1e-12:
             from .io import parse_impedance  # io imports this module
@@ -366,21 +370,17 @@ def modes_at(config: SimConfig, d):
                 raise DataError(f"cannot read {path}: {exc.strerror}") from exc
             if abs(swept.d - d) >= 1e-12:
                 raise DataError(f"{path} describes spacing {swept.d}, not {d}")
-            mode_set = fit_modes(swept)
+            if swept.n != n:
+                raise DataError(f"modes of spacing {d} are for N={swept.n}, "
+                                f"the run has N={n}")
+            return fit_modes(swept)
     for spacing, triples in config.fixture_modes:
         if abs(spacing - d) < 1e-12:
-            # Table I's exact pair is the N = 2 set; N = 3 takes two too
-            mode_set = EigenModeSet.from_params(
-                2 if triples == fixtures.TABLE1_MODES else n, triples)
-    if mode_set is None and config.input == "files":
+            return EigenModeSet.from_params(n, triples)
+    if config.input == "files":
         raise DataError("no impedance_files or fixture_modes entry for "
                         f"spacing {d}")
-    if mode_set is None:
-        return fixtures.CouplingModel().mode_set(n, d)
-    if mode_set.n != n:
-        raise DataError(f"modes of spacing {d} are for N={mode_set.n}, "
-                        f"the run has N={n}")
-    return mode_set
+    return fixtures.CouplingModel().mode_set(n, d)
 
 
 def _kernel_inputs(config: SimConfig, d):

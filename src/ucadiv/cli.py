@@ -79,6 +79,9 @@ def _load_run_config(args) -> cap.SimConfig:
     given = {name: value for name in _OVERRIDES
              if (value := vars(args).get(name)) is not None}
     if args.fixture == "table1":
+        if run.n_antennas != 2:  # N = 3 takes two triples too
+            raise DataError(f"modes of spacing {fixtures.TABLE1_SPACING} are "
+                            f"for N=2, the run has N={run.n_antennas}")
         given.update(input="files", impedance_files=(), fixture_modes=(
             (fixtures.TABLE1_SPACING, fixtures.TABLE1_MODES),))
     return replace(run, **given)
@@ -152,11 +155,7 @@ def cmd_capacity(args):
 
 
 def cmd_sweep(args):
-    run = _load_run_config(args)
-    if not run.spacings:
-        print("usage: sweep requires at least one spacing", file=sys.stderr)
-        return 2
-    return _run_curve(args, run, "sweep")
+    return _run_curve(args, _load_run_config(args), "sweep")
 
 
 def cmd_fit(args):

@@ -55,8 +55,9 @@ class CouplingModel:
 
     def mode_set(self, n, d) -> EigenModeSet:
         """Distinct resonant modes of an N-element ring at spacing d."""
-        if n < 1:
-            raise ValueError(f"need at least one antenna, got {n}")
+        if n < 1 or not 0 <= d < math.inf:  # also refuses NaN
+            raise ValueError(f"need at least one antenna and a finite spacing "
+                             f">= 0, got N={n}, spacing {d}")
         # Log-split coefficients from the reference pair: the +/- unit weight
         # at (N=2, d_ref) maps the isolated values onto the two fixture modes.
         a_r = math.log(TABLE1_MODE1[0] / R_ISOLATED)

@@ -117,10 +117,7 @@ class EigenModeSet:
 
     @classmethod
     def from_params(cls, n, params):
-        """Modes from (R, Q, f0) triples, in ``distinct_dft_indices`` order."""
-        if len(params) != n // 2 + 1:
-            raise DataError(f"need {n // 2 + 1} (R, Q, f0) triples for "
-                            f"N={n}, got {len(params)}")
+        """(R, Q, f0) triples in ``distinct_dft_indices`` order, N//2 + 1."""
         return cls(n, tuple(ResonantMode(*p) for p in params))
 
     def expand(self, values):

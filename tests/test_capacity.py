@@ -801,6 +801,10 @@ class TestSimConfig:
         ({"n_taps": 0}, "n_taps must be >= 1, got 0$"),
         ({"planewaves": 7, "n_antennas": 4},
          r"planewaves must be >= 2 \* n_antennas = 8, got 7$"),
+        # named with its key and spacing, not per point by EigenModeSet
+        ({"n_antennas": 4, "fixture_modes": [[0.25, [[100, 5, 1]] * 2]]},
+         r"key 'fixture_modes': spacing 0.25 needs 3 \(R, Q, f0\) triples "
+         r"for N=4, got 2$"),
     ])
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match="^" + message):

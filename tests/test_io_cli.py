@@ -902,14 +902,16 @@ class TestCli:
         assert cli_main(["fit", produced]) == 0
 
     def test_sweep_empty_spacings_is_usage_error(self, tmp_path, capsys):
+        # a bare flag is a usage error; an empty key, an invalid config
         assert cli_main(["sweep", "--spacing"]) == 2
+        capsys.readouterr()
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"spacings": []}))
         out = tmp_path / "out"
         assert cli_main(["sweep", "--config", str(cfg),
-                         "--out", str(out)]) == 2
-        assert capsys.readouterr().err.endswith(
-            "usage: sweep requires at least one spacing\n")
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: sweep needs at least one spacing\n")
         assert not out.exists()
 
     def test_every_error_has_an_exit_code(self):
@@ -1025,13 +1027,17 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["--spacing", "nan"],
                                       ["--spacing", "-1"],
-                                      ["--span", "nan"]])
+                                      ["--span", "nan"],
+                                      ["--spacing", "inf"]])
     def test_fixture_unparseable_sweep_exit_3(self, argv, tmp_path, capsys):
-        # these used to exit 0 with a file that parse_impedance refuses
+        # these used to exit 0 with a file that parse_impedance refuses; a
+        # bad spacing was blamed on the R, Q and f0 it made
         rc = cli_main(["fixture", *argv, "--out", str(tmp_path)])
         assert rc == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+        if argv[0] == "--spacing":
+            assert err.endswith(f", spacing {float(argv[1])}\n")
         assert os.listdir(tmp_path) == []
 
     def test_fit_reports_residuals_on_stderr(self, tmp_path, capsys):
@@ -1133,13 +1139,14 @@ class TestCli:
 
     def test_wrong_triple_count_fails_its_spacing_exit_3(self, tmp_path,
                                                          capsys):
-        # a non-positive triple, too, fails only its own spacing; Table I's
-        # pair is named as the N = 2 set it is
+        # a wrong count, Table I's pair at N = 4 included, is refused when
+        # the config is built, naming key and spacing; a non-positive
+        # triple fails only its own spacing
+        count = "key 'fixture_modes': spacing 0.5 needs 3 (R, Q, f0) " \
+                "triples for N=4, got 2"
         for i, (n, triples, message) in enumerate([
-            (4, [list(TABLE1_MODE1), list(TABLE1_MODE2)],
-             "modes of spacing 0.5 are for N=2, the run has N=4"),
-            (4, [[100, 5, 1], [30, 8, 1]],
-             "need 3 (R, Q, f0) triples for N=4, got 2"),
+            (4, [list(TABLE1_MODE1), list(TABLE1_MODE2)], count),
+            (4, [[100, 5, 1], [30, 8, 1]], count),
             (2, [[-1, 1, 1], [1, 1, 1]],
              "R, Q and f0 must all be finite and positive"),
         ]):
@@ -1152,6 +1159,9 @@ class TestCli:
             rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
             assert rc == 3
             assert capsys.readouterr().err == f"error: {message}\n"
+            if message == count:
+                assert not out.exists()
+                continue
             rows = [r.split(",") for r in
                     (out / "sweep.csv").read_text().splitlines()[1:]]
             assert float(rows[0][1]) > 0
@@ -1519,28 +1529,23 @@ class TestCli:
         assert float(rows[0][1]) > 0
         assert rows[1][1:3] == ["error", "error"]
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("command", ["modes", "match", "capacity"])
+    @pytest.mark.parametrize("n", [3, 4, 1])
+    @pytest.mark.parametrize("command",
+                             ["modes", "match", "capacity", "sweep"])
     def test_table1_fixture_with_another_n_exit_3(self, command, n, tmp_path,
                                                   capsys):
         # Table I is an N = 2 pair: modes and match printed its table for
-        # an N = 4 run and exited 0, while capacity failed the point; at
-        # N = 3, which takes two triples too, none may read it as a ring
+        # an N = 4 run and exited 0; at N = 3, which takes two triples too,
+        # none may read it as a ring.  Each is refused before any file
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n_antennas": n, "realizations": 150}))
         out_dir = tmp_path / "out"
         rc = cli_main([command, "--fixture", "table1", "--config", str(cfg),
                        "--out", str(out_dir)])
         assert rc == 3
-        out, err = capsys.readouterr()
         message = f"modes of spacing 0.25 are for N=2, the run has N={n}"
-        assert err == f"error: {message}\n"
-        if command != "capacity":
-            assert out == "" and not out_dir.exists()
-            return
-        assert out == f"d = 0.25: failed ({message})\n"
-        row = (out_dir / "capacity.csv").read_text().splitlines()[1]
-        assert row.split(",")[1:3] == ["error", "error"]
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["modes", "match"])
     def test_file_of_another_n_exit_3(self, command, tmp_path, capsys):
@@ -1557,6 +1562,34 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "error: modes of spacing 0.5 are for N=4, the run has N=2\n")
         assert not out_dir.exists()
+
+    def test_file_of_another_n_is_refused_before_its_fit(self, tmp_path,
+                                                         monkeypatch):
+        # the N check used to follow the fit, which such a file ran in vain
+        path = tmp_path / "n4.csv"
+        write_impedance(fixture_sweep(4, 0.5), path)
+        fitted = []
+        monkeypatch.setattr(capacity, "fit_modes",
+                            lambda swept: fitted.append(fit_modes(swept)))
+        run = SimConfig(impedance_files=[[0.5, str(path)]])
+        with pytest.raises(DataError, match="^modes of spacing 0.5 are for "
+                                            "N=4, the run has N=2$"):
+            capacity.modes_at(run, 0.5)
+        assert fitted == []
+
+    def test_table1_triples_at_n3_run_as_a_ring(self, tmp_path, capsys):
+        # Table I's exact pair was read as the N = 2 set and refused at
+        # N = 3, while the pair with one f0 off by 1e-4 ran as a ring
+        cfg = tmp_path / "t3.json"
+        cfg.write_text(json.dumps({
+            "n_antennas": 3, "realizations": 200,
+            "fixture_modes": [[0.25, TABLE1_MODES]]}))
+        rc = cli_main(["capacity", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("d = 0.25: C_out(0.01) = ")
+        row = (tmp_path / "capacity.csv").read_text().splitlines()[1]
+        assert math.isfinite(float(row.split(",")[1]))
 
     def test_table1_fixture_is_in_the_config_hash(self, tmp_path):
         # --fixture table1 ran other modes than the file's fixture_modes,

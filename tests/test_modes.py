@@ -506,8 +506,9 @@ class TestEigenModeSet:
         ))
 
     def test_from_params_wrong_count(self):
-        with pytest.raises(DataError, match=r"^need 3 \(R, Q, f0\) triples "
-                                            r"for N=4, got 2$"):
+        # the constructor's check; SimConfig names a configured entry
+        with pytest.raises(ValueError, match=r"^need N >= 1 and N//2 \+ 1 "
+                                             r"modes, got N=4 and 2 modes$"):
             EigenModeSet.from_params(4, TABLE1)
 
     @pytest.mark.parametrize("n,layout", [
