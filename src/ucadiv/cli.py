@@ -28,7 +28,6 @@ from . import capacity as cap
 from . import fano, fixtures, io
 from .errors import DataError, ModelError, NumericError
 from .modes import fit_modes
-from .network import default_grid
 
 EXIT_DATA = 3
 EXIT_MODEL = 4
@@ -87,12 +86,13 @@ def _load_run_config(args) -> cap.SimConfig:
     return replace(run, **given)
 
 
-def _out_path(args, name):
-    """``name`` in the ``--out`` directory, made if need be, else None."""
-    if not args.out:
+def _out_path(args, name, fallback=None):
+    """``name`` in ``--out``, else ``fallback``, made if need be, or None."""
+    out = args.out or fallback
+    if out is None:
         return None
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def cmd_modes(args):
@@ -168,14 +168,9 @@ def cmd_fit(args):
 
 
 def cmd_fixture(args):
-    grid = default_grid(span=args.span, points=args.points)
-    if args.n == 2 and abs(args.spacing - fixtures.TABLE1_SPACING) < 1e-12:
-        sweep = fixtures.table1_sweep(grid)
-    else:
-        sweep = fixtures.fixture_sweep(args.n, args.spacing, grid)
-    out_dir = args.out or io.default_outdir()
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"fixture_n{args.n}_d{args.spacing:g}.csv")
+    sweep = fixtures.fixture_sweep(args.n, args.spacing)
+    path = _out_path(args, f"fixture_n{args.n}_d{args.spacing:g}.csv",
+                     io.default_outdir())
     io.write_impedance(sweep, path)
     print(path)
     return 0
@@ -215,8 +210,6 @@ def build_parser():
     p = sub.add_parser("fixture", help="emit a synthetic impedance file")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--spacing", type=float, default=fixtures.TABLE1_SPACING)
-    p.add_argument("--span", type=float, default=0.15)
-    p.add_argument("--points", type=int, default=601)
     _add_out(p)
     p.set_defaults(func=cmd_fixture)
 

@@ -10,19 +10,12 @@ class DataError(UcadivError):
 
 
 class ParseError(DataError):
-    """File parse failure; carries the offending line number when known."""
+    """File parse failure: ``path: message`` or ``path:lineno: message``."""
 
-    def __init__(self, message, path=None, lineno=None):
-        self.path = path
+    def __init__(self, message, path, lineno=None):
         self.lineno = lineno
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if lineno is not None:
-            prefix += f":{lineno}"
-        if prefix:
-            message = f"{prefix}: {message}"
-        super().__init__(message)
+        line = "" if lineno is None else f":{lineno}"
+        super().__init__(f"{path}{line}: {message}")
 
 
 class ModelError(UcadivError):

@@ -29,8 +29,8 @@ TABLE1_MODE2 = (28.31, 16.0, 0.9675)    # narrowband mode
 TABLE1_MODES = (TABLE1_MODE1, TABLE1_MODE2)
 
 # Isolated-element parameters: the geometric midpoint of the reference mode
-# pair, so the fixture family passes exactly through the reference point and
-# every spacing keeps positive resistances.
+# pair, so the fixture family passes through the reference point, to within
+# one ulp per parameter, and every spacing keeps positive resistances.
 R_ISOLATED = math.sqrt(TABLE1_MODE1[0] * TABLE1_MODE2[0])
 Q_ISOLATED = math.sqrt(TABLE1_MODE1[1] * TABLE1_MODE2[1])
 F0_ISOLATED = math.sqrt(TABLE1_MODE1[2] * TABLE1_MODE2[2])
@@ -48,7 +48,8 @@ class CouplingModel:
     with d_ref = TABLE1_SPACING, is summed around the ring with DFT phase
     weights to give each mode a signed coupling weight, clamped at
     +-WEIGHT_CLAMP; mode parameters split geometrically in that weight,
-    calibrated so the N = 2 array at d_ref reproduces the reference fixture.
+    calibrated so the N = 2 array at d_ref reproduces the reference fixture
+    to within one ulp per parameter (``table1_fixture`` is the exact pair).
     Splits are strong below d_ref (the narrow mode heads toward vanishing)
     and die off quickly above it, where spatial correlation dominates.
     """

@@ -78,7 +78,8 @@ def build_frontend(modes: EigenModeSet, specs, freqs) -> FrontEnd:
         )
     gamma = modes.expand([boxcar_profile(s, 1.0, freqs) for s in specs])
     if np.all(gamma >= 1.0):
-        raise ModelError("sub-carrier grid lies outside every matched band")
+        raise ModelError("every |Gamma| is 1: the grid is outside every "
+                         "band, or every budget reflects fully")
     return FrontEnd(gamma=gamma)
 
 

@@ -1,6 +1,7 @@
 """Per-realization capacity, outage quantiles, and the Monte-Carlo pipeline."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,8 @@ from ucadiv.channel import (
 )
 from ucadiv.errors import ModelError, NumericError
 from ucadiv.fixtures import (
+    Q_ISOLATED,
+    R_ISOLATED,
     TABLE1_MODE1,
     TABLE1_MODE2,
     CouplingModel,
@@ -71,6 +74,39 @@ def iid_oracle_samples(config):
             acc += np.log1p(snr * np.sum(np.abs(h_k) ** 2))
         out[i] = acc / k
     return out
+
+
+def one_tap_cdf(config, d):
+    """Exact CDF of the coupled N = 2 capacity at ``n_taps`` = 1.
+
+    One tap gives every sub-carrier the same channel, and the box-car is
+    flat on the grid, so C = log1p(c0 E0 + c1 E1) with unit exponentials
+    E_i and c_i = snr mu_i (1 - Gamma0_i^2) N0 / sigma_i.  mu = 1 +- R_h[0, 1]
+    is the plane-wave mean of cos(2 pi d cos phi_k); Gamma0^2, sigma_i and
+    N0 are the closed forms of the fano and frontend docstrings.
+    """
+    w, ta, tf, tr = (config.relative_bandwidth, config.temp_antenna,
+                     config.temp_forward, config.temp_reverse)
+
+    def gamma0_sq(q):
+        return math.exp(-2.0 * math.pi * (1.0 - w * w / 4.0) / (q * w))
+
+    phi = 2.0 * np.pi * np.arange(config.planewaves) / config.planewaves
+    rho = np.mean(np.cos(2.0 * np.pi * d * np.cos(phi)))
+    g_iso = gamma0_sq(Q_ISOLATED)
+    n0 = ta * R_ISOLATED * (1.0 - g_iso) + tf + tr * g_iso
+    c = []
+    for mu, mode in zip((1.0 + rho, 1.0 - rho),
+                        CouplingModel().mode_set(2, d).modes):
+        g = gamma0_sq(mode.q)
+        sigma = (ta - tr) * mode.r * (1.0 - g) + tf + tr
+        c.append(config.snr_linear * mu * (1.0 - g) * n0 / sigma)
+    c0, c1 = c
+
+    def cdf(capacity):
+        y = np.expm1(capacity)
+        return 1.0 - (c0 * np.exp(-y / c0) - c1 * np.exp(-y / c1)) / (c0 - c1)
+    return cdf
 
 
 def traced_peak(fn, *args):
@@ -442,6 +478,17 @@ class TestRunMonteCarlo:
         b = iid_oracle_samples(cfg_b)
         se = np.sqrt(np.var(a) / a.size + np.var(b) / b.size)
         assert abs(a.mean() - b.mean()) < 3.0 * se
+
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.25, 0.5])
+    def test_one_tap_coupled_law_is_exact(self, d):
+        # an oracle that replays no stream: W = 0.5 so that Gamma0 matters,
+        # and T_r > 0 so that the noise floor's (T_A - T_r) term does
+        cfg = SimConfig(n_taps=1, subcarriers=8, relative_bandwidth=0.5,
+                        temp_reverse=0.5, realizations=20000, spacings=(d,))
+        ks = stats.kstest(run_monte_carlo(cfg, d), one_tap_cdf(cfg, d))
+        # the DKW band at alpha = 1e-6 (Massart 1990): 0.0190 here
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
+        assert ks.statistic <= eps
 
     def test_large_spacing_approaches_iid(self):
         coupled = SimConfig(realizations=2000, seed=13)

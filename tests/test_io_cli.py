@@ -1,5 +1,6 @@
 """File formats, run configuration, result emission, and the CLI surface."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from ucadiv import capacity, errors
 from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
-from ucadiv.cli import cli_main
+from ucadiv.cli import build_parser, cli_main
 from ucadiv.errors import DataError, ModelError, ParseError, UcadivError
 from ucadiv.fixtures import (
     TABLE1_MODE1,
@@ -536,6 +537,26 @@ class TestRunConfig:
         defaults["workers"] = run.workers
         assert {key: json.loads(v) for key, v in rows} == defaults
 
+    def test_readme_flag_table_is_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("Each subcommand accepts only the flags")[1]
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \|$",
+                          section.split("\n\n")[1], re.M)
+        # a code span's first word names its flag: `--spacing D [D ...]`
+        documented = {command: sorted(span.split()[0] for span
+                                      in re.findall(r"`([^`]+)`", cell))
+                      for command, cell in rows}
+        assert len(documented) == len(rows)  # one row per subcommand
+        [commands] = [a.choices for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        # a positional argument is documented by its upper-cased name
+        parsed = {command: sorted(flag for a in p._actions
+                                  if not isinstance(a, argparse._HelpAction)
+                                  for flag in a.option_strings
+                                  or [a.dest.upper()])
+                  for command, p in commands.items()}
+        assert documented == parsed
+
     def test_fixture_modes_pinning(self):
         run = config_from_dict({
             "fixture_modes": [
@@ -796,6 +817,7 @@ CLI_FLAGS = {
     "--seed": ["0", "-3", str(2**70), "x"],
     "--realizations": ["-1", "0", "1", "150", "300", "x"],
     "--n": ["-1", "0", "1", "3"],
+    # --span and --points are taken by no subcommand
     "--span": ["0.15", "0", "-1", "nan"],
     "--points": ["-1", "0", "1", "3", "12"],
     "--bits": [], "-v": [], "--bogus": [],
@@ -809,7 +831,7 @@ _MONTE_CARLO = _INPUT + ["--workers", "--seed", "--realizations", "--bits",
 CLI_OWN_FLAGS = {
     "modes": _INPUT, "match": _INPUT,
     "capacity": _MONTE_CARLO, "sweep": _MONTE_CARLO,
-    "fit": [], "fixture": ["--n", "--spacing", "--span", "--points"],
+    "fit": [], "fixture": ["--n", "--spacing"],
     "other": [],
 }
 
@@ -1027,8 +1049,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["--spacing", "nan"],
                                       ["--spacing", "-1"],
-                                      ["--span", "nan"],
-                                      ["--spacing", "inf"]])
+                                      ["--spacing", "inf"],
+                                      ["--spacing", "1e400"]])
     def test_fixture_unparseable_sweep_exit_3(self, argv, tmp_path, capsys):
         # these used to exit 0 with a file that parse_impedance refuses; a
         # bad spacing was blamed on the R, Q and f0 it made
@@ -1036,8 +1058,15 @@ class TestCli:
         assert rc == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
-        if argv[0] == "--spacing":
-            assert err.endswith(f", spacing {float(argv[1])}\n")
+        assert err.endswith(f", spacing {float(argv[1])}\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [["--span", "0.1"], ["--points", "5"]])
+    def test_fixture_grid_flags_gone_exit_2(self, argv, tmp_path, capsys):
+        # fixture writes the default grid; a grid of its own is one
+        # library call away, write_impedance(fixture_sweep(n, d, grid), path)
+        assert cli_main(["fixture", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == ""
         assert os.listdir(tmp_path) == []
 
     def test_fit_reports_residuals_on_stderr(self, tmp_path, capsys):
@@ -1271,6 +1300,24 @@ class TestCli:
         assert rows[0][0] == "0.25" and rows[0][3] == "150"
         assert rows[1] == ["2.5", "error", "error", "0"]
 
+    def test_fully_reflecting_budgets_fail_their_point_exit_4(self, tmp_path,
+                                                              capsys):
+        # Q = 1e20 rounds every |Gamma0| to 1 on a grid inside the band; the
+        # error blamed the grid alone
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "fixture_modes": [[0.25, [[100, 1e20, 1], [30, 1e20, 1]]]],
+            "spacings": [0.25], "realizations": 200}))
+        rc = cli_main(["capacity", "--config", str(cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("model error: every |Gamma| is 1: ")
+        assert "every budget reflects fully" in err
+        rows = [r.split(",")[:4] for r in
+                (tmp_path / "capacity.csv").read_text().splitlines()[1:]]
+        assert rows == [["0.25", "error", "error", "0"]]
+
     def test_planewaves_unchecked_without_coupling_exit_0(self, tmp_path,
                                                           capsys):
         cfg = tmp_path / "run.json"
@@ -1282,10 +1329,9 @@ class TestCli:
 
     def test_fit_of_two_samples_exit_3(self, tmp_path, capsys):
         # write_impedance takes two samples; the RLC fit needs three
-        assert cli_main(["fixture", "--points", "2",
-                         "--out", str(tmp_path)]) == 0
-        path = capsys.readouterr().out.strip()
-        assert cli_main(["fit", path, "--out", str(tmp_path)]) == 3
+        path = tmp_path / "two.csv"
+        write_impedance(table1_sweep(default_grid(points=2)), path)
+        assert cli_main(["fit", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             "error: fit band must contain at least three samples\n")
         assert not (tmp_path / "fit.csv").exists()
@@ -1445,6 +1491,27 @@ class TestCli:
         assert rc == 3 and not (tmp_path / "sweep.json").exists()
         assert capsys.readouterr().err == ("error: key 'impedance_files': "
                                            "expected a path string, got 5\n")
+
+    def test_single_spacing_commands_never_read_config_spacings(
+            self, tmp_path, capsys):
+        # --spacing defaults to 0.25, and that default overrides the
+        # config's spacings as a given flag does; only sweep reads them
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "spacings": [0.5], "input": "files", "realizations": 150,
+            "fixture_modes": [[0.5, [list(m) for m in TABLE1_MODES]]]}))
+        run = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert cli_main(["modes", *run]) == 3
+        assert capsys.readouterr().err == (
+            "error: no impedance_files or fixture_modes entry for spacing "
+            "0.25\n")
+        assert cli_main(["capacity", *run]) == 3
+        doc = json.loads((tmp_path / "capacity.json").read_text())
+        assert doc["config"]["spacings"] == [0.25]
+        assert [p["spacing"] for p in doc["points"]] == [0.25]
+        assert cli_main(["sweep", *run]) == 0
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert doc["config"]["spacings"] == [0.5]
 
     def test_files_mode_missing_spacing_fails_cleanly(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 from ucadiv.errors import DataError, ModelError
-from ucadiv.fixtures import (CouplingModel, isolated_mode, table1_fixture,
-                             table1_sweep)
+from ucadiv.fixtures import (TABLE1_MODES, CouplingModel, isolated_mode,
+                             table1_fixture, table1_sweep)
 from ucadiv.modes import (
     ArraySweep,
     EigenModeSet,
@@ -504,6 +504,13 @@ class TestEigenModeSet:
         assert EigenModeSet.from_params(2, TABLE1) == EigenModeSet(2, (
             ResonantMode(*TABLE1[0]), ResonantMode(*TABLE1[1]),
         ))
+
+    def test_coupling_model_at_table1_is_within_ulps_of_it(self):
+        # one ulp per parameter here; four, so another libm cannot flake it
+        modes = CouplingModel().mode_set(2, 0.25).modes
+        np.testing.assert_array_max_ulp(
+            np.array([(m.r, m.q, m.f0) for m in modes]),
+            np.array(TABLE1_MODES), maxulp=4)
 
     def test_from_params_wrong_count(self):
         # the constructor's check; SimConfig names a configured entry

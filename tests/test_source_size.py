@@ -12,8 +12,8 @@ import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
-MAX_LINES = 2433  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1488  # without blank lines, comments and docstrings
+MAX_LINES = 2421  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1475  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
