@@ -16,13 +16,13 @@ from ucadiv import (
     SimConfig,
     config_hash,
     fit_modes,
+    load_config,
     outage,
     parse_impedance,
     run_monte_carlo,
     table1_sweep,
     write_impedance,
 )
-from ucadiv.io import load_config
 
 # the work directory and its files are removed when the demo ends
 with tempfile.TemporaryDirectory(prefix="ucadiv_demo_") as workdir:

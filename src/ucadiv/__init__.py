@@ -14,6 +14,8 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .capacity import (
     OutageCurve,
     SimConfig,
+    config_from_dict,
+    load_config,
     outage,
     realization_capacity,
     run_monte_carlo,
@@ -44,14 +46,7 @@ from .frontend import (
     noise_cov,
     subcarrier_grid,
 )
-from .io import (
-    config_from_dict,
-    config_hash,
-    emit_curve,
-    load_config,
-    parse_impedance,
-    write_impedance,
-)
+from .io import config_hash, emit_curve, parse_impedance, write_impedance
 from .modes import (
     ArraySweep,
     EigenModeSet,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import channel, fixtures
-from .errors import DataError, NumericError, UcadivError
+from .errors import DataError, NumericError, ParseError, UcadivError
 from .fano import fano_boxcar
 from .frontend import (
     NoiseTemps,
@@ -26,6 +26,7 @@ from .frontend import (
     noise_cov,
     subcarrier_grid,
 )
+from .io import parse_impedance
 from .modes import EigenModeSet, fit_modes
 from .network import dft_beamformer
 
@@ -80,7 +81,7 @@ _PAIRS = {"impedance_files": _pair,
 class SimConfig:
     """Run configuration; defaults follow the reference scenario.
 
-    Each field is a key of the JSON run configuration (``io.load_config``)
+    Each field is a key of the JSON run configuration (``load_config``)
     and takes what the key does: a float field also an int, a tuple field
     a list, ``tap_powers`` None, and only ``coupling`` a bool; else a
     TypeError names the key.  An int is stored as a float and a list as a
@@ -219,6 +220,44 @@ class SimConfig:
     @property
     def quantile_well_resolved(self):
         return self.realizations >= 100.0 / self.outage_p
+
+
+# the run configuration document: each field of SimConfig is a config key,
+# and each but workers a to_dict entry and a hashed value.  SimConfig checks
+# and converts every value; the document itself must be an object of known
+# keys.
+
+def config_from_dict(doc) -> SimConfig:
+    """Validate a flat key/value document; unknown keys are rejected."""
+    if not isinstance(doc, dict):
+        raise DataError("configuration document must be an object")
+    unknown = set(doc) - {f.name for f in fields(SimConfig)}
+    if unknown:
+        raise DataError(f"unknown configuration keys: {sorted(unknown)}")
+    try:
+        return SimConfig(**doc)  # an absent key keeps the field's default
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(str(exc)) from None
+
+
+def load_config(path) -> SimConfig:
+    import json  # here, not at import: `modes`, `match` and `fit` never use it
+
+    def unique(pairs):  # a repeated key is refused, not last-wins
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ParseError(f"repeated key {key!r}", path)
+        return dict(pairs)
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, object_pairs_hook=unique)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(exc), path, exc.lineno) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", path) from None
+    return config_from_dict(doc)
 
 
 @dataclass
@@ -363,7 +402,6 @@ def modes_at(config: SimConfig, d):
     n = config.n_antennas
     for spacing, path in config.impedance_files:
         if abs(spacing - d) < 1e-12:
-            from .io import parse_impedance  # io imports this module
             try:
                 swept = parse_impedance(path)
             except OSError as exc:

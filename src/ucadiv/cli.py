@@ -32,6 +32,7 @@ from .modes import fit_modes
 EXIT_DATA = 3
 EXIT_MODEL = 4
 EXIT_NUMERIC = 5
+OUTDIR_ENV = "UCADIV_OUTDIR"
 
 
 def _add_input(p, spacings=1, table=False):
@@ -54,7 +55,7 @@ def _add_input(p, spacings=1, table=False):
 def _add_out(p, table=False):
     """``--out``: a subcommand that prints a ``table`` writes it only there."""
     p.add_argument("--out", help="also write the table into this directory"
-                   if table else f"output directory (default ${io.OUTDIR_ENV} "
+                   if table else f"output directory (default ${OUTDIR_ENV} "
                    "or '.')")
 
 
@@ -74,7 +75,7 @@ _OVERRIDES = ("seed", "realizations", "spacings", "workers")
 
 def _load_run_config(args) -> cap.SimConfig:
     """``--config`` or the defaults, overridden by every flag it takes."""
-    run = io.load_config(args.config) if args.config else cap.SimConfig()
+    run = cap.load_config(args.config) if args.config else cap.SimConfig()
     given = {name: value for name in _OVERRIDES
              if (value := vars(args).get(name)) is not None}
     if args.fixture == "table1":
@@ -84,6 +85,11 @@ def _load_run_config(args) -> cap.SimConfig:
         given.update(input="files", impedance_files=(), fixture_modes=(
             (fixtures.TABLE1_SPACING, fixtures.TABLE1_MODES),))
     return replace(run, **given)
+
+
+def _out_dir(args):
+    """``--out``, else ``$UCADIV_OUTDIR``, else "." (unset or empty alike)."""
+    return args.out or os.environ.get(OUTDIR_ENV) or "."
 
 
 def _out_path(args, name, fallback=None):
@@ -122,8 +128,8 @@ def _run_curve(args, run: cap.SimConfig, stem, label="C_out", note=""):
     succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
     curve = cap.sweep(run)
-    table, doc = io.emit_curve(curve, run, args.out or io.default_outdir(),
-                               stem=stem, to_bits=args.bits)
+    table, doc = io.emit_curve(curve, run, _out_dir(args), stem=stem,
+                               to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)
     for p in curve.points:
         if p.cause is not None:
@@ -170,7 +176,7 @@ def cmd_fit(args):
 def cmd_fixture(args):
     sweep = fixtures.fixture_sweep(args.n, args.spacing)
     path = _out_path(args, f"fixture_n{args.n}_d{args.spacing:g}.csv",
-                     io.default_outdir())
+                     _out_dir(args))
     io.write_impedance(sweep, path)
     print(path)
     return 0

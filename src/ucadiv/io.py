@@ -1,4 +1,4 @@
-"""File formats: impedance sweeps, run configuration, result emission.
+"""File formats: impedance sweeps and result emission.
 
 Impedance sweep files are plain CSV with a commented header::
 
@@ -18,12 +18,10 @@ writer did not produce is rejected with a line-numbered diagnostic.
 import math
 import os
 import re
-from dataclasses import fields
 
 import numpy as np
 
-from .capacity import OutageCurve, SimConfig
-from .errors import DataError, ParseError
+from .errors import ParseError
 from .modes import ArraySweep, distinct_dft_indices, usable_bandwidth
 from .network import FrequencyGrid
 
@@ -33,11 +31,6 @@ FORMAT_TAG = "ucadiv impedance sweep v1"
 # "(?:...|)" is "(?:...)?" with less backtracking state for re to save per
 # field (a quarter less time per row)
 _NUMBER = r"-?[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
-OUTDIR_ENV = "UCADIV_OUTDIR"
-
-
-def default_outdir():
-    return os.environ.get(OUTDIR_ENV, ".")
 
 
 # ---------------------------------------------------------------------------
@@ -184,62 +177,23 @@ def parse_impedance(path) -> ArraySweep:
 
 
 # ---------------------------------------------------------------------------
-# run configuration: each field of SimConfig is a config key, and each but
-# workers a to_dict entry and a hashed value.  SimConfig checks and converts
-# every value; the document itself must be an object of known keys.
+# result emission
 
-def config_from_dict(doc) -> SimConfig:
-    """Validate a flat key/value document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise DataError("configuration document must be an object")
-    unknown = set(doc) - {f.name for f in fields(SimConfig)}
-    if unknown:
-        raise DataError(f"unknown configuration keys: {sorted(unknown)}")
-    try:
-        return SimConfig(**doc)  # an absent key keeps the field's default
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(str(exc)) from None
-
-
-def load_config(path) -> SimConfig:
-    import json  # here, not at import: `modes`, `match` and `fit` never use it
-
-    def unique(pairs):  # a repeated key is refused, not last-wins
-        keys = [key for key, _ in pairs]
-        for key in keys:
-            if keys.count(key) > 1:
-                raise ParseError(f"repeated key {key!r}", path)
-        return dict(pairs)
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=unique)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), path, exc.lineno) from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}", path) from None
-    return config_from_dict(doc)
-
-
-def config_hash(config: SimConfig):
-    """Stable short hash over the full configuration."""
+def config_hash(config):
+    """Stable short hash over a SimConfig's ``to_dict()``."""
     import hashlib
     import json
     canon = json.dumps(config.to_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-# ---------------------------------------------------------------------------
-# result emission
-
 def capacity_unit(to_bits):
     """(scale, name): the factor that takes nats to the reported unit."""
     return (1.0 / np.log(2.0), "bits") if to_bits else (1.0, "nats")
 
 
-def emit_curve(curve: OutageCurve, config: SimConfig, out_dir,
-               stem="sweep", to_bits=False):
-    """Write an outage curve as a CSV table plus a JSON document.
+def emit_curve(curve, config, out_dir, stem="sweep", to_bits=False):
+    """Write an OutageCurve of a SimConfig as a CSV table and a JSON document.
 
     Both files are reproducible byte-for-byte from the same configuration
     and seed; the JSON embeds the full configuration.

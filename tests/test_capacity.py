@@ -490,6 +490,19 @@ class TestRunMonteCarlo:
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
         assert ks.statistic <= eps
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    def test_one_tap_uncoupled_law_is_exact(self, n):
+        # coupling off: Gamma = 0, sigma = 1 and one i.i.d. CN(0, I) channel
+        # on every sub-carrier, so C = log1p(snr G) with G ~ Gamma(N, 1);
+        # N <= 4 takes _mode_sum's slice path, N = 16 numpy's sum
+        cfg = SimConfig(n_antennas=n, coupling=False, n_taps=1,
+                        subcarriers=8, realizations=20000, spacings=(0.25,))
+        ks = stats.kstest(run_monte_carlo(cfg, 0.25), lambda c: stats.gamma(
+            n).cdf(np.expm1(c) / cfg.snr_linear))
+        # the DKW band at alpha = 1e-6, as in the coupled law above: 0.0190
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
+        assert ks.statistic <= eps
+
     def test_large_spacing_approaches_iid(self):
         coupled = SimConfig(realizations=2000, seed=13)
         iid = SimConfig(realizations=2000, seed=13, coupling=False)

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ucadiv import capacity, errors
-from ucadiv.capacity import OutageCurve, SimConfig, SpacingResult
+from ucadiv.capacity import (
+    OutageCurve,
+    SimConfig,
+    SpacingResult,
+    config_from_dict,
+    load_config,
+)
 from ucadiv.cli import build_parser, cli_main
 from ucadiv.errors import DataError, ModelError, ParseError, UcadivError
 from ucadiv.fixtures import (
@@ -30,14 +36,7 @@ from ucadiv.fixtures import (
     table1_fixture,
     table1_sweep,
 )
-from ucadiv.io import (
-    config_from_dict,
-    config_hash,
-    emit_curve,
-    load_config,
-    parse_impedance,
-    write_impedance,
-)
+from ucadiv.io import config_hash, emit_curve, parse_impedance, write_impedance
 from ucadiv.modes import ArraySweep, fit_modes
 from ucadiv.network import FrequencyGrid, default_grid
 
@@ -1442,6 +1441,16 @@ class TestCli:
             assert cli_main([command, "--fixture", "table1"]) == 0
         assert sorted(os.listdir(tmp_path)) == ["capacity.csv",
                                                 "capacity.json"]
+
+    def test_empty_outdir_env_var_is_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        # an empty variable reads as an unset one, not as the path ""
+        monkeypatch.setenv("UCADIV_OUTDIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["capacity", "--realizations", "150"]) == 0
+        assert cli_main(["fixture"]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "capacity.csv", "capacity.json", "fixture_n2_d0.25.csv"]
 
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,19 +1,22 @@
-"""Tripwire on the size of ``src/ucadiv``.
+"""Tripwires on the size and the import graph of ``src/ucadiv``.
 
 The package is to stay the same size or smaller.  A change that needs more
 lines raises a limit below, a one-line diff, and says in CHANGES.md which
 lines pay for it.  ``python3 tests/test_source_size.py`` prints both counts
-per module, then the totals.
+per module, then the totals.  Its modules import each other at module level
+only, and in an order without a cycle.
 """
 
+import ast
+import graphlib
 import io
 import pathlib
 import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
-MAX_LINES = 2421  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1475  # without blank lines, comments and docstrings
+MAX_LINES = 2414  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1467  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -53,6 +56,28 @@ def source_size():
     return sum(s[0] for s in sizes), sum(s[1] for s in sizes)
 
 
+def package_imports():
+    """(graph, nested) of the package's own imports, read with ``ast``.
+
+    ``graph`` maps each module to the package modules it imports, and
+    ``nested`` lists "file:line" of each such import below module level.
+    No module is imported.
+    """
+    graph, nested = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            # "from .x import f" imports x, "from . import x, y" x and y
+            deps.update([node.module] if node.module
+                        else (alias.name for alias in node.names))
+            if node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+    return graph, nested
+
+
 def test_code_lines_skip_comments_and_docstrings():
     text = ('"""Module."""\n\n# note\n\n\ndef f(x):\n    """Doc\n\n    more\n'
             '    """\n    y = ("a"\n         "b")  # tail\n    return y\n')
@@ -65,6 +90,13 @@ def test_source_stays_within_its_line_limits():
             "CHANGES.md line that says which lines pay for it")
     assert lines <= MAX_LINES, f"{lines} lines in src/ucadiv: {hint}"
     assert code <= MAX_CODE_LINES, f"{code} code lines in src/ucadiv: {hint}"
+
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    graph, nested = package_imports()
+    assert not nested, f"imports inside a function or block: {nested}"
+    graphlib.TopologicalSorter(graph).prepare()  # CycleError names a cycle
 
 
 if __name__ == "__main__":
