@@ -143,6 +143,8 @@ class SimConfig:
         self.temps  # a bad temperature is named before any other number
         if self.n_antennas < 1:
             raise ValueError("need at least one antenna")
+        if not self.spacings:
+            raise ValueError("sweep needs at least one spacing")
         for d in self.spacings:
             if not math.isfinite(d) or d < 0:
                 raise ValueError(
@@ -541,8 +543,6 @@ def sweep(config: SimConfig) -> OutageCurve:
     continues.  Every spacing sees the same realizations, each drawn once,
     so the points are paired.
     """
-    if not config.spacings:
-        raise ValueError("sweep needs at least one spacing")
     points, inputs = [], []  # inputs of the points whose setup succeeded
     for d in config.spacings:
         points.append(SpacingResult(float(d)))

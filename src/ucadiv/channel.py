@@ -119,9 +119,9 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
 
     vals, vecs = np.linalg.eigh(r_h)
     if not np.min(vals) >= PSD_CLIP:  # NaN fails too
-        raise ModelError(
-            f"correlation matrix is not PSD (min eigenvalue {np.min(vals):.3g})"
-        )
+        raise ModelError(f"correlation matrix is not PSD (min eigenvalue "
+                         f"{np.min(vals):.3g}): {k_prime} plane waves are too "
+                         f"few for N = {n} at spacing {d}; raise planewaves")
     # roundoff-scale eigenvalues would turn into sqrt(eps) noise; zero them
     vals[vals < 1e-14 * max(vals.max(), 1.0)] = 0.0
     sqrt_r_h = (vecs * np.sqrt(vals)) @ vecs.conj().T

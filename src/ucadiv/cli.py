@@ -121,15 +121,16 @@ def cmd_match(args):
 
 
 def _run_curve(args, run: cap.SimConfig, stem, label="C_out", note=""):
-    """Sweep the run's spacings, write ``stem``.csv/.json, print each point.
+    """Make ``stem``.csv/.json's directory, sweep into them, print each point.
 
     A failed point prints its error; once the files are written, the first
     failure is raised again, so it sets the exit code.  Only a run that
     succeeds warns on stderr when its samples resolve the quantile coarsely.
     """
+    table, doc = (_out_path(args, f"{stem}.{ext}", _out_dir(args))
+                  for ext in ("csv", "json"))
     curve = cap.sweep(run)
-    table, doc = io.emit_curve(curve, run, _out_dir(args), stem=stem,
-                               to_bits=args.bits)
+    io.emit_curve(curve, run, table, doc, to_bits=args.bits)
     scale, unit = io.capacity_unit(args.bits)
     for p in curve.points:
         if p.cause is not None:

@@ -192,14 +192,13 @@ def capacity_unit(to_bits):
     return (1.0 / np.log(2.0), "bits") if to_bits else (1.0, "nats")
 
 
-def emit_curve(curve, config, out_dir, stem="sweep", to_bits=False):
+def emit_curve(curve, config, table_path, doc_path, to_bits=False):
     """Write an OutageCurve of a SimConfig as a CSV table and a JSON document.
 
-    Both files are reproducible byte-for-byte from the same configuration
-    and seed; the JSON embeds the full configuration.
+    The paths' directory must exist.  Both files are reproducible byte for
+    byte from the configuration and its seed, which the JSON embeds whole.
     """
     import json
-    os.makedirs(out_dir, exist_ok=True)
     h = config_hash(config)
     scale, unit = capacity_unit(to_bits)
 
@@ -222,11 +221,8 @@ def emit_curve(curve, config, out_dir, stem="sweep", to_bits=False):
     }
     # strict JSON: a non-finite value raises here, before any file is written
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    table_path = os.path.join(out_dir, f"{stem}.csv")
     _write_lines(table_path, rows)
-    doc_path = os.path.join(out_dir, f"{stem}.json")
     _write_lines(doc_path, [text])
-    return table_path, doc_path
 
 
 def emit_mode_report(mode_set, out_path=None):

@@ -49,6 +49,7 @@ from ucadiv.fixtures import (
     table1_sweep,
 )
 from ucadiv.io import write_impedance
+from ucadiv.modes import distinct_dft_indices, uca_pairwise_distance
 from ucadiv.network import dft_beamformer
 
 
@@ -77,14 +78,19 @@ def iid_oracle_samples(config):
 
 
 def one_tap_cdf(config, d):
-    """Exact CDF of the coupled N = 2 capacity at ``n_taps`` = 1.
+    """Exact CDF of the coupled capacity at ``n_taps`` = 1, for N <= 4.
 
     One tap gives every sub-carrier the same channel, and the box-car is
-    flat on the grid, so C = log1p(c0 E0 + c1 E1) with unit exponentials
-    E_i and c_i = snr mu_i (1 - Gamma0_i^2) N0 / sigma_i.  mu = 1 +- R_h[0, 1]
-    is the plane-wave mean of cos(2 pi d cos phi_k); Gamma0^2, sigma_i and
-    N0 are the closed forms of the fano and frontend docstrings.
+    flat on the grid, so C = log1p(Y), Y = sum_m c_m Gamma(mult_m, 1) over
+    the distinct DFT indices m, with c_m = snr mu_m (1 - Gamma0_m^2) N0 /
+    sigma_m.  mu is the DFT of R_h's first row, the plane-wave mean of
+    cos(2 pi chord_k cos phi); Gamma0^2, sigma_m and N0 are the closed
+    forms of the fano and frontend docstrings.  Up to N = 4 Y holds one or
+    two unit-multiplicity terms, whose sum has a closed-form CDF F_A
+    (exponential or hypoexponential), and at N = 3, 4 one Gamma(2) term
+    c_1 G, convolved with it by a fixed Gauss-Legendre rule.
     """
+    n = config.n_antennas
     w, ta, tf, tr = (config.relative_bandwidth, config.temp_antenna,
                      config.temp_forward, config.temp_reverse)
 
@@ -92,20 +98,38 @@ def one_tap_cdf(config, d):
         return math.exp(-2.0 * math.pi * (1.0 - w * w / 4.0) / (q * w))
 
     phi = 2.0 * np.pi * np.arange(config.planewaves) / config.planewaves
-    rho = np.mean(np.cos(2.0 * np.pi * d * np.cos(phi)))
+    chords = np.array([uca_pairwise_distance(n, d, k) for k in range(n)])
+    mu = np.fft.fft(np.cos(2.0 * np.pi * chords[:, None] * np.cos(phi))
+                    .mean(axis=1)).real
     g_iso = gamma0_sq(Q_ISOLATED)
     n0 = ta * R_ISOLATED * (1.0 - g_iso) + tf + tr * g_iso
-    c = []
-    for mu, mode in zip((1.0 + rho, 1.0 - rho),
-                        CouplingModel().mode_set(2, d).modes):
+    single, double = [], []  # the c_m of multiplicity 1 and 2
+    for (m, mult), mode in zip(distinct_dft_indices(n),
+                               CouplingModel().mode_set(n, d).modes):
         g = gamma0_sq(mode.q)
         sigma = (ta - tr) * mode.r * (1.0 - g) + tf + tr
-        c.append(config.snr_linear * mu * (1.0 - g) * n0 / sigma)
-    c0, c1 = c
+        (single if mult == 1 else double).append(
+            config.snr_linear * mu[m] * (1.0 - g) * n0 / sigma)
+
+    def single_cdf(y):
+        if len(single) == 1:
+            return -np.expm1(-y / single[0])
+        c0, c1 = single
+        return 1.0 - (c0 * np.exp(-y / c0) - c1 * np.exp(-y / c1)) / (c0 - c1)
+
+    x, weights = np.polynomial.legendre.leggauss(128)
 
     def cdf(capacity):
         y = np.expm1(capacity)
-        return 1.0 - (c0 * np.exp(-y / c0) - c1 * np.exp(-y / c1)) / (c0 - c1)
+        if not double:
+            return single_cdf(y)
+        (b,) = double
+        # F_Y(y) = int_0^y s e^(-s/b) / b^2 F_A(y - s) ds; the Gamma(2)
+        # density beyond s = 50 b is below e^-46, so the rule stops there
+        half = np.minimum(y, 50.0 * b)[:, None] / 2.0
+        s = half * (x + 1.0)
+        f = s / b * np.exp(-s / b) / b * single_cdf(y[:, None] - s)
+        return (f * half) @ weights
     return cdf
 
 
@@ -487,6 +511,19 @@ class TestRunMonteCarlo:
                         temp_reverse=0.5, realizations=20000, spacings=(d,))
         ks = stats.kstest(run_monte_carlo(cfg, d), one_tap_cdf(cfg, d))
         # the DKW band at alpha = 1e-6 (Massart 1990): 0.0190 here
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
+        assert ks.statistic <= eps
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("d", [0.05, 0.25])
+    def test_one_tap_coupled_law_is_exact_at_n(self, n, d):
+        # the N = 2 law above at the other N up to 4: one exponential, then
+        # an exponential (N = 3) or a hypoexponential (N = 4) with a Gamma(2)
+        cfg = SimConfig(n_antennas=n, n_taps=1, subcarriers=8,
+                        relative_bandwidth=0.5, temp_reverse=0.5,
+                        realizations=20000, spacings=(d,))
+        ks = stats.kstest(run_monte_carlo(cfg, d), one_tap_cdf(cfg, d))
+        # the DKW band at alpha = 1e-6, as in the N = 2 law: 0.0190
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
         assert ks.statistic <= eps
 

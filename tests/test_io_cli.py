@@ -647,7 +647,9 @@ class TestRunConfig:
         assert rc == (3 if input_doc == "files" else 0)
         config = (SimConfig(**doc) if input_doc in ("python", "table1")
                   else load_config(cfg))
-        emit_curve(capacity.sweep(config), config, lib_dir)
+        lib_dir.mkdir()
+        emit_curve(capacity.sweep(config), config, lib_dir / "sweep.csv",
+                   lib_dir / "sweep.json")
         for name in ("sweep.csv", "sweep.json"):
             assert (lib_dir / name).read_bytes() == (cli_dir /
                                                      name).read_bytes()
@@ -1039,6 +1041,19 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_run_failing_whole_leaves_its_out_dir_empty(self, tmp_path,
+                                                        capsys):
+        # the directory is made before the draws, so a run whose arrays
+        # cannot be allocated leaves it behind, empty
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"subcarriers": 10**14, "spacings": [0.25],
+                                   "realizations": 200}))
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_fixture_without_antennas_exit_3(self, n, tmp_path, capsys):
         # N = 0 used to escape as an IndexError traceback
@@ -1266,7 +1281,8 @@ class TestCli:
                               n_samples=150)
         curve = OutageCurve(points=[point])
         with pytest.raises(ValueError, match="JSON"):
-            emit_curve(curve, SimConfig(), tmp_path)
+            emit_curve(curve, SimConfig(), tmp_path / "capacity.csv",
+                       tmp_path / "capacity.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_fit_without_resonance_exit_4(self, tmp_path, capsys):
@@ -1293,7 +1309,8 @@ class TestCli:
         assert rc == 4
         assert capsys.readouterr().err == (
             "model error: correlation matrix is not PSD (min eigenvalue "
-            "-0.363)\n")
+            "-0.363): 7 plane waves are too few for N = 3 at spacing 2.5; "
+            "raise planewaves\n")
         rows = [r.split(",")[:4] for r in
                 (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert rows[0][0] == "0.25" and rows[0][3] == "150"
@@ -1451,6 +1468,24 @@ class TestCli:
         assert cli_main(["fixture"]) == 0
         assert sorted(os.listdir(tmp_path)) == [
             "capacity.csv", "capacity.json", "fixture_n2_d0.25.csv"]
+
+    @pytest.mark.parametrize("command,realizations", [("capacity", "20000"),
+                                                     ("sweep", "200")])
+    def test_unmakeable_out_fails_before_the_draws(
+            self, tmp_path, monkeypatch, capsys, command, realizations):
+        # the output directory is made before the Monte-Carlo run, so one
+        # that cannot be made (its parent is a regular file) costs no draw
+        def kernel(*args):
+            raise AssertionError("the Monte-Carlo kernel ran")
+
+        monkeypatch.setattr(capacity, "_simulate", kernel)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert cli_main([command, "--realizations", realizations,
+                         "--out", "afile/sub"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert "'afile/sub'" in err
 
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -15,8 +15,8 @@ import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
-MAX_LINES = 2414  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1467  # without blank lines, comments and docstrings
+MAX_LINES = 2411  # every line of src/ucadiv/*.py
+MAX_CODE_LINES = 1464  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
