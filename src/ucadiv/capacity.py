@@ -433,7 +433,7 @@ def _kernel_inputs(config: SimConfig, d):
     n, k, w = config.n_antennas, config.subcarriers, config.relative_bandwidth
     if not config.coupling:  # perfect match and unit noise
         eye = np.eye(n, dtype=complex)
-        corr = channel.CorrelationModel(n=n, r_h=eye, sqrt_r_h=eye.copy())
+        corr = channel.CorrelationModel(r_h=eye, sqrt_r_h=eye)
         return corr, np.zeros((k, n)), np.ones((k, n))
     mode_set = modes_at(config, d)
     specs = [fano_boxcar(m, w) for m in mode_set.modes]

@@ -83,7 +83,6 @@ def realization_keys(seed, indices):
 class CorrelationModel:
     """Plane-wave spatial correlation of an N-element ring at spacing d."""
 
-    n: int
     r_h: np.ndarray
     sqrt_r_h: np.ndarray
 
@@ -125,7 +124,7 @@ def spatial_correlation(n, d, k_prime=32) -> CorrelationModel:
     # roundoff-scale eigenvalues would turn into sqrt(eps) noise; zero them
     vals[vals < 1e-14 * max(vals.max(), 1.0)] = 0.0
     sqrt_r_h = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return CorrelationModel(n=n, r_h=r_h, sqrt_r_h=sqrt_r_h)
+    return CorrelationModel(r_h=r_h, sqrt_r_h=sqrt_r_h)
 
 
 def _white(re, im):
@@ -146,8 +145,7 @@ def draw_taps(model: CorrelationModel, l, profile, rng):
         raise ValueError("profile length must equal the tap count")
     if not abs(profile.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("tap powers must sum to 1")
-    re = rng.standard_normal((l, model.n))
-    im = rng.standard_normal((l, model.n))
+    re, im = rng.standard_normal((2, l, len(model.sqrt_r_h)))
     taps = _white(re, im) @ model.sqrt_r_h.T
     taps *= np.sqrt(profile)[:, None]
     return taps

@@ -28,17 +28,20 @@ GAMMA_USABLE = 1.0 / 3.0
 class MatchSpec:
     """Box-car matching budget for one mode at relative bandwidth W.
 
-    ``gamma0`` is the conservative (capacity lower-bound) in-band reflection
-    and ``gamma0_sq`` its square; ``gamma0_sq_upper`` is the optimistic
+    ``gamma0_sq`` is the conservative (capacity lower-bound) in-band |Gamma0|^2
+    and ``gamma0`` its root; ``gamma0_sq_upper`` is the optimistic
     closed-form bound.  ``alpha`` is the real part of the diagnostic
     right-half-plane zero pair alpha +- j beta, with beta taken as 0.
     """
 
     w: float
-    gamma0: float
     gamma0_sq_upper: float
     gamma0_sq: float
     alpha: float
+
+    @property
+    def gamma0(self):
+        return math.sqrt(self.gamma0_sq)
 
     @property
     def usable(self):
@@ -65,8 +68,7 @@ def fano_boxcar(mode: ResonantMode, w) -> MatchSpec:
     g_sq_lower = math.exp(-2.0 * math.pi * (1.0 - w * w / 4.0) / (q * w))
     g_sq_upper = math.exp(-2.0 * math.pi / (q * w))
     alpha = f0 * math.pi * w * w / (4.0 * q)
-    return MatchSpec(w=w, gamma0=math.sqrt(g_sq_lower),
-                     gamma0_sq_upper=g_sq_upper, gamma0_sq=g_sq_lower,
+    return MatchSpec(w=w, gamma0_sq_upper=g_sq_upper, gamma0_sq=g_sq_lower,
                      alpha=alpha)
 
 

@@ -13,13 +13,15 @@ failing there is left out of every verdict.  Each mutant gets one line:
     pins-only   only tests of ``PINS``, the stream and network digests, failed
     survived    no test failed
 
-and one line per test module with failures.  PYTEST ARGS narrow the run:
-``-k law`` asks whether the exact laws alone kill a mutant.  Tests that
-run ucadiv in a subprocess put the repository's ``src/`` first on its
-path, so they see the unmutated code; ``--ignore tests/test_demos.py``
-leaves out the slowest of them.  pytest does not collect this file;
-``tests/test_mutants.py`` checks that each old text occurs exactly once
-in ``src/``.
+and one line per test module with failures; the run exits 1 if a mutant
+survived.  A mutant that computes the same results is equivalent, so it
+stays out of ``MUTANTS``, and ROADMAP item 15 names it with its reason.
+PYTEST ARGS narrow the run: ``-k law`` asks whether the exact laws alone
+kill a mutant.  Tests that run ucadiv in a subprocess put the repository's
+``src/`` first on its path, so they see the unmutated code; ``--ignore
+tests/test_demos.py`` leaves out the slowest of them.  pytest does not
+collect this file; ``tests/test_mutants.py`` checks that each old text
+occurs exactly once in ``src/``.
 """
 
 import collections
@@ -51,6 +53,22 @@ MUTANTS = [
      "_simulate scales the taps by the power profile, not its root"),
     ("frontend.py", "+ temps.t_reverse * g2", "+ temps.t_reverse",
      "n0_normalize drops the reverse noise's Gamma^2"),
+    ("capacity.py", "max(_binom_ppf(0.025, m, p), 1)",
+     "_binom_ppf(0.025, m, p)",
+     "outage's lower rank may be 0, which indexes the largest sample"),
+    ("channel.py", "indices[first:first + span]",
+     "indices[first:first + span - 1]",
+     "draw_tap_blocks skips the last index of every key span"),
+    ("capacity.py", "samples[start:stop] = part",
+     "samples[:stop - start] = part",
+     "the pool writes every chunk at the start of the samples"),
+    ("capacity.py", "_BLOCK_BYTES // (16 * k * n)",
+     "_BLOCK_BYTES // (8 * k * n)",
+     "the block budget counts 8 bytes per complex entry, not 16"),
+    ("capacity.py", "dft_beamformer(n).conj()", "dft_beamformer(n)",
+     "the eigen-basis product uses Q, not its conjugate"),
+    ("fano.py", "math.sqrt(self.gamma0_sq)", "self.gamma0_sq",
+     "MatchSpec.gamma0 returns |Gamma0|^2, not |Gamma0|"),
 ]
 
 
@@ -87,7 +105,9 @@ def mutated_failures(mutant, args):
 
 
 def main(args):
+    """Print the ledger; 1 if a mutant survived, else 0."""
     known = failures(SRC.parent, args)
+    survived = False
     print(f"unmutated: {len(known)} failing" + "".join(
         f"\n    {t}" for t in sorted(known)))
     for i, mutant in enumerate(MUTANTS):
@@ -101,7 +121,9 @@ def main(args):
         counts = collections.Counter(t.split("::")[0] for t in failed)
         for module, count in sorted(counts.items()):
             print(f"    {module}: {count}")
+        survived = survived or not failed
+    return int(survived)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

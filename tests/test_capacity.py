@@ -1,5 +1,7 @@
 """Per-realization capacity, outage quantiles, and the Monte-Carlo pipeline."""
 
+import decimal
+import itertools
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -77,18 +80,15 @@ def iid_oracle_samples(config):
     return out
 
 
-def one_tap_cdf(config, d):
-    """Exact CDF of the coupled capacity at ``n_taps`` = 1, for N <= 4.
+def band_snr_terms(config, d):
+    """(c_m, mult_m) over the distinct DFT indices m of the coupled run.
 
-    One tap gives every sub-carrier the same channel, and the box-car is
-    flat on the grid, so C = log1p(Y), Y = sum_m c_m Gamma(mult_m, 1) over
-    the distinct DFT indices m, with c_m = snr mu_m (1 - Gamma0_m^2) N0 /
+    The box-car is flat on the sub-carrier grid, so with tap powers p_l the
+    band-mean SNR is Y = sum_m c_m sum_l p_l E_ml, mult_m copies each, where
+    the E_ml are unit exponentials and c_m = snr mu_m (1 - Gamma0_m^2) N0 /
     sigma_m.  mu is the DFT of R_h's first row, the plane-wave mean of
     cos(2 pi chord_k cos phi); Gamma0^2, sigma_m and N0 are the closed
-    forms of the fano and frontend docstrings.  Up to N = 4 Y holds one or
-    two unit-multiplicity terms, whose sum has a closed-form CDF F_A
-    (exponential or hypoexponential), and at N = 3, 4 one Gamma(2) term
-    c_1 G, convolved with it by a fixed Gauss-Legendre rule.
+    forms of the fano and frontend docstrings.
     """
     n = config.n_antennas
     w, ta, tf, tr = (config.relative_bandwidth, config.temp_antenna,
@@ -103,13 +103,28 @@ def one_tap_cdf(config, d):
                     .mean(axis=1)).real
     g_iso = gamma0_sq(Q_ISOLATED)
     n0 = ta * R_ISOLATED * (1.0 - g_iso) + tf + tr * g_iso
-    single, double = [], []  # the c_m of multiplicity 1 and 2
+    terms = []
     for (m, mult), mode in zip(distinct_dft_indices(n),
                                CouplingModel().mode_set(n, d).modes):
         g = gamma0_sq(mode.q)
         sigma = (ta - tr) * mode.r * (1.0 - g) + tf + tr
-        (single if mult == 1 else double).append(
-            config.snr_linear * mu[m] * (1.0 - g) * n0 / sigma)
+        terms.append((config.snr_linear * mu[m] * (1.0 - g) * n0 / sigma,
+                      mult))
+    return terms
+
+
+def one_tap_cdf(config, d):
+    """Exact CDF of the coupled capacity at ``n_taps`` = 1, for N <= 4.
+
+    One tap gives every sub-carrier the same channel, so C = log1p(Y), Y =
+    sum_m c_m Gamma(mult_m, 1) over ``band_snr_terms``.  Up to N = 4 Y holds
+    one or two unit-multiplicity terms, whose sum has a closed-form CDF F_A
+    (exponential or hypoexponential), and at N = 3, 4 one Gamma(2) term
+    c_1 G, convolved with it by a fixed Gauss-Legendre rule.
+    """
+    terms = band_snr_terms(config, d)
+    single = [c for c, mult in terms if mult == 1]
+    double = [c for c, mult in terms if mult == 2]
 
     def single_cdf(y):
         if len(single) == 1:
@@ -131,6 +146,73 @@ def one_tap_cdf(config, d):
         f = s / b * np.exp(-s / b) / b * single_cdf(y[:, None] - s)
         return (f * half) @ weights
     return cdf
+
+
+def bound_cdf(config, d):
+    """Exact CDF G of X = log1p(Y), Y the band-mean SNR, at any N.
+
+    With equal powers on L <= K taps, Parseval makes Y = sum_m b_m
+    Gamma(k_m, 1), b_m = c_m / L and k_m = L mult_m over ``band_snr_terms``:
+    C <= X by Jensen, and C = X at L = 1.  Y's Laplace transform prod_m
+    (1 + b_m s)^-k_m splits into sum_m sum_(j <= k_m) a_mj (1 + b_m s)^-j,
+    so 1 - G = sum_m e^(-z_m) sum_(i < k_m) z_m^i / i! sum_(j > i) a_mj at
+    z_m = expm1(x) / b_m, for distinct scales.  Close scales of high order
+    make the a_mj large and of both signs (their absolute sum is 7e32 at
+    N = 16, d = 0.25, L = 8), so they are formed and summed in 60-digit
+    decimals.  Moschopoulos's gamma series (1985) has no such cancellation
+    but needs ~b_max / b_min terms: the scales span 14 decades at N = 16,
+    d = 0.05.
+    """
+    with decimal.localcontext(prec=60):
+        taps = config.n_taps
+        terms = [(Decimal(c / taps), taps * mult)
+                 for c, mult in band_snr_terms(config, d)]
+        poles = []  # (b_m, [sum_(j > i) a_mj / i! for i < k_m])
+        for m, (b, k) in enumerate(terms):
+            amp, poly = Decimal(1), [Decimal(1)] + [Decimal(0)] * (k - 1)
+            for other, order in terms[:m] + terms[m + 1:]:
+                # the other factor in x = 1 + b s, to order x^(k - 1):
+                # (1 - r)^-order (1 + r x / (1 - r))^-order, r = other / b
+                r = other / b
+                amp *= (1 - r) ** -order
+                step = [math.comb(order + j - 1, j) * (r / (r - 1)) ** j
+                        for j in range(k)]
+                poly = [sum(poly[i] * step[j - i] for i in range(j + 1))
+                        for j in range(k)]
+            # a_mj = amp poly[k - j], so sum_(j > i) a_mj sums poly[:k - i]
+            tails = list(itertools.accumulate(poly))
+            poles.append((b, [amp * tails[k - 1 - i] / math.factorial(i)
+                              for i in range(k)]))
+
+    def cdf(capacity):
+        out = []
+        with decimal.localcontext(prec=60):
+            for y in np.expm1(capacity).tolist():
+                survival = Decimal(0)
+                for b, coef in poles:
+                    z = Decimal(y) / b
+                    horner = Decimal(0)
+                    for c in reversed(coef):
+                        horner = horner * z + c
+                    survival += (-z).exp() * horner
+                out.append(float(1 - survival))
+        return np.array(out)
+    return cdf
+
+
+def cdf_gaps(samples, cdf, step=20):
+    """Upper bounds on sup(F_hat - F) and sup(F - F_hat) over ``samples``.
+
+    ``cdf`` is evaluated at every ``step``-th order statistic and the
+    largest only: a sample between two of them has F between theirs, so
+    each bound exceeds the exact one by at most step / m plus F's rise
+    over the step.
+    """
+    s = np.sort(samples)
+    ranks = np.append(np.arange(step, s.size, step), s.size)
+    f = np.concatenate(([0.0], cdf(s[ranks - 1])))
+    below = np.concatenate(([0], ranks[:-1])) / s.size
+    return (ranks / s.size - f[:-1]).max(), (f[1:] - below).max()
 
 
 def traced_peak(fn, *args):
@@ -514,18 +596,40 @@ class TestRunMonteCarlo:
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
         assert ks.statistic <= eps
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("n", [1, 3, 4, 16])
     @pytest.mark.parametrize("d", [0.05, 0.25])
     def test_one_tap_coupled_law_is_exact_at_n(self, n, d):
-        # the N = 2 law above at the other N up to 4: one exponential, then
-        # an exponential (N = 3) or a hypoexponential (N = 4) with a Gamma(2)
+        # the N = 2 law above at the other N: up to N = 4 one or two
+        # exponentials and a Gamma(2), at N = 16 two exponentials and seven
+        # Gamma(2) terms whose scales span up to 14 decades
         cfg = SimConfig(n_antennas=n, n_taps=1, subcarriers=8,
                         relative_bandwidth=0.5, temp_reverse=0.5,
                         realizations=20000, spacings=(d,))
-        ks = stats.kstest(run_monte_carlo(cfg, d), one_tap_cdf(cfg, d))
+        gaps = cdf_gaps(run_monte_carlo(cfg, d), bound_cdf(cfg, d))
         # the DKW band at alpha = 1e-6, as in the N = 2 law: 0.0190
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
-        assert ks.statistic <= eps
+        assert max(gaps) <= eps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [0.05, 0.25])
+    def test_partial_fractions_match_the_closed_forms(self, n, d):
+        cfg = SimConfig(n_antennas=n, n_taps=1, relative_bandwidth=0.5,
+                        temp_reverse=0.5, spacings=(d,))
+        c = np.linspace(0.0, 8.0, 161)
+        assert_allclose(bound_cdf(cfg, d)(c), one_tap_cdf(cfg, d)(c),
+                        rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [0.05, 0.25])
+    def test_capacity_stays_below_the_band_mean_bound(self, d):
+        # 8 equal taps on 8 sub-carriers: C <= X for every realization, so
+        # F_C >= G, and F_hat_C may fall below G only by the sampling error
+        cfg = SimConfig(n_antennas=16, n_taps=8, subcarriers=8,
+                        relative_bandwidth=0.5, temp_reverse=0.5,
+                        realizations=20000, spacings=(d,))
+        _, above = cdf_gaps(run_monte_carlo(cfg, d), bound_cdf(cfg, d))
+        # the one-sided DKW band at alpha = 1e-6: 0.0186
+        assert above <= math.sqrt(math.log(1.0 / 1e-6)
+                                  / (2.0 * cfg.realizations))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
     def test_one_tap_uncoupled_law_is_exact(self, n):

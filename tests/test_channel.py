@@ -1,5 +1,6 @@
 """Spatial correlation, Kronecker tap draws, and OFDM sub-carrier channels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import special
 
 from ucadiv.capacity import _BLOCK
 from ucadiv.channel import (
+    CorrelationModel,
     _white,
     draw_tap_blocks,
     draw_taps,
@@ -103,6 +105,16 @@ class TestSpatialCorrelation:
 
 
 class TestDrawTaps:
+    def test_order_comes_from_the_matrices(self):
+        assert [f.name for f in dataclasses.fields(CorrelationModel)] == [
+            "r_h", "sqrt_r_h"]
+        eye = np.eye(3, dtype=complex)
+        taps = draw_taps(CorrelationModel(r_h=eye, sqrt_r_h=eye), 2,
+                         [0.5, 0.5], realization_rng(4, 1))
+        rng = realization_rng(4, 1)
+        w = _white(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
+        assert np.array_equal(taps, w * np.sqrt(0.5))
+
     def test_identity_covariance_monte_carlo(self):
         model = spatial_correlation(2, 0.25)
         model.r_h = np.eye(2, dtype=complex)

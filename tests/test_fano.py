@@ -1,5 +1,6 @@
 """Box-car matching budgets and the gain-bandwidth constraint residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ucadiv.fano import (
     fano_boxcar,
     fano_integral_check,
 )
+from ucadiv.fixtures import table1_fixture
 from ucadiv.modes import ResonantMode, vswr
 
 NARROW = ResonantMode(r=28.31, q=16.0, f0=0.9675)
@@ -26,6 +28,16 @@ class TestFanoBoxcar:
         want = math.exp(-2.0 * math.pi * (1.0 - 1e-4) / 0.32)
         assert_allclose(spec.gamma0_sq, want, rtol=1e-12)
         assert_allclose(spec.gamma0, math.sqrt(want), rtol=1e-12)
+
+    def test_budget_stores_gamma0_squared_only(self):
+        names = [f.name for f in dataclasses.fields(fano.MatchSpec)]
+        assert names == ["w", "gamma0_sq_upper", "gamma0_sq", "alpha"]
+
+    @pytest.mark.parametrize("w", [0.02, 0.5, 1.5])
+    def test_gamma0_is_the_root_of_gamma0_squared(self, w):
+        for mode in table1_fixture().modes:
+            spec = fano_boxcar(mode, w)
+            assert spec.gamma0 == math.sqrt(spec.gamma0_sq)
 
     def test_bound_pair_ordering(self):
         rng = np.random.default_rng(2)

@@ -18,8 +18,7 @@ from ucadiv.modes import retune
 
 
 def perfect_spec(w=0.02):
-    return MatchSpec(w=w, gamma0=0.0, gamma0_sq_upper=0.0, gamma0_sq=0.0,
-                     alpha=0.0)
+    return MatchSpec(w=w, gamma0_sq_upper=0.0, gamma0_sq=0.0, alpha=0.0)
 
 
 def table1_specs(w=0.02):

@@ -16,7 +16,7 @@ import tokenize
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ucadiv"
 
 MAX_LINES = 2411  # every line of src/ucadiv/*.py
-MAX_CODE_LINES = 1464  # without blank lines, comments and docstrings
+MAX_CODE_LINES = 1463  # without blank lines, comments and docstrings
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
