@@ -51,7 +51,7 @@ class MatchSpec:
     @property
     def transmissivity(self):
         """In-band power transmissivity 1 - |Gamma0|^2."""
-        return 1.0 - self.gamma0 ** 2
+        return 1.0 - self.gamma0_sq
 
 
 def fano_boxcar(mode: ResonantMode, w) -> MatchSpec:

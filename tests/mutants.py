@@ -10,7 +10,8 @@ every test of ``tests/``.  ``src/`` itself runs first, the same way; a test
 failing there is left out of every verdict.  Each mutant gets one line:
 
     killed      a test failed outside the pins
-    pins-only   only tests of ``PINS``, the stream and network digests, failed
+    pins-only   only tests of ``PINS`` (the stream, chain and CLI digests)
+                failed
     survived    no test failed
 
 and one line per test module with failures; the run exits 1 if a mutant
@@ -36,7 +37,8 @@ from test_source_size import SRC
 
 ROOT = SRC.parents[1]
 TESTS = ROOT / "tests"
-PINS = ("tests/test_stream_contract.py", "tests/test_network_contract.py")
+PINS = ("tests/test_stream_contract.py", "tests/test_network_contract.py",
+        "tests/test_golden.py")
 
 MUTANTS = [
     ("channel.py", "    w /= np.sqrt(2.0)\n", "",

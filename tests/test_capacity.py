@@ -1,7 +1,5 @@
 """Per-realization capacity, outage quantiles, and the Monte-Carlo pipeline."""
 
-import decimal
-import itertools
 import json
 import math
 import os
@@ -11,7 +9,6 @@ import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -54,6 +51,10 @@ from ucadiv.fixtures import (
 from ucadiv.io import write_impedance
 from ucadiv.modes import distinct_dft_indices, uca_pairwise_distance
 from ucadiv.network import dft_beamformer
+
+
+# the default spacings: every exact law is checked at each of them
+SPACINGS = SimConfig().spacings
 
 
 def iid_oracle_samples(config):
@@ -113,91 +114,49 @@ def band_snr_terms(config, d):
     return terms
 
 
-def one_tap_cdf(config, d):
-    """Exact CDF of the coupled capacity at ``n_taps`` = 1, for N <= 4.
+def band_mean_cdf(b, k):
+    """CDF y -> P(Y <= y) of Y = sum_m b_m Gamma(k_m, 1), independent terms.
 
-    One tap gives every sub-carrier the same channel, so C = log1p(Y), Y =
-    sum_m c_m Gamma(mult_m, 1) over ``band_snr_terms``.  Up to N = 4 Y holds
-    one or two unit-multiplicity terms, whose sum has a closed-form CDF F_A
-    (exponential or hypoexponential), and at N = 3, 4 one Gamma(2) term
-    c_1 G, convolved with it by a fixed Gauss-Legendre rule.
+    Inverts prod_m (1 + b_m s)^-k_m / s on the parabola s*(1 + iu)^2, every
+    pole on its left (Weideman & Trefethen, Math. Comp. 76, 2007), in float64
+    with nothing to cancel.  s* is the real saddle, y s = 1 + sum_m k_m x_m,
+    x_m = b_m s / (1 + b_m s), so in [1/y, (1 + sum k) / y]; the trapezoid
+    rule takes 64 panels on [0, u_max], u_max^2 = 40 / (1 + 2 sum k x^2).
     """
-    terms = band_snr_terms(config, d)
-    single = [c for c, mult in terms if mult == 1]
-    double = [c for c, mult in terms if mult == 2]
+    b, k = np.asarray(b, float), np.asarray(k, float)
 
-    def single_cdf(y):
-        if len(single) == 1:
-            return -np.expm1(-y / single[0])
-        c0, c1 = single
-        return 1.0 - (c0 * np.exp(-y / c0) - c1 * np.exp(-y / c1)) / (c0 - c1)
-
-    x, weights = np.polynomial.legendre.leggauss(128)
-
-    def cdf(capacity):
-        y = np.expm1(capacity)
-        if not double:
-            return single_cdf(y)
-        (b,) = double
-        # F_Y(y) = int_0^y s e^(-s/b) / b^2 F_A(y - s) ds; the Gamma(2)
-        # density beyond s = 50 b is below e^-46, so the rule stops there
-        half = np.minimum(y, 50.0 * b)[:, None] / 2.0
-        s = half * (x + 1.0)
-        f = s / b * np.exp(-s / b) / b * single_cdf(y[:, None] - s)
-        return (f * half) @ weights
+    def cdf(y):
+        y = np.asarray(y, float).reshape(-1, 1)
+        lo, hi = -np.log(y), np.log1p(k.sum()) - np.log(y)
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            bs = b * np.exp(mid)
+            above = y * np.exp(mid) > 1.0 + (bs / (1.0 + bs)) @ k[:, None]
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        s0 = np.exp(lo)
+        x = b * s0 / (1.0 + b * s0)
+        h = np.sqrt(40.0 / (1.0 + 2.0 * x ** 2 @ k[:, None])) / 64.0
+        z = 1.0 + 1j * h * np.arange(65)
+        s = s0 * z * z
+        log_f = s * y - np.log(s)
+        for b_m, k_m in zip(b, k):
+            log_f -= k_m * np.log1p(b_m * s)
+        g = np.exp(log_f) * s0 * z * h  # the real-line rule, folded at u = 0
+        return (2.0 * g.sum(1).real - g[:, 0].real) / np.pi
     return cdf
 
 
-def bound_cdf(config, d):
-    """Exact CDF G of X = log1p(Y), Y the band-mean SNR, at any N.
+def band_mean_law(config, d):
+    """CDF G of X = log1p(Y), Y the band-mean SNR of the coupled run at d.
 
     With equal powers on L <= K taps, Parseval makes Y = sum_m b_m
     Gamma(k_m, 1), b_m = c_m / L and k_m = L mult_m over ``band_snr_terms``:
-    C <= X by Jensen, and C = X at L = 1.  Y's Laplace transform prod_m
-    (1 + b_m s)^-k_m splits into sum_m sum_(j <= k_m) a_mj (1 + b_m s)^-j,
-    so 1 - G = sum_m e^(-z_m) sum_(i < k_m) z_m^i / i! sum_(j > i) a_mj at
-    z_m = expm1(x) / b_m, for distinct scales.  Close scales of high order
-    make the a_mj large and of both signs (their absolute sum is 7e32 at
-    N = 16, d = 0.25, L = 8), so they are formed and summed in 60-digit
-    decimals.  Moschopoulos's gamma series (1985) has no such cancellation
-    but needs ~b_max / b_min terms: the scales span 14 decades at N = 16,
-    d = 0.05.
+    C <= X by Jensen, and C = X at L = 1.
     """
-    with decimal.localcontext(prec=60):
-        taps = config.n_taps
-        terms = [(Decimal(c / taps), taps * mult)
-                 for c, mult in band_snr_terms(config, d)]
-        poles = []  # (b_m, [sum_(j > i) a_mj / i! for i < k_m])
-        for m, (b, k) in enumerate(terms):
-            amp, poly = Decimal(1), [Decimal(1)] + [Decimal(0)] * (k - 1)
-            for other, order in terms[:m] + terms[m + 1:]:
-                # the other factor in x = 1 + b s, to order x^(k - 1):
-                # (1 - r)^-order (1 + r x / (1 - r))^-order, r = other / b
-                r = other / b
-                amp *= (1 - r) ** -order
-                step = [math.comb(order + j - 1, j) * (r / (r - 1)) ** j
-                        for j in range(k)]
-                poly = [sum(poly[i] * step[j - i] for i in range(j + 1))
-                        for j in range(k)]
-            # a_mj = amp poly[k - j], so sum_(j > i) a_mj sums poly[:k - i]
-            tails = list(itertools.accumulate(poly))
-            poles.append((b, [amp * tails[k - 1 - i] / math.factorial(i)
-                              for i in range(k)]))
-
-    def cdf(capacity):
-        out = []
-        with decimal.localcontext(prec=60):
-            for y in np.expm1(capacity).tolist():
-                survival = Decimal(0)
-                for b, coef in poles:
-                    z = Decimal(y) / b
-                    horner = Decimal(0)
-                    for c in reversed(coef):
-                        horner = horner * z + c
-                    survival += (-z).exp() * horner
-                out.append(float(1 - survival))
-        return np.array(out)
-    return cdf
+    taps, terms = config.n_taps, band_snr_terms(config, d)
+    cdf = band_mean_cdf([c / taps for c, _ in terms],
+                        [taps * mult for _, mult in terms])
+    return lambda capacity: cdf(np.expm1(capacity))
 
 
 def cdf_gaps(samples, cdf, step=20):
@@ -585,19 +544,19 @@ class TestRunMonteCarlo:
         se = np.sqrt(np.var(a) / a.size + np.var(b) / b.size)
         assert abs(a.mean() - b.mean()) < 3.0 * se
 
-    @pytest.mark.parametrize("d", [0.05, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("d", SPACINGS)
     def test_one_tap_coupled_law_is_exact(self, d):
         # an oracle that replays no stream: W = 0.5 so that Gamma0 matters,
         # and T_r > 0 so that the noise floor's (T_A - T_r) term does
         cfg = SimConfig(n_taps=1, subcarriers=8, relative_bandwidth=0.5,
                         temp_reverse=0.5, realizations=20000, spacings=(d,))
-        ks = stats.kstest(run_monte_carlo(cfg, d), one_tap_cdf(cfg, d))
+        ks = stats.kstest(run_monte_carlo(cfg, d), band_mean_law(cfg, d))
         # the DKW band at alpha = 1e-6 (Massart 1990): 0.0190 here
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
         assert ks.statistic <= eps
 
     @pytest.mark.parametrize("n", [1, 3, 4, 16])
-    @pytest.mark.parametrize("d", [0.05, 0.25])
+    @pytest.mark.parametrize("d", SPACINGS)
     def test_one_tap_coupled_law_is_exact_at_n(self, n, d):
         # the N = 2 law above at the other N: up to N = 4 one or two
         # exponentials and a Gamma(2), at N = 16 two exponentials and seven
@@ -605,31 +564,77 @@ class TestRunMonteCarlo:
         cfg = SimConfig(n_antennas=n, n_taps=1, subcarriers=8,
                         relative_bandwidth=0.5, temp_reverse=0.5,
                         realizations=20000, spacings=(d,))
-        gaps = cdf_gaps(run_monte_carlo(cfg, d), bound_cdf(cfg, d))
+        gaps = cdf_gaps(run_monte_carlo(cfg, d), band_mean_law(cfg, d))
         # the DKW band at alpha = 1e-6, as in the N = 2 law: 0.0190
         eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.realizations))
         assert max(gaps) <= eps
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("d", [0.05, 0.25])
-    def test_partial_fractions_match_the_closed_forms(self, n, d):
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_band_mean_cdf_matches_the_closed_forms(self, n, d):
+        # one tap: N = 1 is one exponential and N = 2 two, whose sum is
+        # hypoexponential; N = 1 on 8 equal taps is one Gamma(8)
         cfg = SimConfig(n_antennas=n, n_taps=1, relative_bandwidth=0.5,
                         temp_reverse=0.5, spacings=(d,))
-        c = np.linspace(0.0, 8.0, 161)
-        assert_allclose(bound_cdf(cfg, d)(c), one_tap_cdf(cfg, d)(c),
-                        rtol=0.0, atol=1e-9)
+        c = np.linspace(0.05, 8.0, 160)
+        y = np.expm1(c)
+        b = [c_m for c_m, _ in band_snr_terms(cfg, d)]
+        if n == 1:
+            laws = [(cfg, -np.expm1(-y / b[0])),
+                    (replace(cfg, n_taps=8),
+                     stats.gamma(8, scale=b[0] / 8).cdf(y))]
+        else:
+            laws = [(cfg, 1.0 - (b[0] * np.exp(-y / b[0])
+                                 - b[1] * np.exp(-y / b[1])) / (b[0] - b[1]))]
+        for config, want in laws:
+            assert_allclose(band_mean_law(config, d)(c), want,
+                            rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [0.05, 0.25])
+    @pytest.mark.parametrize("taps", [1, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_band_mean_law_is_a_cdf(self, d, n, taps):
+        # at every point the law tests read.  At N = 16, d = 0.5 on 8 taps
+        # two scales of order 16 lie within 7% of each other, and partial
+        # fractions in 60-digit decimals read G = 9e11 there
+        cfg = SimConfig(n_antennas=n, n_taps=taps, subcarriers=8,
+                        relative_bandwidth=0.5, temp_reverse=0.5,
+                        spacings=(d,))
+        g = band_mean_law(cfg, d)(np.linspace(0.05, 8.0, 160))
+        assert np.diff(g).min() >= -1e-13
+        assert g.min() >= -1e-13 and g.max() <= 1.0 + 1e-13
+
+    @pytest.mark.parametrize("d", SPACINGS)
     def test_capacity_stays_below_the_band_mean_bound(self, d):
         # 8 equal taps on 8 sub-carriers: C <= X for every realization, so
         # F_C >= G, and F_hat_C may fall below G only by the sampling error
         cfg = SimConfig(n_antennas=16, n_taps=8, subcarriers=8,
                         relative_bandwidth=0.5, temp_reverse=0.5,
                         realizations=20000, spacings=(d,))
-        _, above = cdf_gaps(run_monte_carlo(cfg, d), bound_cdf(cfg, d))
+        _, above = cdf_gaps(run_monte_carlo(cfg, d), band_mean_law(cfg, d))
         # the one-sided DKW band at alpha = 1e-6: 0.0186
         assert above <= math.sqrt(math.log(1.0 / 1e-6)
                                   / (2.0 * cfg.realizations))
+
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_mean_capacity_law_at_k_equal_l(self, d):
+        # 8 equal taps on 8 sub-carriers: the DFT is unitary, so the 8
+        # sub-carrier channels are i.i.d. with the one-tap law G1, and C is
+        # the mean of 8 i.i.d. copies of X = log1p(Y): E C = int (1 - G1),
+        # E X^2 = int 2 c (1 - G1) and Var C = Var X / 8.  Unlike the
+        # one-tap laws and the one-sided bound, it sees the tap powers
+        cfg = SimConfig(n_antennas=16, n_taps=8, subcarriers=8,
+                        relative_bandwidth=0.5, temp_reverse=0.5,
+                        realizations=20000, spacings=(d,))
+        c = np.linspace(0.0, 12.0, 1201)  # 1 - G1 is rounding by c = 12
+        tail = np.append(1.0, 1.0 - band_mean_law(replace(cfg, n_taps=1),
+                                                  d)(c[1:]))
+        mean = np.trapezoid(tail, c)
+        var = np.trapezoid(2.0 * c * tail, c) - mean ** 2
+        samples = run_monte_carlo(cfg, d)
+        z = (samples.mean() - mean) / math.sqrt(var / 8 / samples.size)
+        # six standard errors: a false alarm has probability 2e-9
+        assert abs(z) <= 6.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
     def test_one_tap_uncoupled_law_is_exact(self, n):

@@ -15,7 +15,7 @@ from ucadiv.fano import (
     fano_boxcar,
     fano_integral_check,
 )
-from ucadiv.fixtures import table1_fixture
+from ucadiv.fixtures import CouplingModel, isolated_mode, table1_fixture
 from ucadiv.modes import ResonantMode, vswr
 
 NARROW = ResonantMode(r=28.31, q=16.0, f0=0.9675)
@@ -38,6 +38,18 @@ class TestFanoBoxcar:
         for mode in table1_fixture().modes:
             spec = fano_boxcar(mode, w)
             assert spec.gamma0 == math.sqrt(spec.gamma0_sq)
+
+    @pytest.mark.parametrize("w", [0.02, 0.5, 1.5])
+    def test_transmissivity_is_one_minus_gamma0_squared(self, w):
+        # read from the stored Gamma0^2, not from the square of its root,
+        # which is an ulp off in 45 of these 219 budgets
+        modes = [*table1_fixture().modes, isolated_mode()]
+        for n in (2, 4, 16):
+            for d in (0.05, 0.1, 0.25, 0.5, 1.0):
+                modes.extend(CouplingModel().mode_set(n, d).modes)
+        for mode in modes:
+            spec = fano_boxcar(mode, w)
+            assert spec.transmissivity == 1.0 - spec.gamma0_sq
 
     def test_bound_pair_ordering(self):
         rng = np.random.default_rng(2)
